@@ -14,16 +14,13 @@ bit for bit for a fixed seed and trial count.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import refnet, shapes as shapes_mod, variance as variance_mod
-from .errors import BudgetExceeded
+from .errors import AsvinitError, BudgetExceeded
 
 _DEFAULT_BUDGET = 1_000_000
 
@@ -32,7 +29,10 @@ def _env_budget():
     raw = os.environ.get("ASV_BUDGET")
     if raw is None:
         return _DEFAULT_BUDGET
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise AsvinitError(f"ASV_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,26 +89,8 @@ class VarianceTrace:
     def rows_for(self, direction):
         return [r for r in self.rows if r.direction == direction]
 
-    def _row_dicts(self):
-        return [
-            {
-                "direction": r.direction, "layer": r.ell,
-                "predicted": repr(r.predicted), "estimate": repr(r.estimate),
-                "stderr": repr(r.stderr), "rel_error": repr(r.rel_error),
-            }
-            for r in self.rows
-        ]
-
-    def to_csv(self):
-        buf = io.StringIO()
-        cols = ("direction", "layer", "predicted", "estimate", "stderr", "rel_error")
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for row in self._row_dicts():
-            writer.writerow(row)
-        return buf.getvalue()
-
-    def to_json(self):
+    def table(self):
+        """(head, key, rows, csv columns) for cli.render."""
         rows = [
             {
                 "direction": r.direction, "layer": r.ell,
@@ -117,12 +99,13 @@ class VarianceTrace:
             }
             for r in self.rows
         ]
-        return json.dumps({
+        head = {
             "arch": self.arch_name, "method": self.method,
             "trials": [self.config.n_param_draws, self.config.n_input_draws],
             "seed": self.config.seed, "q0": self.config.q0, "rL": self.config.rL,
-            "rows": rows,
-        }, indent=2)
+        }
+        columns = ("direction", "layer", "predicted", "estimate", "stderr", "rel_error")
+        return head, "rows", rows, columns
 
 
 def _pooled_variance(x):
@@ -224,9 +207,14 @@ class CompareReport:
     worst: TraceRow | None
     failures: tuple[TraceRow, ...]
     passed: bool
+    trace: VarianceTrace
 
-    def to_json(self, trace=None):
-        obj = {
+    def table(self):
+        """(head, key, rows, csv columns) for cli.render, JSON only: the
+        report nests the trace object under "trace".  In CSV a run prints
+        the trace table alone."""
+        head, key, rows, _ = self.trace.table()
+        summary = {
             "threshold": self.threshold,
             "max_rel_error": self.max_rel_error,
             "passed": self.passed,
@@ -235,9 +223,7 @@ class CompareReport:
                 for r in self.failures
             ],
         }
-        if trace is not None:
-            obj["trace"] = json.loads(trace.to_json())
-        return json.dumps(obj, indent=2)
+        return summary, "trace", {**head, key: rows}, None
 
 
 def compare(trace: VarianceTrace, threshold: float) -> CompareReport:
@@ -251,4 +237,5 @@ def compare(trace: VarianceTrace, threshold: float) -> CompareReport:
         worst=worst,
         failures=failures,
         passed=not failures,
+        trace=trace,
     )

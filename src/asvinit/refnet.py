@@ -13,7 +13,6 @@ indices; it exists as an independent oracle for the vectorized path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,31 +316,6 @@ def loss_half_square(net, z0):
     trace = forward(net, z0)
     u_top = trace.u[-1]
     return 0.5 * float(np.sum(u_top * u_top))
-
-
-def dump_trace(trace: SignalTrace) -> str:
-    """Summarize a trace as JSON: per layer min/max/mean/var of each signal."""
-    def stats(x):
-        if x is None:
-            return None
-        return {
-            "min": float(np.min(x)), "max": float(np.max(x)),
-            "mean": float(np.mean(x)), "var": float(np.var(x)),
-        }
-
-    layers = []
-    n = len(trace.u)
-    for i in range(n):
-        layers.append({
-            "layer": i + 1,
-            "u": stats(trace.u[i]),
-            "v": stats(trace.v[i]),
-            "z": stats(trace.z[i + 1]),
-            "du": stats(trace.du[i]) if trace.du else None,
-            "dv": stats(trace.dv[i]) if trace.dv else None,
-            "dz": stats(trace.dz[i]) if trace.dz else None,
-        })
-    return json.dumps({"batch": trace.batch, "layers": layers}, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ convolution kernels (kw, kh, d), backward kernels (kw, kh, d_out).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -82,20 +80,6 @@ class LayerShape:
     activation: str
     params: int
     epsilon: int
-
-    @property
-    def pool_exclusive(self):
-        """True when windows partition the conv output exactly (no overlap,
-        no padding, no dropped border)."""
-        if self.pool_kind is None:
-            return False
-        wp, hp, _ = self.conv_shape
-        return (
-            self.pool_stride == self.pool_size
-            and self.pool_padding == (0, 0)
-            and wp % self.pool_size[0] == 0
-            and hp % self.pool_size[1] == 0
-        )
 
 
 def _axis_forward_census(n, k, p, s, n_out):
@@ -265,10 +249,10 @@ class ShapeReport:
         rows = tuple(infer_shapes(arch))
         return cls(name=arch.name, rows=rows, total_params=sum(r.params for r in rows))
 
-    def _row_dicts(self):
-        out = []
-        for r in self.rows:
-            out.append({
+    def table(self):
+        """(head, key, rows, csv columns) for cli.render."""
+        rows = [
+            {
                 "layer": r.ell, "kind": r.kind, "activation": r.activation,
                 "pool": r.pool_kind if r.pool_kind is not None else "",
                 "in_w": r.in_shape[0], "in_h": r.in_shape[1], "in_d": r.in_shape[2],
@@ -277,27 +261,13 @@ class ShapeReport:
                 "M_prev": r.m_prev, "M_prime": r.m_prime, "M": r.m,
                 "S": r.s_len, "J": r.j_len, "T": r.t,
                 "epsilon": r.epsilon, "params": r.params,
-            })
-        return out
-
-    def to_json(self):
-        rows = self._row_dicts()
-        for row, r in zip(rows, self.rows):
-            row["pool_size"] = list(r.pool_size) if r.pool_size else None
-            row["pool_stride"] = list(r.pool_stride) if r.pool_stride else None
-            row["pool_padding"] = list(r.pool_padding) if r.pool_padding else None
-        return json.dumps(
-            {"name": self.name, "total_params": self.total_params, "layers": rows},
-            indent=2,
-        )
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in self._row_dicts():
-            writer.writerow(row)
-        return buf.getvalue()
+                "pool_size": list(r.pool_size) if r.pool_size else None,
+                "pool_stride": list(r.pool_stride) if r.pool_stride else None,
+                "pool_padding": list(r.pool_padding) if r.pool_padding else None,
+            }
+            for r in self.rows
+        ]
+        return {"name": self.name, "total_params": self.total_params}, "layers", rows, _CSV_COLUMNS
 
     @classmethod
     def from_json(cls, text):
@@ -355,9 +325,7 @@ class PoolMaps:
     """Window membership of one layer's pooling step.
 
     Window of pooled unit i: members[indptr[i]:indptr[i+1]] (conv-output
-    unit ids).  d_map assigns each conv-output unit its pooled parent; it is
-    defined only for exclusive partitions, None otherwise.
-    """
+    unit ids)."""
 
     m_prime: int
     m: int
@@ -365,7 +333,6 @@ class PoolMaps:
     kind: str
     indptr: np.ndarray
     members: np.ndarray
-    d_map: np.ndarray | None
 
 
 def _axis_taps(n, k, p, s, n_out):
@@ -516,7 +483,7 @@ def build_layer_maps(architecture, layer):
 
 
 def build_pool_maps(architecture, layer):
-    """Window membership and (when exclusive) the pooled-parent map."""
+    """Window membership of one layer's pooling step (None without pooling)."""
     geo = infer_shapes(architecture)[layer]
     if geo.pool_kind is None:
         return None
@@ -543,17 +510,7 @@ def build_pool_maps(architecture, layer):
     counts_full = np.tile(counts, dp)
     indptr = np.zeros(ww * hh * dp + 1, dtype=np.int64)
     np.cumsum(counts_full, out=indptr[1:])
-
-    exclusive = geo.pool_exclusive
-    d_map = None
-    if exclusive:
-        xs = np.arange(wp, dtype=np.int64) // tw
-        ys = np.arange(hp, dtype=np.int64) // th
-        cs = np.arange(dp, dtype=np.int64)
-        d_map = (
-            xs[:, None, None] + ww * (ys[None, :, None] + hh * cs[None, None, :])
-        ).reshape(-1, order="F")
     return PoolMaps(
         m_prime=geo.m_prime, m=geo.m, t_nominal=geo.pool_size[0] * geo.pool_size[1],
-        kind=geo.pool_kind, indptr=indptr, members=members_full, d_map=d_map,
+        kind=geo.pool_kind, indptr=indptr, members=members_full,
     )

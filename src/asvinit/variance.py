@@ -17,11 +17,8 @@ with Identity activation use tau = gamma = 1 (no ReLU halving).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +50,13 @@ class PoolConstants:
     gamma: float
 
 
-_tau_cache: dict[tuple[str, int], float] = {}
-_tau_lock = threading.Lock()
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # integrand tail above 12 is below 1e-28 and dropped
 _UPPER = 12.0
 
 
+@functools.lru_cache(maxsize=None)
 def _tau_max_integral(t):
     """T * integral_0^inf s^2 phi(s) Phi(s)^(T-1) ds by composite
     Gauss-Legendre on [0, 12], panels doubled until successive estimates
@@ -98,14 +94,7 @@ def tau(kind, t):
     if kind == AVERAGE:
         return (1.0 / (2.0 * t)) * (1.0 + (t - 1) / math.pi)
     if kind == MAX:
-        key = (MAX, t)
-        with _tau_lock:
-            if key in _tau_cache:
-                return _tau_cache[key]
-        value = _tau_max_integral(t)
-        with _tau_lock:
-            _tau_cache[key] = value
-        return value
+        return _tau_max_integral(t)
     raise ValueError(f"unknown pool kind {kind!r}")
 
 
@@ -176,43 +165,23 @@ class InitPlan:
     def sigma_b(self):
         return np.array([r.sigma_b for r in self.rows])
 
-    def _row_dicts(self):
-        out = []
-        for r in self.rows:
-            out.append({
-                "layer": r.ell, "method": self.method,
-                "sigma_w": repr(r.sigma_w), "sigma_b": repr(r.sigma_b),
-                "tau": repr(r.tau), "gamma": repr(r.gamma),
-                "epsilon": r.epsilon, "M": r.m, "M_prime": r.m_prime,
-                "q_pred": repr(r.q_pred), "r_pred": repr(r.r_pred),
-                "clamped": r.clamped,
-            })
-        return out
-
-    def to_csv(self):
-        buf = io.StringIO()
-        cols = ("layer", "method", "sigma_w", "sigma_b", "tau", "gamma",
-                "epsilon", "M", "M_prime", "q_pred", "r_pred", "clamped")
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for row in self._row_dicts():
-            writer.writerow(row)
-        return buf.getvalue()
-
-    def to_json(self):
-        rows = []
-        for r in self.rows:
-            rows.append({
+    def table(self):
+        """(head, key, rows, csv columns) for cli.render."""
+        rows = [
+            {
                 "layer": r.ell, "sigma_w": r.sigma_w, "sigma_b": r.sigma_b,
                 "tau": r.tau, "gamma": r.gamma, "epsilon": r.epsilon,
                 "M_prev": r.m_prev, "M": r.m, "M_prime": r.m_prime,
                 "S": r.s_len, "J": r.j_len, "T": r.t,
                 "q_pred": r.q_pred, "r_pred": r.r_pred, "clamped": r.clamped,
-            })
-        return json.dumps({
-            "method": self.method, "arch": self.arch_name, "tau0": self.tau0,
-            "clamp_factor": self.clamp_factor, "layers": rows,
-        }, indent=2)
+            }
+            for r in self.rows
+        ]
+        head = {"method": self.method, "arch": self.arch_name, "tau0": self.tau0,
+                "clamp_factor": self.clamp_factor}
+        columns = ("layer", "method", "sigma_w", "sigma_b", "tau", "gamma",
+                   "epsilon", "M", "M_prime", "q_pred", "r_pred", "clamped")
+        return head, "layers", rows, columns
 
 
 def _taus_before(geo, tau0):
@@ -243,6 +212,24 @@ def predict_backward(geo, sigma_w, rL=1.0):
         r = float(sigma_w[i]) ** 2 * levels[0] * g * row.epsilon / row.m_prev
         levels.insert(0, r)
     return np.array(levels)
+
+
+def _plan(method, arch, geo, sigma_w, clamped, tau0, clamp_factor, q0, rL):
+    """InitPlan of the given std devs, with the q and r levels they predict."""
+    q = predict_forward(geo, sigma_w, q0=q0, tau0=tau0)
+    r = predict_backward(geo, sigma_w, rL=rL)
+    rows = []
+    for i, row in enumerate(geo):
+        consts = layer_constants(row)
+        rows.append(PlanRow(
+            ell=row.ell, sigma_w=float(sigma_w[i]), sigma_b=0.0,
+            tau=consts.tau, gamma=consts.gamma, epsilon=row.epsilon,
+            m_prev=row.m_prev, m_prime=row.m_prime, m=row.m,
+            s_len=row.s_len, j_len=row.j_len, t=row.t,
+            clamped=clamped[i], q_pred=float(q[i + 1]), r_pred=float(r[i]),
+        ))
+    return InitPlan(method=method, arch_name=arch.name, tau0=tau0,
+                    clamp_factor=clamp_factor, rows=tuple(rows))
 
 
 def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
@@ -292,23 +279,9 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
         variances.append(var)
         clamped_flags.append(clamped)
 
-    sigma_w = np.sqrt(variances)
-    q = predict_forward(geo, sigma_w, q0=q0, tau0=tau0)
-    r = predict_backward(geo, sigma_w, rL=rL)
-    rows = []
-    for i, row in enumerate(geo):
-        consts = layer_constants(row)
-        rows.append(PlanRow(
-            ell=row.ell, sigma_w=float(sigma_w[i]), sigma_b=0.0,
-            tau=consts.tau, gamma=consts.gamma, epsilon=row.epsilon,
-            m_prev=row.m_prev, m_prime=row.m_prime, m=row.m,
-            s_len=row.s_len, j_len=row.j_len, t=row.t,
-            clamped=clamped_flags[i], q_pred=float(q[i + 1]), r_pred=float(r[i]),
-        ))
-    return InitPlan(
-        method=method, arch_name=arch.name, tau0=tau0,
-        clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
-        rows=tuple(rows),
+    return _plan(
+        method, arch, geo, np.sqrt(variances), clamped_flags, tau0=tau0,
+        clamp_factor=clamp_factor if method == ASV_BACKWARD else None, q0=q0, rL=rL,
     )
 
 
@@ -324,17 +297,5 @@ def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0, q0=1.0, rL=1.0,
         )
     if not np.all(np.isfinite(sigma_w)) or np.any(sigma_w < 0):
         raise ValueError("sigma values must be finite and non-negative")
-    q = predict_forward(geo, sigma_w, q0=q0, tau0=tau0)
-    r = predict_backward(geo, sigma_w, rL=rL)
-    rows = []
-    for i, row in enumerate(geo):
-        consts = layer_constants(row)
-        rows.append(PlanRow(
-            ell=row.ell, sigma_w=float(sigma_w[i]), sigma_b=0.0,
-            tau=consts.tau, gamma=consts.gamma, epsilon=row.epsilon,
-            m_prev=row.m_prev, m_prime=row.m_prime, m=row.m,
-            s_len=row.s_len, j_len=row.j_len, t=row.t,
-            clamped=False, q_pred=float(q[i + 1]), r_pred=float(r[i]),
-        ))
-    return InitPlan(method=label, arch_name=arch.name, tau0=tau0,
-                    clamp_factor=None, rows=tuple(rows))
+    return _plan(label, arch, geo, sigma_w, [False] * len(geo), tau0=tau0,
+                 clamp_factor=None, q0=q0, rL=rL)

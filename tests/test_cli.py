@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ import pytest
 import asvinit
 from asvinit import cli
 from asvinit.arch import serialize
+
+GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
+TOY_FILE = str(Path(asvinit.__file__).parent / "data" / "toy.json")
 
 
 @pytest.fixture
@@ -177,3 +183,80 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["name"] == "arch34"
+
+
+def test_stdout_matches_golden_digests(capsys):
+    # sha256 of stdout per command; "toy.json" stands for the shipped toy net
+    mismatched = []
+    for command, digest in json.loads(GOLDEN.read_text()).items():
+        argv = [TOY_FILE if a == "toy.json" else a for a in command.split()]
+        _, out, _ = run(capsys, *argv)
+        if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+            mismatched.append(command)
+    assert mismatched == []
+
+
+def test_option_surface():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(o for action in p._actions for o in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    common = ["--arch", "--builtin", "--format", "--help", "--out", "-h"]
+    plan = ["--clamp-factor", "--clamp-mode", "--tau0"]
+    assert options == {
+        "analyze": sorted(common),
+        "init": sorted(common + plan + ["--emit-weights", "--method", "--seed"]),
+        "compare-methods": sorted(common + plan),
+        "simulate": sorted(common + plan + [
+            "--directions", "--method", "--q0", "--rL", "--seed",
+            "--sigma-override", "--threshold", "--trials",
+        ]),
+    }
+
+
+BAD_INPUTS = [
+    (["analyze", "--builtin", ""], {}),
+    (["simulate", "--arch", "@arch", "--trials", "0x4"], {}),
+    (["simulate", "--arch", "@arch", "--trials=-1x4"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/short.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/dict.json"], {}),
+    (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "abc"}),
+    (["simulate", "--arch", "@arch", "--q0", "-1"], {}),
+    (["simulate", "--arch", "@arch", "--rL", "nan"], {}),
+    (["simulate", "--arch", "@arch", "--threshold", "nan"], {}),
+    (["simulate", "--arch", "@arch", "--seed", "-1"], {}),
+    (["init", "--arch", "@arch", "--clamp-factor", "nan"], {}),
+    (["init", "--arch", "@arch", "--clamp-factor", "abc"], {}),
+    (["init", "--arch", "@arch", "--clamp-factor", "-1"], {}),
+    (["init", "--arch", "@arch", "--tau0", "nan"], {}),
+    (["init", "--arch", "@arch", "--tau0", "-1"], {}),
+    (["init", "--arch", "@arch", "--seed", "-1", "--emit-weights", "@tmp/w.bin"], {}),
+    (["compare-methods", "--arch", "@arch", "--clamp-factor", "abc"], {}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env", BAD_INPUTS,
+    ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()]) for argv, env in BAD_INPUTS],
+)
+def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_file,
+                                                tmp_path, argv, env):
+    (tmp_path / "short.json").write_text("[1.0, 2.0]")
+    (tmp_path / "dict.json").write_text('{"a": 1}')
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.replace("@arch", tiny_arch_file).replace("@tmp", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "w.bin").exists()
+
+
+def test_read_weights_truncated_file(capsys, tiny_arch_file, tmp_path):
+    path = tmp_path / "w.bin"
+    run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(asvinit.AsvinitError, match="truncated"):
+        cli.read_weights(str(path))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import asvinit
-from asvinit import montecarlo, variance
+from asvinit import cli, montecarlo, variance
 from asvinit.errors import BudgetExceeded
 
 
@@ -172,9 +172,9 @@ def test_trace_serialization():
     toy = tiny()
     plan = variance.init_plan(variance.ASV_FORWARD, toy)
     trace = montecarlo.estimate_both(toy, plan, montecarlo.McConfig(2, 8, seed=4))
-    obj = json.loads(trace.to_json())
+    obj = json.loads(cli.render(trace.table(), "json"))
     assert obj["trials"] == [2, 8]
     assert len(obj["rows"]) == (1 + 4) + 3  # forward 0..4 plus backward 1..3
-    csv_text = trace.to_csv()
+    csv_text = cli.render(trace.table(), "csv")
     assert csv_text.splitlines()[0] == "direction,layer,predicted,estimate,stderr,rel_error"
     assert len(csv_text.strip().splitlines()) == 1 + 8

@@ -305,13 +305,3 @@ def test_forward_batch_columns_independent():
         single = refnet.forward(net, z[:, col])
         for i in range(4):
             assert np.array_equal(full.u[i][:, col], single.u[i][:, 0])
-
-
-def test_trace_dump_is_json_with_layer_stats():
-    import json
-    a = asvinit.toy_net(3, 3, 4)
-    net = sampled(a, seed=1)
-    trace = refnet.forward(net, np.random.default_rng(4).normal(size=16 * 16 * 3))
-    obj = json.loads(refnet.dump_trace(trace))
-    assert len(obj["layers"]) == 4
-    assert {"min", "max", "mean", "var"} <= set(obj["layers"][0]["u"])

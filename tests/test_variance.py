@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import asvinit
-from asvinit import variance
+from asvinit import cli, variance
 
 
 def pooled_relu_max_second_moment(t, n_samples, seed):
@@ -316,7 +316,7 @@ def test_plan_from_sigmas_validates_length():
 
 def test_plan_csv_has_required_columns():
     plan = variance.init_plan(variance.ASV_BACKWARD, asvinit.toy_net())
-    header = plan.to_csv().splitlines()[0]
+    header = cli.render(plan.table(), "csv").splitlines()[0]
     for col in ("layer", "method", "sigma_w", "sigma_b", "tau", "gamma",
                 "epsilon", "M", "M_prime", "q_pred", "r_pred", "clamped"):
         assert col in header.split(",")
