@@ -1,11 +1,17 @@
-"""Executable network in the flattened index-set form, plus a naive oracle.
+"""Executable network: one sparse linear operator per layer, plus a naive oracle.
 
-The engine evaluates exactly the index-set equations: convolution as inner
-products over (kernel-tap, input-unit) pairs, pooling as max/mean over window
-members, and the backward pass as inner products of re-indexed backward
-kernels with upstream gradients.  Signals are float64 column batches
-(units x batch).  All reductions run in a fixed order, so results are
-bit-identical for a given seed regardless of batch chunking.
+Each conv or FC layer is the paper's linear map over flattened index sets,
+held as one (M' x M_prev) CSR matrix A per weight draw: row i carries
+w[c(i), a] at column s for every forward tap (a, s) of output unit i.
+forward() and backward() each build A from the net's current weights
+(a gather over the forward maps), so A is never held between passes.
+Forward is u = A @ z + b.  The paper's re-indexed backward kernel is exactly
+the transpose of that map, so backward is dz = A.T @ du.  Average pooling is
+the same kind of operator P with entries 1/T (forward P @ v, backward
+P.T @ dz); max pooling keeps the window max and routes each gradient to its
+winner.  Signals are float64 column batches (units x batch).  Each output
+sums its terms one after another in a fixed order, whatever the batch width,
+so results are bit-identical for a given seed across batch sizes.
 
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
@@ -16,25 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import arch as arch_mod
 from . import shapes as shapes_mod
 from .errors import MissingForwardTrace, ShapeMismatch
-
-_CHUNK = 64
-
-
-def _segment_sum(values, indptr):
-    """Row-segment sums of a (taps x B) array; empty segments yield zero."""
-    n_seg = len(indptr) - 1
-    if values.shape[0] == 0:
-        return np.zeros((n_seg, values.shape[1]))
-    starts = np.minimum(indptr[:-1], values.shape[0] - 1)
-    out = np.add.reduceat(values, starts, axis=0)
-    empty = indptr[1:] == indptr[:-1]
-    if empty.any():
-        out[empty] = 0.0
-    return out
 
 
 def _segment_max_and_winner(values, members, indptr):
@@ -47,13 +39,6 @@ def _segment_max_and_winner(values, members, indptr):
     pos = np.where(hit, order, values.shape[0])
     first = np.minimum.reduceat(pos, starts, axis=0)
     return top, members[first]
-
-
-def _scatter_add(size, index, values):
-    """dest[index[i], col] += values[i, col] with a deterministic order."""
-    b = values.shape[1]
-    flat = (index[:, None] * b + np.arange(b)[None, :]).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=size * b).reshape(size, b)
 
 
 @dataclass(frozen=True)
@@ -71,23 +56,6 @@ class VectorNet:
     @property
     def num_layers(self):
         return len(self.geo)
-
-    def backward_kernel(self, layer):
-        """Re-indexed backward weights (C_tilde x J); a pure permutation of W."""
-        w = self.weights[layer]
-        spec = self.arch.layers[layer]
-        if spec.kind == arch_mod.FULLY_CONNECTED:
-            return w.T.copy()
-        kw, kh = spec.kernel
-        d = self.geo[layer].in_shape[2]
-        dp = self.geo[layer].conv_shape[2]
-        # rows flatten (kw, kh, d) first-axis-fastest == C-order (d, kh, kw)
-        return (
-            w.reshape(dp, d, kh, kw)
-            .transpose(1, 0, 2, 3)
-            .reshape(d, dp * kh * kw)
-            .copy()
-        )
 
 
 def build_maps(architecture):
@@ -165,22 +133,25 @@ def _as_batch(x, m, what):
     return x, squeeze
 
 
-def _conv_apply(maps, w, b, c_of_out, z, chunk=_CHUNK):
-    """u_i = <w[c(i), a(i)], z[s(i)]> + b[c(i)] over the batch."""
-    s_len = w.shape[1]
-    w_flat = w.ravel()
-    tap_w = w_flat[c_of_out[_rep_out(maps)] * s_len + maps.fwd_a]
-    out = np.empty((maps.m_prime, z.shape[1]))
-    for lo in range(0, z.shape[1], chunk):
-        hi = min(lo + chunk, z.shape[1])
-        gathered = tap_w[:, None] * z[maps.fwd_s, lo:hi]
-        out[:, lo:hi] = _segment_sum(gathered, maps.fwd_indptr)
-    out += b[c_of_out][:, None]
-    return out
-
-
 def _rep_out(maps):
     return np.repeat(np.arange(maps.m_prime), np.diff(maps.fwd_indptr))
+
+
+def _layer_operator(maps, w):
+    """The layer's linear map as CSR: row i holds w[c(i), a] at column s for
+    each forward tap (a, s) of output unit i, in tap order."""
+    data = w.ravel()[maps.c[_rep_out(maps)] * w.shape[1] + maps.fwd_a]
+    return sparse.csr_matrix(
+        (data, maps.fwd_s, maps.fwd_indptr), shape=(maps.m_prime, maps.m_prev)
+    )
+
+
+def _average_operator(pool):
+    """Average pooling as CSR: row i holds 1/T at each member of window i."""
+    data = np.full(pool.members.size, 1.0 / pool.t_nominal)
+    return sparse.csr_matrix(
+        (data, pool.members, pool.indptr), shape=(pool.m, pool.m_prime)
+    )
 
 
 def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
@@ -189,9 +160,9 @@ def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
     z, _ = _as_batch(z0, m0, "input")
     trace = SignalTrace(z0=z)
     trace.z.append(z)
-    for i, g in enumerate(net.geo):
+    for i in range(net.num_layers):
         maps, pool = net.maps[i], net.pools[i]
-        u = _conv_apply(maps, net.weights[i], net.biases[i], maps.c, z)
+        u = _layer_operator(maps, net.weights[i]) @ z + net.biases[i][maps.c][:, None]
         if net.arch.layers[i].activation == arch_mod.RELU:
             v = np.maximum(u, 0.0)
         else:
@@ -203,8 +174,7 @@ def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
             gathered = v[pool.members, :]
             znext, winners = _segment_max_and_winner(gathered, pool.members, pool.indptr)
         else:
-            gathered = v[pool.members, :]
-            znext = _segment_sum(gathered, pool.indptr) / pool.t_nominal
+            znext = _average_operator(pool) @ v
         trace.u.append(u)
         trace.v.append(v)
         trace.z.append(znext)
@@ -214,20 +184,6 @@ def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
         # keep only what backward() needs: u (ReLU masks) and winners
         trace.v = [None] * len(trace.v)
     return trace
-
-
-def _conv_backward_signal(maps, w_tilde, du, chunk=_CHUNK):
-    """dz_i = <w_tilde[ctil(i), h(i)], du[j(i)]> over the batch."""
-    j_len = w_tilde.shape[1]
-    wt_flat = w_tilde.ravel()
-    rep_in = np.repeat(np.arange(maps.m_prev), np.diff(maps.bwd_indptr))
-    tap_w = wt_flat[maps.ctil[rep_in] * j_len + maps.bwd_h]
-    out = np.empty((maps.m_prev, du.shape[1]))
-    for lo in range(0, du.shape[1], chunk):
-        hi = min(lo + chunk, du.shape[1])
-        gathered = tap_w[:, None] * du[maps.bwd_j, lo:hi]
-        out[:, lo:hi] = _segment_sum(gathered, maps.bwd_indptr)
-    return out
 
 
 def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=False):
@@ -257,35 +213,27 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     du = du_top
     for i in range(n - 1, -1, -1):
         g = net.geo[i]
+        maps = net.maps[i]
         trace.du[i] = du
         if param_grads:
-            maps = net.maps[i]
-            s_len = g.s_len
             rep = _rep_out(maps)
-            z_prev = trace.z[i]
-            rowdot = np.zeros(len(rep))
-            for lo in range(0, trace.batch, _CHUNK):
-                hi = min(lo + _CHUNK, trace.batch)
-                rowdot += np.einsum(
-                    "tb,tb->t", du[rep, lo:hi], z_prev[maps.fwd_s, lo:hi]
-                )
-            dw = np.bincount(
-                maps.c[rep] * s_len + maps.fwd_a, weights=rowdot,
-                minlength=g.channels * s_len,
-            ).reshape(g.channels, s_len)
-            db = np.bincount(maps.c, weights=du.sum(axis=1), minlength=g.channels)
-            trace.d_weights[i] = dw
-            trace.d_biases[i] = db
-        dz_prev = _conv_backward_signal(net.maps[i], net.backward_kernel(i), du)
+            rowdot = np.einsum("tb,tb->t", du[rep], trace.z[i][maps.fwd_s])
+            trace.d_weights[i] = np.bincount(
+                maps.c[rep] * g.s_len + maps.fwd_a, weights=rowdot,
+                minlength=g.channels * g.s_len,
+            ).reshape(g.channels, g.s_len)
+            trace.d_biases[i] = np.bincount(
+                maps.c, weights=du.sum(axis=1), minlength=g.channels
+            )
+        dz_prev = _layer_operator(maps, net.weights[i]).T @ du
         trace.dz[i] = dz_prev
         if i == 0:
             break
         # through layer i-1's pooling and activation
         below = i - 1
         pool = net.pools[below]
-        dz_below = dz_prev
         if pool is None:
-            dv = dz_below
+            dv = dz_prev
         elif pool.kind == arch_mod.MAX:
             winners = trace.winners[below]
             if winners is None:
@@ -294,13 +242,11 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
             b = trace.batch
             flat = winners * b + np.arange(b)[None, :]
             dv = np.bincount(
-                flat.ravel(), weights=dz_below.ravel(),
+                flat.ravel(), weights=dz_prev.ravel(),
                 minlength=net.geo[below].m_prime * b,
             ).reshape(net.geo[below].m_prime, b)
         else:
-            rep = np.repeat(np.arange(pool.m), np.diff(pool.indptr))
-            spread = dz_below[rep, :] / pool.t_nominal
-            dv = _scatter_add(net.geo[below].m_prime, pool.members, spread)
+            dv = _average_operator(pool).T @ dz_prev
         if net.arch.layers[below].activation == arch_mod.RELU:
             du = dv * (trace.u[below] >= 0.0)
         else:

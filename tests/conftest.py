@@ -1,3 +1,12 @@
+from hypothesis import settings
+
+# Tier-1 runs are reproducible: the same examples every run, none replayed
+# from a local example database.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, max_examples=100, deadline=None
+)
+settings.load_profile("tier1")
+
 _criterion_lines = []
 
 

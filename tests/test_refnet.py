@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import asvinit
-from asvinit import refnet, variance
+from asvinit import refnet, shapes, variance
 from asvinit.arch import validate
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 
@@ -133,16 +134,80 @@ def test_sample_variance_tracks_sigma():
 
 
 # ---------------------------------------------------------------------------
-# backward kernel duality
+# backward duality: the paper's re-indexed backward product as an oracle
 # ---------------------------------------------------------------------------
+
+def backward_kernel(net, layer):
+    """Re-indexed backward weights (C_tilde x J); a pure permutation of W."""
+    w = net.weights[layer]
+    spec = net.arch.layers[layer]
+    if spec.kind == "FullyConnected":
+        return w.T.copy()
+    kw, kh = spec.kernel
+    d = net.geo[layer].in_shape[2]
+    dp = net.geo[layer].conv_shape[2]
+    # rows flatten (kw, kh, d) first-axis-fastest == C-order (d, kh, kw)
+    return (
+        w.reshape(dp, d, kh, kw)
+        .transpose(1, 0, 2, 3)
+        .reshape(d, dp * kh * kw)
+        .copy()
+    )
+
+
+def reindexed_backward(net, layer, du):
+    """dz_i = <w_tilde[ctil(i), h(i)], du[j(i)]> over the explicit backward
+    set of input unit i."""
+    maps = shapes.build_backward_maps(net.arch, layer)
+    w_tilde = backward_kernel(net, layer)
+    rep_in = np.repeat(np.arange(maps.m_prev), np.diff(maps.bwd_indptr))
+    terms = w_tilde[maps.ctil[rep_in], maps.bwd_h][:, None] * du[maps.bwd_j]
+    dz = np.zeros((maps.m_prev, du.shape[1]))
+    np.add.at(dz, rep_in, terms)
+    return dz
+
+
+def oracle_backward(net, trace, delta):
+    """dz at every layer interface from the re-indexed products, with
+    pooling routed window by window; shares no code with refnet.backward."""
+    n = net.num_layers
+    dz = [None] * (n + 1)
+    dz[n] = du = delta
+    for i in range(n - 1, -1, -1):
+        dz[i] = reindexed_backward(net, i, du)
+        if i == 0:
+            break
+        below, pool = i - 1, net.pools[i - 1]
+        u = trace.u[below]
+        if pool is None:
+            dv = dz[i]
+        else:
+            dv = np.zeros_like(u)
+            for k in range(pool.m):
+                members = pool.members[pool.indptr[k]:pool.indptr[k + 1]]
+                if pool.kind == "Max":
+                    # the first member attaining the window max wins
+                    winner = members[np.argmax(np.maximum(u[members], 0.0), axis=0)]
+                    dv[winner, np.arange(u.shape[1])] += dz[i][k]
+                else:
+                    dv[members] += dz[i][k] / pool.t_nominal
+        du = dv * (u >= 0.0) if net.arch.layers[below].activation == "ReLU" else dv
+    return dz
+
+
+def assert_close(actual, expected, rtol):
+    """Elementwise agreement to rtol relative to the signal's scale."""
+    scale = float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
 
 def test_backward_kernel_is_pure_reindexing():
     a = small_net((5, 5, 2), [(3, 3, 1, 1, None)])
     net = sampled(a, seed=4)
-    before = net.backward_kernel(0)
+    before = backward_kernel(net, 0)
     delta = 0.731
     net.weights[0][1, 7] += delta
-    after = net.backward_kernel(0)
+    after = backward_kernel(net, 0)
     diff = after - before
     changed = np.argwhere(diff != 0.0)
     assert len(changed) == 1
@@ -159,7 +224,28 @@ def test_fc_backward_kernel_is_transpose():
                                   activation="Identity"),),
     )
     net = sampled(a)
-    assert np.array_equal(net.backward_kernel(0), net.weights[0].T)
+    assert np.array_equal(backward_kernel(net, 0), net.weights[0].T)
+
+
+OVERLAPPING_AVERAGE = asvinit.Pool(kind="Average", size=(3, 3), stride=(2, 2), padding=(1, 1))
+OVERLAPPING_MAX = asvinit.Pool(kind="Max", size=(3, 3), stride=(1, 1))
+
+
+@pytest.mark.parametrize("in_shape, layers", [
+    ((16, 16, 2), [(4, 3, 1, 1, POOLS[1]), (3, 3, 2, 1, POOLS[2]), (2, 1, 1, 0, POOLS[3])]),
+    ((11, 11, 3), [(3, 3, 2, 0, OVERLAPPING_AVERAGE), (4, 2, 1, 1, OVERLAPPING_MAX)]),
+    ((7, 7, 1), [(2, 3, 1, 2, None), (3, 2, 2, 1, POOLS[3])]),
+], ids=["padded-strided-every-pool", "overlapping-windows", "wide-padding"])
+def test_backward_is_the_reindexed_backward_product(in_shape, layers):
+    net = sampled(small_net(in_shape, layers), seed=40)
+    rng = np.random.default_rng(50)
+    trace = refnet.forward(net, rng.normal(size=(net.geo[0].m_prev, 3)))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 3))
+    refnet.backward(net, trace, delta_uL=delta)
+    expected = oracle_backward(net, trace, delta)
+    for i in range(net.num_layers):
+        assert np.abs(trace.dz[i]).max() > 0.0
+        assert_close(trace.dz[i], expected[i], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +391,59 @@ def test_forward_batch_columns_independent():
         single = refnet.forward(net, z[:, col])
         for i in range(4):
             assert np.array_equal(full.u[i][:, col], single.u[i][:, 0])
+
+
+def test_backward_batch_columns_independent():
+    a = small_net((8, 8, 2), [(4, 3, 1, 1, POOLS[1]), (3, 3, 1, 1, POOLS[2])])
+    net = sampled(a, seed=29)
+    rng = np.random.default_rng(31)
+    z = rng.normal(size=(8 * 8 * 2, 5))
+    delta = rng.normal(size=(3, 5))
+    full = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    for col in range(5):
+        single = refnet.backward(
+            net, refnet.forward(net, z[:, col]), delta_uL=delta[:, col]
+        )
+        for i in range(net.num_layers):
+            assert np.array_equal(full.du[i][:, col], single.du[i][:, 0])
+            assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
+
+
+# ---------------------------------------------------------------------------
+# property test: random small chains against both oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_chains(draw):
+    width = draw(st.integers(4, 9))
+    depth = draw(st.integers(1, 3))
+    layers = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        layers.append((
+            draw(st.integers(1, 3)), k, draw(st.integers(1, 2)),
+            draw(st.integers(0, k - 1)),
+            draw(st.sampled_from(POOLS + [OVERLAPPING_AVERAGE, OVERLAPPING_MAX])),
+        ))
+    try:
+        return small_net((width, width, depth), layers, head=draw(st.integers(1, 3)))
+    except asvinit.ValidationError:
+        assume(False)
+
+
+@given(a=small_chains(), seed=st.integers(0, 2**16))
+def test_engine_matches_oracles_on_random_chains(a, seed):
+    net = sampled(a, seed=seed)
+    rng = np.random.default_rng(seed)
+    z0 = rng.normal(size=(net.geo[0].m_prev, 2))
+    trace = refnet.forward(net, z0)
+    for col in range(2):
+        us, zs = refnet.naive_forward(net, z0[:, col])
+        for i in range(net.num_layers):
+            assert_close(trace.u[i][:, col], us[i], rtol=1e-10)
+            assert_close(trace.z[i + 1][:, col], zs[i + 1], rtol=1e-10)
+    delta = rng.normal(size=(net.geo[-1].m_prime, 2))
+    refnet.backward(net, trace, delta_uL=delta)
+    expected = oracle_backward(net, trace, delta)
+    for i in range(net.num_layers):
+        assert_close(trace.dz[i], expected[i], rtol=1e-12)
