@@ -15,6 +15,7 @@ bit for bit for a fixed seed and trial count.
 from __future__ import annotations
 
 import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,21 @@ class VarianceTrace:
         return head, "rows", rows, columns
 
 
+def _check_memory(arch, geo):
+    """Refuse a run whose index maps and weights alone exceed the memory this
+    process may use (the soft RLIMIT_AS when one is set, else the machine's
+    physical memory), before any of them is allocated."""
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = shapes_mod.maps_and_weights_bytes(geo)
+    if need > limit:
+        raise BudgetExceeded(
+            f"{arch.name}: index maps and weights need {need / 2**30:.1f} GiB, "
+            f"over the {limit / 2**30:.1f} GiB memory limit"
+        )
+
+
 def _pooled_variance(x):
     """Variance over all entries (units x batch) of one draw."""
     m = float(np.mean(x))
@@ -118,6 +134,7 @@ def _run_draws(arch, plan, cfg, want_backward):
     """Per-draw pooled variances of u (and dz when requested)."""
     cfg.check_budget()
     geo = tuple(shapes_mod.infer_shapes(arch))
+    _check_memory(arch, geo)
     maps, pools = refnet.build_maps(arch)
     n_layers = len(geo)
     m0 = geo[0].m_prev

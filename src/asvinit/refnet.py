@@ -3,9 +3,13 @@
 Each conv or FC layer is the paper's linear map over flattened index sets,
 held as one (M' x M_prev) CSR matrix A per weight draw: row i carries
 w[c(i), a] at column s for every forward tap (a, s) of output unit i.
-forward() and backward() each build A from the net's current weights
-(a gather over the forward maps), so A is never held between passes.
-Forward is u = A @ z + b.  The paper's re-indexed backward kernel is exactly
+forward() and backward() each build A from the net's current weights, so A
+is never held between passes.  The structure (fwd_s, fwd_indptr) is the
+forward maps' own index arrays (int32 below 2**31 taps), taken as they are,
+without a scan or a copy.  The data is one gather of w's columns per
+channel block, np.take(w, a_sp, axis=1).ravel(), because the rows run
+channel-major and every channel repeats the same spatial tap pattern a_sp
+(see shapes.ConvMaps).  Forward is u = A @ z + b.  The paper's re-indexed backward kernel is exactly
 the transpose of that map, so backward is dz = A.T @ du.  Average pooling is
 the same kind of operator P with entries 1/T (forward P @ v, backward
 P.T @ dz); max pooling keeps the window max and routes each gradient to its
@@ -59,15 +63,11 @@ class VectorNet:
 
 
 def build_maps(architecture):
-    """Materialize index maps for every layer."""
-    maps = tuple(
-        shapes_mod.build_layer_maps(architecture, i)
-        for i in range(len(architecture.layers))
-    )
-    pools = tuple(
-        shapes_mod.build_pool_maps(architecture, i)
-        for i in range(len(architecture.layers))
-    )
+    """Materialize index maps for every layer (shapes inferred once)."""
+    geo = shapes_mod.infer_shapes(architecture)
+    layers = range(len(architecture.layers))
+    maps = tuple(shapes_mod.build_layer_maps(architecture, i, geo) for i in layers)
+    pools = tuple(shapes_mod.build_pool_maps(architecture, i, geo) for i in layers)
     return maps, pools
 
 
@@ -139,8 +139,10 @@ def _rep_out(maps):
 
 def _layer_operator(maps, w):
     """The layer's linear map as CSR: row i holds w[c(i), a] at column s for
-    each forward tap (a, s) of output unit i, in tap order."""
-    data = w.ravel()[maps.c[_rep_out(maps)] * w.shape[1] + maps.fwd_a]
+    each forward tap (a, s) of output unit i, in tap order.  Channel k's rows
+    carry w[k, a_sp], so the data is one gather per channel block."""
+    a_sp = maps.fwd_a[:maps.fwd_indptr[maps.m_prime // w.shape[0]]]
+    data = np.take(w, a_sp, axis=1).ravel()
     return sparse.csr_matrix(
         (data, maps.fwd_s, maps.fwd_indptr), shape=(maps.m_prime, maps.m_prev)
     )

@@ -4,6 +4,14 @@ All indices are 0-based internally; reports print 1-based layer numbers.
 Tensors of shape (n1, ..., nd) are flattened first-axis-fastest:
 linear = i1 + n1*(i2 + n2*(i3 + ...)).  Feature maps use (w, h, d) order,
 convolution kernels (kw, kh, d), backward kernels (kw, kh, d_out).
+
+The tap arrays of a layer's index maps (ConvMaps fwd_*/bwd_*) are int32
+whenever the layer's tap count, unit counts and kernel lengths all stay
+below 2**31, and int64 otherwise (index_dtype).  That is scipy.sparse's own
+index rule, so a CSR matrix built on them uses them as they are.  The
+per-unit arrays (c, ctil) and every PoolMaps array stay int64.  The map
+builders take the infer_shapes list as an optional geo argument, so a
+caller that builds every layer infers the chain once.
 """
 
 from __future__ import annotations
@@ -296,6 +304,32 @@ class ShapeReport:
 # Index maps (explicit forward/backward connection sets)
 # ---------------------------------------------------------------------------
 
+def index_dtype(geo: LayerShape):
+    """Dtype of one layer's tap arrays: np.int32 when its tap count
+    (epsilon), m_prev, m_prime and kernel lengths are all below 2**31,
+    np.int64 otherwise."""
+    bound = max(geo.epsilon, geo.m_prev, geo.m_prime, geo.s_len, geo.j_len)
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def maps_and_weights_bytes(geo):
+    """Exact bytes of build_layer_maps and build_pool_maps over every layer,
+    plus the float64 weights and biases of one parameter draw."""
+    total = 0
+    for g in geo:
+        isz = np.dtype(index_dtype(g)).itemsize
+        total += 8 * (g.m_prime + g.m_prev)                            # c, ctil
+        total += isz * (g.m_prime + 1 + g.m_prev + 1 + 4 * g.epsilon)  # indptrs, taps
+        total += 8 * g.params
+        if g.pool_kind is not None:
+            (wp, hp, dp), (ww, hh, _) = g.conv_shape, g.pool_shape
+            (tw, th), (sw, sh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
+            members = (_axis_forward_census(wp, tw, qw, sw, ww)
+                       * _axis_forward_census(hp, th, qh, sh, hh) * dp)
+            total += 8 * (g.m + 1 + members)                           # indptr, members
+    return total
+
+
 @dataclass(frozen=True)
 class ConvMaps:
     """Flattened connection sets of one layer's linear map.
@@ -304,6 +338,14 @@ class ConvMaps:
     fwd_a[fwd_indptr[i]:fwd_indptr[i+1]] and fwd_s[...]; c[i] is the kernel
     row applied.  Backward: for input unit i, taps (h, j) analogously, with
     ctil[i] the backward kernel row.
+
+    Layout: output units run channel-major (c is non-decreasing) and every
+    output channel repeats one spatial tap pattern, so with C channels
+    fwd_a = tile(a_sp, C) where a_sp = fwd_a[:fwd_indptr[m_prime // C]]
+    (for an FC layer C = m_prime and a_sp = arange(m_prev)).  Input units
+    of the backward sets are laid out the same way over input channels.
+    Tap arrays and indptrs have dtype index_dtype(geo); c and ctil are
+    int64.
     """
 
     m_prev: int
@@ -347,14 +389,17 @@ def _axis_taps(n, k, p, s, n_out):
     return out
 
 
-def build_forward_maps(architecture, layer):
-    """Explicit forward sets {a, s, c} for one layer (0-based index)."""
+def build_forward_maps(architecture, layer, geo=None):
+    """Explicit forward sets {a, s, c} for one layer (0-based index).
+
+    geo is infer_shapes(architecture), inferred here when not given."""
     spec = architecture.layers[layer]
-    geo = infer_shapes(architecture)[layer]
+    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
+    dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
-        a = np.tile(np.arange(m_prev, dtype=np.int64), m_prime)
-        indptr = np.arange(m_prime + 1, dtype=np.int64) * m_prev
+        a = np.tile(np.arange(m_prev, dtype=dt), m_prime)
+        indptr = np.arange(m_prime + 1, dtype=dt) * m_prev
         c = np.arange(m_prime, dtype=np.int64)
         return ConvMaps(
             m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
@@ -387,15 +432,14 @@ def build_forward_maps(architecture, layer):
             a_blocks.append(a_blk.reshape(-1, order="F"))
             s_blocks.append(s_blk.reshape(-1, order="F"))
             counts[x + wp * y] = xn * yn * d
-    a_sp = np.concatenate(a_blocks)
-    s_sp = np.concatenate(s_blocks)
+    a_sp = np.concatenate(a_blocks).astype(dt)
+    s_sp = np.concatenate(s_blocks).astype(dt)
 
     # replicate the spatial pattern across output channels (same a/s, c = ch)
     fwd_a = np.tile(a_sp, dp)
     fwd_s = np.tile(s_sp, dp)
-    counts_full = np.tile(counts, dp)
-    indptr = np.zeros(wp * hp * dp + 1, dtype=np.int64)
-    np.cumsum(counts_full, out=indptr[1:])
+    indptr = np.zeros(wp * hp * dp + 1, dtype=dt)
+    np.cumsum(np.tile(counts, dp), dtype=dt, out=indptr[1:])
     c = np.repeat(np.arange(dp, dtype=np.int64), wp * hp)
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,
@@ -415,14 +459,17 @@ def _axis_cover(n, k, p, s, n_out):
     return out
 
 
-def build_backward_maps(architecture, layer):
-    """Explicit backward sets {j, h, ctil} for one layer (0-based index)."""
+def build_backward_maps(architecture, layer, geo=None):
+    """Explicit backward sets {j, h, ctil} for one layer (0-based index).
+
+    geo is infer_shapes(architecture), inferred here when not given."""
     spec = architecture.layers[layer]
-    geo = infer_shapes(architecture)[layer]
+    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
+    dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
-        j = np.tile(np.arange(m_prime, dtype=np.int64), m_prev)
-        indptr = np.arange(m_prev + 1, dtype=np.int64) * m_prime
+        j = np.tile(np.arange(m_prime, dtype=dt), m_prev)
+        indptr = np.arange(m_prev + 1, dtype=dt) * m_prime
         return ConvMaps(
             m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
             c=None, fwd_indptr=None, fwd_a=None, fwd_s=None,
@@ -455,14 +502,13 @@ def build_backward_maps(architecture, layer):
             h_blocks.append(h_blk.reshape(-1, order="F"))
             j_blocks.append(j_blk.reshape(-1, order="F"))
             counts[l + w * m] = len(xl) * len(ym) * dp
-    h_sp = np.concatenate(h_blocks) if h_blocks else np.empty(0, dtype=np.int64)
-    j_sp = np.concatenate(j_blocks) if j_blocks else np.empty(0, dtype=np.int64)
+    h_sp = np.concatenate(h_blocks).astype(dt)
+    j_sp = np.concatenate(j_blocks).astype(dt)
 
     bwd_h = np.tile(h_sp, d)
     bwd_j = np.tile(j_sp, d)
-    counts_full = np.tile(counts, d)
-    indptr = np.zeros(w * h * d + 1, dtype=np.int64)
-    np.cumsum(counts_full, out=indptr[1:])
+    indptr = np.zeros(w * h * d + 1, dtype=dt)
+    np.cumsum(np.tile(counts, d), dtype=dt, out=indptr[1:])
     ctil = np.repeat(np.arange(d, dtype=np.int64), w * h)
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,
@@ -471,10 +517,12 @@ def build_backward_maps(architecture, layer):
     )
 
 
-def build_layer_maps(architecture, layer):
+def build_layer_maps(architecture, layer, geo=None):
     """Both directions merged into one ConvMaps."""
-    fwd = build_forward_maps(architecture, layer)
-    bwd = build_backward_maps(architecture, layer)
+    if geo is None:
+        geo = infer_shapes(architecture)
+    fwd = build_forward_maps(architecture, layer, geo)
+    bwd = build_backward_maps(architecture, layer, geo)
     return ConvMaps(
         m_prev=fwd.m_prev, m_prime=fwd.m_prime, s_len=fwd.s_len, j_len=fwd.j_len,
         c=fwd.c, fwd_indptr=fwd.fwd_indptr, fwd_a=fwd.fwd_a, fwd_s=fwd.fwd_s,
@@ -482,9 +530,11 @@ def build_layer_maps(architecture, layer):
     )
 
 
-def build_pool_maps(architecture, layer):
-    """Window membership of one layer's pooling step (None without pooling)."""
-    geo = infer_shapes(architecture)[layer]
+def build_pool_maps(architecture, layer, geo=None):
+    """Window membership of one layer's pooling step (None without pooling).
+
+    geo is infer_shapes(architecture), inferred here when not given."""
+    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
     if geo.pool_kind is None:
         return None
     wp, hp, dp = geo.conv_shape

@@ -2,10 +2,12 @@ import importlib.resources
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import arch
 from asvinit.errors import SchemaError, UnknownName, ValidationError
+from conftest import small_chains
 
 
 def shipped(name):
@@ -157,6 +159,69 @@ def test_roundtrip_randomized_architectures():
         except ValidationError:
             continue  # collapsed chain; skip
         assert arch.parse_architecture(arch.serialize(a)) == a
+
+
+@given(a=small_chains())
+def test_roundtrip_generated_chains(a):
+    assert arch.parse_architecture(arch.serialize(a)) == a
+
+
+KEYS = ("name", "input", "layers", "kind", "kernel", "stride", "padding",
+        "out_channels", "activation", "pool", "size", "t_override")
+NAMES = ("Conv", "FullyConnected", "ReLU", "Identity", "Max", "Average",
+         "GlobalAverage")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats()
+    | st.sampled_from(NAMES) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS + ("extra",)), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(obj):
+    """Every dict and list in a parsed JSON document, root first."""
+    if isinstance(obj, (dict, list)):
+        yield obj
+        for child in obj.values() if isinstance(obj, dict) else obj:
+            yield from _nodes(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The JSON text of a valid chain after one to three random edits: set,
+    add or delete a key or list element, or cut the text short."""
+    doc = json.loads(arch.serialize(draw(small_chains())))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_nodes(doc))))
+        edit = draw(st.sampled_from(("set", "delete", "append")))
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(sorted(node) + list(KEYS) + ["extra"]))
+            if edit == "delete":
+                node.pop(key, None)
+            else:
+                node[key] = draw(JSON_VALUES)
+        elif edit == "append" or not node:
+            node.append(draw(JSON_VALUES))
+        else:
+            index = draw(st.integers(0, len(node) - 1))
+            if edit == "delete":
+                del node[index]
+            else:
+                node[index] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(text=mutated_documents())
+def test_mutated_documents_raise_only_schema_or_validation_errors(text):
+    try:
+        a = arch.parse_architecture(text)
+    except (SchemaError, ValidationError):
+        return
+    assert arch.parse_architecture(arch.serialize(a)) == a
 
 
 def test_builtin_unknown_name():

@@ -136,10 +136,8 @@ def test_emit_weights_deterministic_and_readable(capsys, tiny_arch_file, tmp_pat
         assert np.all(b_file == 0.0)
 
 
-def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
-    """init --emit-weights draws the weights without building index maps, so
-    it runs on arch34 under a 3 GiB address-space limit."""
-    out = tmp_path / "arch34.bin"
+def run_in_3_gib(*argv):
+    """The CLI as a child process under a 3 GiB address-space limit."""
     limit = 3 * 2**30
 
     def cap_address_space():
@@ -152,11 +150,18 @@ def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
         # BLAS thread buffers would count against the limit on many-core hosts
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
     }
-    proc = subprocess.run(
-        [sys.executable, "-m", "asvinit.cli", "init", "--builtin", "arch34",
-         "--method", "asv-backward", "--emit-weights", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "asvinit.cli", *argv],
         env=env, preexec_fn=cap_address_space, capture_output=True, timeout=300,
     )
+
+
+def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
+    """init --emit-weights draws the weights without building index maps, so
+    it runs on arch34 under a 3 GiB address-space limit."""
+    out = tmp_path / "arch34.bin"
+    proc = run_in_3_gib("init", "--builtin", "arch34", "--method", "asv-backward",
+                        "--emit-weights", str(out))
     assert proc.returncode == 0, proc.stderr.decode()
     with open(out, "rb") as fh:
         header = fh.readline()
@@ -164,6 +169,16 @@ def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
     layers = json.loads(header)["layers"]
     assert [(x["channels"], x["kernel_len"]) for x in layers] == [(g.channels, g.s_len) for g in geo]
     assert out.stat().st_size == len(header) + 8 * sum(g.params for g in geo)
+
+
+def test_simulate_on_builtin_over_memory_limit_exits_3():
+    """arch34's index maps need ~50 GiB: simulate refuses before it
+    allocates them, with one error line instead of a MemoryError."""
+    proc = run_in_3_gib("simulate", "--builtin", "arch34", "--trials", "1x1")
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_simulate_passes_with_loose_threshold(capsys, tiny_arch_file):

@@ -1,40 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import refnet, shapes, variance
-from asvinit.arch import validate
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
-
-
-def small_net(in_shape, conv_layers, head=3):
-    """conv_layers: list of (channels, kernel, stride, padding, pool)."""
-    layers = []
-    for ch, k, s, p, pool in conv_layers:
-        layers.append(asvinit.LayerSpec(
-            kind="Conv", out_channels=ch, kernel=(k, k), stride=(s, s),
-            padding=(p, p), pool=pool,
-        ))
-    layers.append(asvinit.LayerSpec(kind="FullyConnected", out_channels=head,
-                                    activation="Identity"))
-    a = asvinit.Architecture(name="small", input_shape=in_shape,
-                             layers=tuple(layers))
-    validate(a)
-    return a
+from conftest import OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, small_chains, small_net
 
 
 def sampled(a, seed=0, method=variance.KAIMING_FORWARD):
     plan = variance.init_plan(method, a, clamp_factor=None)
     return refnet.sample_parameters(a, plan, seed=seed)
-
-
-POOLS = [
-    None,
-    asvinit.Pool(kind="Max", size=(2, 2)),
-    asvinit.Pool(kind="Average", size=(2, 2)),
-    asvinit.Pool(kind="GlobalAverage"),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +203,6 @@ def test_fc_backward_kernel_is_transpose():
     assert np.array_equal(backward_kernel(net, 0), net.weights[0].T)
 
 
-OVERLAPPING_AVERAGE = asvinit.Pool(kind="Average", size=(3, 3), stride=(2, 2), padding=(1, 1))
-OVERLAPPING_MAX = asvinit.Pool(kind="Max", size=(3, 3), stride=(1, 1))
-
-
 @pytest.mark.parametrize("in_shape, layers", [
     ((16, 16, 2), [(4, 3, 1, 1, POOLS[1]), (3, 3, 2, 1, POOLS[2]), (2, 1, 1, 0, POOLS[3])]),
     ((11, 11, 3), [(3, 3, 2, 0, OVERLAPPING_AVERAGE), (4, 2, 1, 1, OVERLAPPING_MAX)]),
@@ -413,24 +385,6 @@ def test_backward_batch_columns_independent():
 # property test: random small chains against both oracles
 # ---------------------------------------------------------------------------
 
-@st.composite
-def small_chains(draw):
-    width = draw(st.integers(4, 9))
-    depth = draw(st.integers(1, 3))
-    layers = []
-    for _ in range(draw(st.integers(1, 2))):
-        k = draw(st.integers(1, 3))
-        layers.append((
-            draw(st.integers(1, 3)), k, draw(st.integers(1, 2)),
-            draw(st.integers(0, k - 1)),
-            draw(st.sampled_from(POOLS + [OVERLAPPING_AVERAGE, OVERLAPPING_MAX])),
-        ))
-    try:
-        return small_net((width, width, depth), layers, head=draw(st.integers(1, 3)))
-    except asvinit.ValidationError:
-        assume(False)
-
-
 @given(a=small_chains(), seed=st.integers(0, 2**16))
 def test_engine_matches_oracles_on_random_chains(a, seed):
     net = sampled(a, seed=seed)
@@ -447,3 +401,45 @@ def test_engine_matches_oracles_on_random_chains(a, seed):
     expected = oracle_backward(net, trace, delta)
     for i in range(net.num_layers):
         assert_close(trace.dz[i], expected[i], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# operator layout and map building
+# ---------------------------------------------------------------------------
+
+@given(a=small_chains(), seed=st.integers(0, 2**16))
+def test_operator_data_is_the_per_tap_gather(a, seed):
+    """The one-gather-per-channel-block data equals the explicit per-tap
+    w[c(i), a]; this holds only while rows run channel-major over one
+    repeated spatial pattern.  The CSR structure is the maps' own arrays."""
+    net = sampled(a, seed=seed)
+    for maps, w in zip(net.maps, net.weights):
+        op = refnet._layer_operator(maps, w)
+        explicit = w.ravel()[maps.c[refnet._rep_out(maps)] * w.shape[1] + maps.fwd_a]
+        assert np.array_equal(op.data, explicit)
+        assert np.shares_memory(op.indices, maps.fwd_s)
+        assert np.shares_memory(op.indptr, maps.fwd_indptr)
+
+
+def test_int64_maps_give_the_same_signals(monkeypatch):
+    """The int64 fallback for layers beyond 2**31 taps computes the same
+    bits as the int32 maps."""
+    a = asvinit.toy_net(3, 3, 4)
+    z0 = np.random.default_rng(3).normal(size=(16 * 16 * 3, 4))
+    narrow = sampled(a, seed=7)
+    monkeypatch.setattr(shapes, "index_dtype", lambda geo: np.int64)
+    wide = sampled(a, seed=7)
+    assert all(m.fwd_s.dtype == np.int64 for m in wide.maps)
+    t32 = refnet.backward(narrow, refnet.forward(narrow, z0))
+    t64 = refnet.backward(wide, refnet.forward(wide, z0))
+    for i in range(narrow.num_layers):
+        assert np.array_equal(t32.u[i], t64.u[i])
+        assert np.array_equal(t32.dz[i], t64.dz[i])
+
+
+def test_build_maps_infers_shapes_once(monkeypatch):
+    calls = []
+    infer = shapes.infer_shapes
+    monkeypatch.setattr(shapes, "infer_shapes", lambda a: calls.append(a) or infer(a))
+    refnet.build_maps(asvinit.toy_net())
+    assert len(calls) == 1

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 import asvinit
 from asvinit import arch, cli, shapes
 from asvinit.errors import OutOfBounds
+from conftest import small_chains
 
 
 def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
@@ -219,6 +223,39 @@ def test_backward_tap_total_equals_forward():
         fwd = shapes.build_forward_maps(a, 0)
         bwd = shapes.build_backward_maps(a, 0)
         assert len(fwd.fwd_s) == len(bwd.bwd_j)
+
+
+# ---------------------------------------------------------------------------
+# index dtype and map bytes
+# ---------------------------------------------------------------------------
+
+def test_index_dtype_rule_and_map_dtypes():
+    a = asvinit.toy_net()
+    geo = shapes.infer_shapes(a)
+    g = geo[0]
+    assert shapes.index_dtype(replace(g, epsilon=2**31 - 1)) == np.int32
+    assert shapes.index_dtype(replace(g, epsilon=2**31)) == np.int64
+    assert shapes.index_dtype(replace(g, m_prev=2**31)) == np.int64
+    assert shapes.index_dtype(replace(g, m_prime=2**31)) == np.int64
+    for i in range(len(geo)):
+        maps = shapes.build_layer_maps(a, i, geo)
+        for name in ("fwd_a", "fwd_s", "fwd_indptr", "bwd_h", "bwd_j", "bwd_indptr"):
+            assert getattr(maps, name).dtype == np.int32
+        assert maps.c.dtype == maps.ctil.dtype == np.int64
+        pool = shapes.build_pool_maps(a, i, geo)
+        if pool is not None:
+            assert pool.members.dtype == pool.indptr.dtype == np.int64
+
+
+@given(a=small_chains())
+def test_map_and_weight_bytes_are_exact(a):
+    geo = shapes.infer_shapes(a)
+    built = [shapes.build_layer_maps(a, i, geo) for i in range(len(geo))]
+    built += [shapes.build_pool_maps(a, i, geo) for i in range(len(geo))]
+    arrays = [v for m in built if m is not None for v in vars(m).values()
+              if isinstance(v, np.ndarray)]
+    weights = 8 * sum(g.params for g in geo)
+    assert shapes.maps_and_weights_bytes(geo) == sum(x.nbytes for x in arrays) + weights
 
 
 # ---------------------------------------------------------------------------
