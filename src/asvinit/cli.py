@@ -216,9 +216,7 @@ def cmd_init(args):
     plan = _init_plan(args.method, architecture, args)
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
-        # the weight file needs no index maps, which would not fit in
-        # memory on the built-ins
-        net = refnet.sample_parameters(architecture, plan, args.seed, maps=(), pools=())
+        net = refnet.sample_parameters(architecture, plan, args.seed)
         write_weights(args.emit_weights, net, plan.method, args.seed)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import refnet, shapes as shapes_mod, variance as variance_mod
+from . import arch as arch_mod, refnet, shapes as shapes_mod, variance as variance_mod
 from .errors import AsvinitError, BudgetExceeded
 
 _DEFAULT_BUDGET = 1_000_000
@@ -109,18 +109,36 @@ class VarianceTrace:
         return head, "rows", rows, columns
 
 
-def _check_memory(arch, geo):
-    """Refuse a run whose index maps and weights alone exceed the memory this
-    process may use (the soft RLIMIT_AS when one is set, else the machine's
-    physical memory), before any of them is allocated."""
+def _memory_need(geo, batch, want_backward):
+    """Upper bound on the bytes one draw of _run_draws holds at once: the
+    draw's float64 weights and biases, the signals a trace keeps (u, v, z,
+    max-pool winners and, for backward, du, dv, dz) for every image, the
+    input twice (drawn and as images), one signal-sized temporary, and one
+    im2col chunk."""
+    per_image = 2 * geo[0].m_prev
+    for g in geo:
+        per_image += 2 * g.m_prime + g.m                   # u, v, z
+        if g.pool_kind == arch_mod.MAX:
+            per_image += g.m                               # winners (<= 8 bytes)
+        if want_backward:
+            per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
+    per_image += max(max(g.m_prime, g.m_prev) for g in geo)
+    chunk = min(refnet.CHUNK, batch) * max(g.s_len * g.m_prime // g.channels for g in geo)
+    return 8 * (sum(g.params for g in geo) + batch * per_image + chunk)
+
+
+def _check_memory(arch, geo, cfg, want_backward):
+    """Refuse a run whose weights and signals exceed the memory this process
+    may use (the soft RLIMIT_AS when one is set, else the machine's physical
+    memory), before any of them is allocated."""
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    need = shapes_mod.maps_and_weights_bytes(geo)
+    need = _memory_need(geo, cfg.n_input_draws, want_backward)
     if need > limit:
         raise BudgetExceeded(
-            f"{arch.name}: index maps and weights need {need / 2**30:.1f} GiB, "
-            f"over the {limit / 2**30:.1f} GiB memory limit"
+            f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs need "
+            f"{need / 2**30:.1f} GiB, over the {limit / 2**30:.1f} GiB memory limit"
         )
 
 
@@ -130,14 +148,33 @@ def _pooled_variance(x):
     return float(np.mean(x * x)) - m * m
 
 
+def _one_draw(arch, plan, cfg, geo, seeds, want_backward):
+    """Pooled variances of z0, every u and (when asked) every inner dz for
+    one parameter draw.  Its trace is freed on return, before the next
+    draw allocates its own."""
+    param_ss, input_ss, inject_ss = seeds.spawn(3)
+    net = refnet.sample_parameters(arch, plan, param_ss)
+    rng_in = np.random.default_rng(input_ss)
+    z0 = rng_in.normal(0.0, np.sqrt(cfg.q0), size=(geo[0].m_prev, cfg.n_input_draws))
+    trace = refnet.forward(net, z0)
+    u_vars = [_pooled_variance(u) for u in trace.u]
+    dz_vars = None
+    if want_backward:
+        rng_top = np.random.default_rng(inject_ss)
+        delta = rng_top.normal(
+            0.0, np.sqrt(cfg.rL), size=(geo[-1].m_prime, cfg.n_input_draws)
+        )
+        refnet.backward(net, trace, delta_uL=delta)
+        dz_vars = [_pooled_variance(dz) for dz in trace.dz[1:-1]]
+    return _pooled_variance(z0), u_vars, dz_vars
+
+
 def _run_draws(arch, plan, cfg, want_backward):
     """Per-draw pooled variances of u (and dz when requested)."""
     cfg.check_budget()
     geo = tuple(shapes_mod.infer_shapes(arch))
-    _check_memory(arch, geo)
-    maps, pools = refnet.build_maps(arch)
+    _check_memory(arch, geo, cfg, want_backward)
     n_layers = len(geo)
-    m0 = geo[0].m_prev
 
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.n_param_draws)
@@ -147,22 +184,11 @@ def _run_draws(arch, plan, cfg, want_backward):
     dz_vars = np.empty((cfg.n_param_draws, n_layers - 1)) if want_backward else None
 
     for a in range(cfg.n_param_draws):
-        param_ss, input_ss, inject_ss = children[a].spawn(3)
-        net = refnet.sample_parameters(arch, plan, param_ss, maps=maps, pools=pools)
-        rng_in = np.random.default_rng(input_ss)
-        z0 = rng_in.normal(0.0, np.sqrt(cfg.q0), size=(m0, cfg.n_input_draws))
-        trace = refnet.forward(net, z0)
-        z0_vars[a] = _pooled_variance(z0)
-        for i in range(n_layers):
-            u_vars[a, i] = _pooled_variance(trace.u[i])
+        z0_vars[a], u_vars[a], dz_row = _one_draw(
+            arch, plan, cfg, geo, children[a], want_backward
+        )
         if want_backward:
-            rng_top = np.random.default_rng(inject_ss)
-            delta = rng_top.normal(
-                0.0, np.sqrt(cfg.rL), size=(geo[-1].m_prime, cfg.n_input_draws)
-            )
-            refnet.backward(net, trace, delta_uL=delta)
-            for i in range(n_layers - 1):
-                dz_vars[a, i] = _pooled_variance(trace.dz[i + 1])
+            dz_vars[a] = dz_row
     return geo, z0_vars, u_vars, dz_vars
 
 

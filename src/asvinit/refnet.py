@@ -1,21 +1,36 @@
-"""Executable network: one sparse linear operator per layer, plus a naive oracle.
+"""Executable network: a map-free per-image engine, plus a naive oracle.
 
 Each conv or FC layer is the paper's linear map over flattened index sets,
-held as one (M' x M_prev) CSR matrix A per weight draw: row i carries
-w[c(i), a] at column s for every forward tap (a, s) of output unit i.
-forward() and backward() each build A from the net's current weights, so A
-is never held between passes.  The structure (fwd_s, fwd_indptr) is the
-forward maps' own index arrays (int32 below 2**31 taps), taken as they are,
-without a scan or a copy.  The data is one gather of w's columns per
-channel block, np.take(w, a_sp, axis=1).ravel(), because the rows run
-channel-major and every channel repeats the same spatial tap pattern a_sp
-(see shapes.ConvMaps).  Forward is u = A @ z + b.  The paper's re-indexed backward kernel is exactly
-the transpose of that map, so backward is dz = A.T @ du.  Average pooling is
-the same kind of operator P with entries 1/T (forward P @ v, backward
-P.T @ dz); max pooling keeps the window max and routes each gradient to its
-winner.  Signals are float64 column batches (units x batch).  Each output
-sums its terms one after another in a fixed order, whatever the batch width,
-so results are bit-identical for a given seed across batch sizes.
+u = W * z + b.  The engine applies it without materializing those sets.
+Inside forward() and backward() signals are (B, D, H, W) arrays, images
+outermost, so one image is one C-contiguous (D, H, W) block and its
+flattening is the paper's first-axis-fastest order (w fastest, then h,
+then d).  The public signals in a SignalTrace are (M, B) arrays in that
+order: a (B, D, H, W) array's .reshape(B, -1).T, a view with no copy.
+
+Conv layers are lowered to matrix products (im2col): for a chunk of
+CHUNK images the padded, strided kernel taps are gathered into a
+(n, D*kh*kw, H'*W') buffer whose rows run (d, kh, kw) like the columns of
+w, and u = np.matmul(w, buffer).  Only kernel taps that land inside the
+input are copied (shapes.tap_ranges); the buffer's other entries stay 0,
+which is the zero padding.  A 1x1 stride-1 unpadded conv and an FC layer
+need no gather: their buffer is the input itself, reshaped.  Backward is
+the transpose: np.matmul(w.T, du), then a loop over kernel taps adds each
+tap's rows back into the input gradient.  That is the paper's re-indexed
+backward kernel, applied without index sets.
+
+Every BLAS call is a per-image product of the same shape whatever the batch
+width (images are the stack axis of np.matmul, never a GEMM dimension), and
+every other step is elementwise or a fixed-order loop over taps, so each
+column of a trace is bit-identical to a single-column run with the same
+weights.
+
+Pooling loops over window taps on strided slices.  Max pooling starts from
+-inf and takes a tap only when it is strictly greater, so the first maximum
+in window order (x fastest, then y) wins, i.e. the lowest member; it keeps
+the winning tap per window for backward, which routes each gradient to it.
+Average pooling sums the in-bounds members (padding counts as 0) and
+divides by the nominal window area T; backward spreads dz / T.
 
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
@@ -26,33 +41,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import arch as arch_mod
 from . import shapes as shapes_mod
 from .errors import MissingForwardTrace, ShapeMismatch
 
-
-def _segment_max_and_winner(values, members, indptr):
-    """Per-segment max and the member id (lowest index wins ties) attaining it."""
-    starts = indptr[:-1]
-    top = np.maximum.reduceat(values, starts, axis=0)
-    seg_of = np.repeat(np.arange(len(starts)), np.diff(indptr))
-    hit = values == top[seg_of, :]
-    order = np.arange(values.shape[0])[:, None]
-    pos = np.where(hit, order, values.shape[0])
-    first = np.minimum.reduceat(pos, starts, axis=0)
-    return top, members[first]
+# images per im2col buffer: bounds the buffer, not a tuning option
+CHUNK = 32
 
 
 @dataclass(frozen=True)
 class VectorNet:
-    """Sampled parameters plus the index maps needed to run them."""
+    """Sampled parameters of one architecture."""
 
     arch: arch_mod.Architecture
     geo: tuple[shapes_mod.LayerShape, ...]
-    maps: tuple[shapes_mod.ConvMaps, ...]
-    pools: tuple[shapes_mod.PoolMaps | None, ...]
     weights: tuple[np.ndarray, ...]   # per layer, (C, S)
     biases: tuple[np.ndarray, ...]    # per layer, (C,)
     seed: int | None = None
@@ -61,9 +64,19 @@ class VectorNet:
     def num_layers(self):
         return len(self.geo)
 
+    @property
+    def maps(self):
+        """Always (): the engine holds no index maps.  Kept because the
+        benchmark's traced tap counters (perfbench/spans.py) read it; they
+        report 0."""
+        return ()
+
 
 def build_maps(architecture):
-    """Materialize index maps for every layer (shapes inferred once)."""
+    """Materialize index maps for every layer (shapes inferred once).
+
+    The engine does not use them.  Kept as the paper's index sets for the
+    tests' oracles, and because the benchmark's tracer wraps it."""
     geo = shapes_mod.infer_shapes(architecture)
     layers = range(len(architecture.layers))
     maps = tuple(shapes_mod.build_layer_maps(architecture, i, geo) for i in layers)
@@ -71,15 +84,13 @@ def build_maps(architecture):
     return maps, pools
 
 
-def sample_parameters(architecture, plan, seed, maps=None, pools=None) -> VectorNet:
+def sample_parameters(architecture, plan, seed) -> VectorNet:
     """Draw iid zero-mean normal weights with the plan's per-layer std devs."""
     geo = tuple(shapes_mod.infer_shapes(architecture))
     if len(plan.rows) != len(geo):
         raise ValueError(
             f"plan covers {len(plan.rows)} layers, architecture has {len(geo)}"
         )
-    if maps is None or pools is None:
-        maps, pools = build_maps(architecture)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for g, row in zip(geo, plan.rows):
@@ -93,7 +104,7 @@ def sample_parameters(architecture, plan, seed, maps=None, pools=None) -> Vector
         else:
             biases.append(rng.normal(0.0, row.sigma_b, size=c))
     return VectorNet(
-        arch=architecture, geo=geo, maps=maps, pools=pools,
+        arch=architecture, geo=geo,
         weights=tuple(weights), biases=tuple(biases), seed=seed,
     )
 
@@ -102,8 +113,11 @@ def sample_parameters(architecture, plan, seed, maps=None, pools=None) -> Vector
 class SignalTrace:
     """Forward (and optionally backward) signals of one evaluation batch.
 
-    Lists are indexed by layer (0-based); z[0] is the input.  Backward
-    fields are filled by backward(); gradients for weights/biases appear in
+    Lists are indexed by layer (0-based); z[0] is the input.  Signals are
+    (M, B) arrays, M in first-axis-fastest order.  winners holds, per
+    max-pooled layer, the winning window tap of every (image, channel,
+    window) as a (B, C, H, W) integer array, else None.  Backward fields are
+    filled by backward(); gradients for weights/biases appear in
     d_weights/d_biases when requested.
     """
 
@@ -133,55 +147,204 @@ def _as_batch(x, m, what):
     return x, squeeze
 
 
-def _rep_out(maps):
-    return np.repeat(np.arange(maps.m_prime), np.diff(maps.fwd_indptr))
+def _images(x, shape):
+    """(M, B) signals of a (w, h, d) shape as C-contiguous (B, d, h, w)
+    images; no copy when x is the view _signals returns."""
+    w, h, d = shape
+    return np.ascontiguousarray(x.T).reshape(x.shape[1], d, h, w)
 
 
-def _layer_operator(maps, w):
-    """The layer's linear map as CSR: row i holds w[c(i), a] at column s for
-    each forward tap (a, s) of output unit i, in tap order.  Channel k's rows
-    carry w[k, a_sp], so the data is one gather per channel block."""
-    a_sp = maps.fwd_a[:maps.fwd_indptr[maps.m_prime // w.shape[0]]]
-    data = np.take(w, a_sp, axis=1).ravel()
-    return sparse.csr_matrix(
-        (data, maps.fwd_s, maps.fwd_indptr), shape=(maps.m_prime, maps.m_prev)
-    )
+def _signals(images):
+    """(B, D, H, W) images as (M, B) signals, a view."""
+    return images.reshape(images.shape[0], -1).T
 
 
-def _average_operator(pool):
-    """Average pooling as CSR: row i holds 1/T at each member of window i."""
-    data = np.full(pool.members.size, 1.0 / pool.t_nominal)
-    return sparse.csr_matrix(
-        (data, pool.members, pool.indptr), shape=(pool.m, pool.m_prime)
-    )
+def _taps(in_hw, out_hw, size, stride, padding):
+    """Every kernel (or window) tap (ty, tx) that reaches an output, as
+    (ty, tx, out_index, in_index): the outputs it reaches and the inputs
+    they read, as indexes over the trailing (H, W) axes."""
+    axes = []
+    for n, n_out, k, s, p in zip(in_hw, out_hw, size, stride, padding):
+        axis = []
+        for a, (lo, hi) in enumerate(shapes_mod.tap_ranges(n, k, p, s, n_out)):
+            if hi > lo:
+                first = lo * s - p + a
+                axis.append((a, slice(lo, hi), slice(first, first + (hi - lo - 1) * s + 1, s)))
+        axes.append(axis)
+    return [
+        (ty, tx, (..., oy, ox), (..., iy, ix))
+        for ty, oy, iy in axes[0] for tx, ox, ix in axes[1]
+    ]
+
+
+@dataclass(frozen=True)
+class _Lowering:
+    """A conv or FC layer as the per-image product u = w @ cols(z) + b, with
+    cols(z) of shape (k, p): k the kernel length, p the output positions.
+    taps is None when cols(z) is z itself, reshaped: an FC layer (its
+    kernel is its whole input, p = 1) or a 1x1 stride-1 unpadded conv."""
+
+    image: tuple[int, int, int]   # input (D, H, W)
+    out: tuple[int, int, int]     # output (C, H', W')
+    kernel: tuple[int, int]       # (kh, kw)
+    taps: list | None
+
+    @property
+    def k(self):
+        return self.image[0] * self.kernel[0] * self.kernel[1]
+
+    @property
+    def p(self):
+        return self.out[1] * self.out[2]
+
+
+def _lowering(spec, g):
+    w, h, d = g.in_shape
+    wp, hp, c = g.conv_shape
+    if spec.kind == arch_mod.FULLY_CONNECTED:
+        return _Lowering((d, h, w), (c, 1, 1), (h, w), None)
+    kw, kh = spec.kernel
+    (sw, sh), (pw, ph) = spec.stride, spec.padding
+    if (kw, kh, sw, sh, pw, ph) == (1, 1, 1, 1, 0, 0):
+        return _Lowering((d, h, w), (c, hp, wp), (1, 1), None)
+    taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
+    return _Lowering((d, h, w), (c, hp, wp), (kh, kw), taps)
+
+
+def _chunks(n_img):
+    return [(b0, min(b0 + CHUNK, n_img)) for b0 in range(0, n_img, CHUNK)]
+
+
+def _col_buffer(low, n_img):
+    """One chunk's zeroed im2col buffer (n, D, kh, kw, H', W'), or None."""
+    if low.taps is None:
+        return None
+    return np.zeros((min(CHUNK, n_img), low.image[0], *low.kernel, *low.out[1:]))
+
+
+def _cols(low, x, buf):
+    """cols(z) of a chunk of images x, as (n, k, p).  Entries of buf that
+    no tap writes stay 0 from one chunk to the next."""
+    n = x.shape[0]
+    if low.taps is None:
+        return x.reshape(n, low.k, low.p)
+    cols = buf[:n]
+    for ty, tx, o, i in low.taps:
+        cols[:, :, ty, tx][o] = x[i]
+    return cols.reshape(n, low.k, low.p)
+
+
+def _conv_forward(low, w, b, x):
+    u = np.empty((x.shape[0], *low.out))
+    u_cols = u.reshape(x.shape[0], low.out[0], low.p)
+    buf = _col_buffer(low, x.shape[0])
+    for b0, b1 in _chunks(x.shape[0]):
+        np.matmul(w, _cols(low, x[b0:b1], buf), out=u_cols[b0:b1])
+    u += b[:, None, None]
+    return u
+
+
+def _conv_backward(low, w, du):
+    """dz = W^T du: per-image products, then each tap's rows added back into
+    the input positions it read."""
+    n_img = du.shape[0]
+    du_cols = du.reshape(n_img, low.out[0], low.p)
+    if low.taps is None:
+        dz = np.empty((n_img, *low.image))
+        np.matmul(w.T, du_cols, out=dz.reshape(n_img, low.k, low.p))
+        return dz
+    dz = np.zeros((n_img, *low.image))
+    buf = _col_buffer(low, n_img)
+    for b0, b1 in _chunks(n_img):
+        dcols = buf[:b1 - b0]
+        np.matmul(w.T, du_cols[b0:b1], out=dcols.reshape(b1 - b0, low.k, low.p))
+        dz_chunk = dz[b0:b1]
+        for ty, tx, o, i in low.taps:
+            dz_chunk[i] += dcols[:, :, ty, tx][o]
+    return dz
+
+
+def _param_grads(low, du, x):
+    """(dW, db) summed over images, one per-image product per image."""
+    n_img = du.shape[0]
+    du_cols = du.reshape(n_img, low.out[0], low.p)
+    dw = np.zeros((low.out[0], low.k))
+    buf = _col_buffer(low, n_img)
+    for b0, b1 in _chunks(n_img):
+        cols = _cols(low, x[b0:b1], buf)
+        dw += np.matmul(du_cols[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw, du_cols.sum(axis=(0, 2))
+
+
+def _pool_taps(g):
+    (wp, hp, _), (ww, hh, _) = g.conv_shape, g.pool_shape
+    (tw, th), (sw, sh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
+    return _taps((hp, wp), (hh, ww), (th, tw), (sh, sw), (qh, qw))
+
+
+def _pooled(v, g):
+    ww, hh, c = g.pool_shape
+    return (v.shape[0], c, hh, ww)
+
+
+def _max_pool(v, g):
+    """Window max and the winning tap (first maximum in window order)."""
+    tw, th = g.pool_size
+    z = np.full(_pooled(v, g), -np.inf)
+    winners = np.zeros(z.shape, dtype=np.min_scalar_type(tw * th - 1))
+    for ty, tx, o, i in _pool_taps(g):
+        cand, best = v[i], z[o]
+        hit = cand > best
+        np.maximum(best, cand, out=best)
+        np.putmask(winners[o], hit, ty * tw + tx)
+    return z, winners
+
+
+def _max_unpool(dz, winners, g):
+    tw, _ = g.pool_size
+    dv = np.zeros((dz.shape[0], *reversed(g.conv_shape)))
+    for ty, tx, o, i in _pool_taps(g):
+        dv[i] += dz[o] * (winners[o] == ty * tw + tx)
+    return dv
+
+
+def _average_pool(v, g):
+    z = np.zeros(_pooled(v, g))
+    for _, _, o, i in _pool_taps(g):
+        z[o] += v[i]
+    z /= g.pool_size[0] * g.pool_size[1]
+    return z
+
+
+def _average_unpool(dz, g):
+    share = dz / (g.pool_size[0] * g.pool_size[1])
+    dv = np.zeros((dz.shape[0], *reversed(g.conv_shape)))
+    for _, _, o, i in _pool_taps(g):
+        dv[i] += share[o]
+    return dv
 
 
 def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
     """Run the forward chain; z0 is (M0,) or (M0, batch)."""
-    m0 = net.geo[0].m_prev
-    z, _ = _as_batch(z0, m0, "input")
+    g0 = net.geo[0]
+    z, _ = _as_batch(z0, g0.m_prev, "input")
     trace = SignalTrace(z0=z)
     trace.z.append(z)
-    for i in range(net.num_layers):
-        maps, pool = net.maps[i], net.pools[i]
-        u = _layer_operator(maps, net.weights[i]) @ z + net.biases[i][maps.c][:, None]
-        if net.arch.layers[i].activation == arch_mod.RELU:
-            v = np.maximum(u, 0.0)
-        else:
-            v = u
+    x = _images(z, g0.in_shape)
+    for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
+        u = _conv_forward(_lowering(spec, g), net.weights[i], net.biases[i], x)
+        v = np.maximum(u, 0.0) if spec.activation == arch_mod.RELU else u
         winners = None
-        if pool is None:
-            znext = v
-        elif pool.kind == arch_mod.MAX:
-            gathered = v[pool.members, :]
-            znext, winners = _segment_max_and_winner(gathered, pool.members, pool.indptr)
+        if g.pool_kind is None:
+            x = v
+        elif g.pool_kind == arch_mod.MAX:
+            x, winners = _max_pool(v, g)
         else:
-            znext = _average_operator(pool) @ v
-        trace.u.append(u)
-        trace.v.append(v)
-        trace.z.append(znext)
+            x = _average_pool(v, g)
+        trace.u.append(_signals(u))
+        trace.v.append(_signals(v))
+        trace.z.append(_signals(x))
         trace.winners.append(winners)
-        z = znext
     if not keep_signals:
         # keep only what backward() needs: u (ReLU masks) and winners
         trace.v = [None] * len(trace.v)
@@ -212,48 +375,35 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     trace.d_weights = [None] * n
     trace.d_biases = [None] * n
 
-    du = du_top
+    du = _images(du_top, net.geo[-1].conv_shape)
     for i in range(n - 1, -1, -1):
         g = net.geo[i]
-        maps = net.maps[i]
-        trace.du[i] = du
+        low = _lowering(net.arch.layers[i], g)
+        trace.du[i] = _signals(du)
         if param_grads:
-            rep = _rep_out(maps)
-            rowdot = np.einsum("tb,tb->t", du[rep], trace.z[i][maps.fwd_s])
-            trace.d_weights[i] = np.bincount(
-                maps.c[rep] * g.s_len + maps.fwd_a, weights=rowdot,
-                minlength=g.channels * g.s_len,
-            ).reshape(g.channels, g.s_len)
-            trace.d_biases[i] = np.bincount(
-                maps.c, weights=du.sum(axis=1), minlength=g.channels
+            trace.d_weights[i], trace.d_biases[i] = _param_grads(
+                low, du, _images(trace.z[i], g.in_shape)
             )
-        dz_prev = _layer_operator(maps, net.weights[i]).T @ du
-        trace.dz[i] = dz_prev
+        dz = _conv_backward(low, net.weights[i], du)
+        trace.dz[i] = _signals(dz)
         if i == 0:
             break
         # through layer i-1's pooling and activation
-        below = i - 1
-        pool = net.pools[below]
-        if pool is None:
-            dv = dz_prev
-        elif pool.kind == arch_mod.MAX:
-            winners = trace.winners[below]
+        below = net.geo[i - 1]
+        if below.pool_kind is None:
+            dv = dz
+        elif below.pool_kind == arch_mod.MAX:
+            winners = trace.winners[i - 1]
             if winners is None:
                 raise MissingForwardTrace("forward trace lacks max-pool winners")
-            # one target unit per (window, column)
-            b = trace.batch
-            flat = winners * b + np.arange(b)[None, :]
-            dv = np.bincount(
-                flat.ravel(), weights=dz_prev.ravel(),
-                minlength=net.geo[below].m_prime * b,
-            ).reshape(net.geo[below].m_prime, b)
+            dv = _max_unpool(dz, winners, below)
         else:
-            dv = _average_operator(pool).T @ dz_prev
-        if net.arch.layers[below].activation == arch_mod.RELU:
-            du = dv * (trace.u[below] >= 0.0)
+            dv = _average_unpool(dz, below)
+        if below.activation == arch_mod.RELU:
+            du = dv * (_images(trace.u[i - 1], below.conv_shape) >= 0.0)
         else:
             du = dv
-        trace.dv[below] = dv
+        trace.dv[i - 1] = _signals(dv)
     # dz[L] is the injected gradient itself (z^(L) := v^(L) := u^(L))
     trace.dz[n] = du_top
     return trace

@@ -5,13 +5,17 @@ Tensors of shape (n1, ..., nd) are flattened first-axis-fastest:
 linear = i1 + n1*(i2 + n2*(i3 + ...)).  Feature maps use (w, h, d) order,
 convolution kernels (kw, kh, d), backward kernels (kw, kh, d_out).
 
-The tap arrays of a layer's index maps (ConvMaps fwd_*/bwd_*) are int32
-whenever the layer's tap count, unit counts and kernel lengths all stay
-below 2**31, and int64 otherwise (index_dtype).  That is scipy.sparse's own
-index rule, so a CSR matrix built on them uses them as they are.  The
-per-unit arrays (c, ctil) and every PoolMaps array stay int64.  The map
-builders take the infer_shapes list as an optional geo argument, so a
-caller that builds every layer infers the chain once.
+The index maps (build_*_maps) materialize the paper's forward and backward
+index sets.  The reference engine in refnet does not use them; they stay
+because they are the paper's formulation, the tests' oracles for the
+engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
+Their tap arrays (ConvMaps fwd_*/bwd_*) are int32 whenever the layer's tap
+count, unit counts and kernel lengths all stay below 2**31, and int64
+otherwise (index_dtype).  The per-unit arrays (c, ctil) and every PoolMaps
+array stay int64.  The map builders take the infer_shapes list as an
+optional geo argument, so a caller that builds every layer infers the
+chain once.  Connection counts come from a closed-form census over kernel
+taps (tap_ranges), not from the maps.
 """
 
 from __future__ import annotations
@@ -90,33 +94,30 @@ class LayerShape:
     epsilon: int
 
 
+def tap_ranges(n, k, p, s, n_out):
+    """Per kernel tap a along one axis (input extent n, padding p, stride s):
+    the half-open range [lo, hi) of outputs i whose tap lands inside the
+    input, 0 <= i*s - p + a < n.  The range is empty when hi <= lo."""
+    return [
+        (max(0, -((a - p) // s)), min(n_out, (n - 1 + p - a) // s + 1))
+        for a in range(k)
+    ]
+
+
 def _axis_forward_census(n, k, p, s, n_out):
-    """Sum over output positions of the number of in-bounds kernel taps."""
-    total = 0
-    for i in range(n_out):
-        lo = i * s - p
-        total += min(k, n - lo) - max(0, -lo)
-    return total
-
-
-def _axis_backward_census(n, k, p, s, n_out):
-    """Sum over input positions of the number of kernel applications covering
-    them."""
-    total = 0
-    for l in range(n):
-        # outputs i with 0 <= l - i*s + p <= k-1
-        i_lo = max(0, -(-(l + p - k + 1) // s))  # ceil((l+p-k+1)/s)
-        i_hi = min(n_out - 1, (l + p) // s)
-        if i_hi >= i_lo:
-            total += i_hi - i_lo + 1
-    return total
+    """Number of (output position, in-bounds kernel tap) pairs along one
+    axis, summed over the k taps in closed form.  The same pairs, counted
+    from the input side, give the backward census."""
+    return sum(max(0, hi - lo) for lo, hi in tap_ranges(n, k, p, s, n_out))
 
 
 def connection_counts(arch: arch_mod.Architecture):
     """Per-layer (eps_fwd, eps_bwd) weight-connection counts, padding-aware.
 
     Computed combinatorially (per-axis census); build_forward_maps /
-    build_backward_maps materialize the same sets explicitly.
+    build_backward_maps materialize the same sets explicitly.  Every
+    forward tap (output i, input s) is the backward tap (input s, output i),
+    so the two counts are equal.
     """
     counts = []
     geo = infer_shapes(arch)
@@ -134,12 +135,7 @@ def connection_counts(arch: arch_mod.Architecture):
             * _axis_forward_census(h, kh, ph, sh, hp)
             * d * dp
         )
-        bwd = (
-            _axis_backward_census(w, kw, pw, sw, wp)
-            * _axis_backward_census(h, kh, ph, sh, hp)
-            * d * dp
-        )
-        counts.append((fwd, bwd))
+        counts.append((fwd, fwd))
     return counts
 
 
@@ -302,6 +298,10 @@ class ShapeReport:
 
 # ---------------------------------------------------------------------------
 # Index maps (explicit forward/backward connection sets)
+#
+# The reference engine does not read these.  They stay as the paper's index
+# sets: the tests' oracles for the engine, and functions the benchmark's
+# tracer wraps.
 # ---------------------------------------------------------------------------
 
 def index_dtype(geo: LayerShape):
@@ -310,24 +310,6 @@ def index_dtype(geo: LayerShape):
     np.int64 otherwise."""
     bound = max(geo.epsilon, geo.m_prev, geo.m_prime, geo.s_len, geo.j_len)
     return np.int32 if bound < 2**31 else np.int64
-
-
-def maps_and_weights_bytes(geo):
-    """Exact bytes of build_layer_maps and build_pool_maps over every layer,
-    plus the float64 weights and biases of one parameter draw."""
-    total = 0
-    for g in geo:
-        isz = np.dtype(index_dtype(g)).itemsize
-        total += 8 * (g.m_prime + g.m_prev)                            # c, ctil
-        total += isz * (g.m_prime + 1 + g.m_prev + 1 + 4 * g.epsilon)  # indptrs, taps
-        total += 8 * g.params
-        if g.pool_kind is not None:
-            (wp, hp, dp), (ww, hh, _) = g.conv_shape, g.pool_shape
-            (tw, th), (sw, sh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
-            members = (_axis_forward_census(wp, tw, qw, sw, ww)
-                       * _axis_forward_census(hp, th, qh, sh, hh) * dp)
-            total += 8 * (g.m + 1 + members)                           # indptr, members
-    return total
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,8 @@ def run_in_3_gib(*argv):
 
 
 def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
-    """init --emit-weights draws the weights without building index maps, so
-    it runs on arch34 under a 3 GiB address-space limit."""
+    """init --emit-weights runs on arch34 under a 3 GiB address-space
+    limit."""
     out = tmp_path / "arch34.bin"
     proc = run_in_3_gib("init", "--builtin", "arch34", "--method", "asv-backward",
                         "--emit-weights", str(out))
@@ -171,10 +171,21 @@ def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
     assert out.stat().st_size == len(header) + 8 * sum(g.params for g in geo)
 
 
-def test_simulate_on_builtin_over_memory_limit_exits_3():
-    """arch34's index maps need ~50 GiB: simulate refuses before it
-    allocates them, with one error line instead of a MemoryError."""
+def test_simulate_on_builtin_runs_in_3_gib():
+    """The map-free engine runs arch34 at 224x224 under a 3 GiB
+    address-space limit: a full report, pass or fail, and no error."""
     proc = run_in_3_gib("simulate", "--builtin", "arch34", "--trials", "1x1")
+    err = proc.stderr.decode()
+    assert proc.returncode in (0, 1), err
+    assert "Traceback" not in err and "error:" not in err
+    report = json.loads(proc.stdout)
+    assert report["trace"]["trials"] == [1, 1]
+
+
+def test_simulate_on_builtin_over_memory_limit_exits_3():
+    """64 images of arch34's signals (~155 MB each) exceed 3 GiB: simulate
+    refuses before it allocates them, with one error line."""
+    proc = run_in_3_gib("simulate", "--builtin", "arch34", "--trials", "1x64")
     err = proc.stderr.decode()
     assert proc.returncode == 3, err
     assert err.startswith("error:") and len(err.splitlines()) == 1

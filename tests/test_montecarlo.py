@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import asvinit
-from asvinit import cli, montecarlo, variance
+from asvinit import cli, montecarlo, shapes, variance
 from asvinit.errors import BudgetExceeded
 
 
@@ -80,6 +83,30 @@ def test_budget_guard():
     cfg2 = montecarlo.McConfig(2, 4, seed=0, budget=4)
     with pytest.raises(BudgetExceeded):
         cfg2.check_budget()
+
+
+@pytest.mark.parametrize("name, trials, want_backward", [
+    ("toy", (2, 64), False),
+    ("toy", (2, 64), True),
+    ("arch34-32", (1, 64), True),
+])
+def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
+    """The preflight bound is at least what one run really allocates,
+    two draws included (a draw's trace is freed before the next)."""
+    if name == "toy":
+        a = asvinit.toy_net()
+    else:
+        a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(32, 32, 3))
+    plan = variance.init_plan(variance.ASV_FORWARD, a)
+    cfg = montecarlo.McConfig(*trials, seed=3)
+    tracemalloc.start()
+    try:
+        montecarlo._run_draws(a, plan, cfg, want_backward)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    geo = tuple(shapes.infer_shapes(a))
+    assert montecarlo._memory_need(geo, trials[1], want_backward) >= peak
 
 
 def test_budget_env_var(monkeypatch):

@@ -153,7 +153,7 @@ def oracle_backward(net, trace, delta):
         dz[i] = reindexed_backward(net, i, du)
         if i == 0:
             break
-        below, pool = i - 1, net.pools[i - 1]
+        below, pool = i - 1, shapes.build_pool_maps(net.arch, i - 1)
         u = trace.u[below]
         if pool is None:
             dv = dz[i]
@@ -300,7 +300,7 @@ def test_average_pool_backward_spreads_one_over_t():
     refnet.backward(net, trace)
     dz1 = trace.dz[1]
     dv1 = trace.dv[0]
-    pm = net.pools[0]
+    pm = shapes.build_pool_maps(net.arch, 0)
     rep = np.repeat(np.arange(pm.m), np.diff(pm.indptr))
     expected = np.zeros_like(dv1)
     expected[pm.members, :] = dz1[rep, :] / 4.0
@@ -314,9 +314,26 @@ def test_max_pool_backward_hits_exactly_one_unit_per_window():
     trace = refnet.forward(net, np.random.default_rng(5).normal(size=(128, 16)))
     refnet.backward(net, trace)
     dv = trace.dv[0]
-    pm = net.pools[0]
+    pm = shapes.build_pool_maps(net.arch, 0)
     nonzero_per_window = np.add.reduceat((dv[pm.members, :] != 0.0), pm.indptr[:-1], axis=0)
     assert np.all(nonzero_per_window == 1)
+
+
+def test_max_pool_ties_go_to_the_first_window_member():
+    """A window of equal values routes its gradient to its lowest member."""
+    pool = asvinit.Pool(kind="Max", size=(2, 2))
+    a = small_net((6, 6, 1), [(2, 3, 1, 1, pool)], head=3)
+    net = sampled(a, seed=14)
+    net.weights[0][:] = 0.0   # every window of layer 1 ties at 0
+    rng = np.random.default_rng(15)
+    trace = refnet.forward(net, rng.normal(size=(36, 2)))
+    refnet.backward(net, trace, delta_uL=rng.normal(size=(3, 2)))
+    pm = shapes.build_pool_maps(a, 0)
+    first = pm.members[pm.indptr[:-1]]
+    expected = np.zeros_like(trace.dv[0])
+    expected[first] = trace.dz[1]
+    assert np.abs(trace.dz[1]).min() > 0.0
+    assert np.array_equal(trace.dv[0], expected)
 
 
 def test_max_pool_ties_have_zero_empirical_frequency():
@@ -328,7 +345,7 @@ def test_max_pool_ties_have_zero_empirical_frequency():
     net = sampled(a, seed=13)
     z0 = np.random.default_rng(17).normal(size=(64, 200))  # 64 windows x 200 cols
     trace = refnet.forward(net, z0)
-    pm = net.pools[0]
+    pm = shapes.build_pool_maps(net.arch, 0)
     gathered = trace.u[0][pm.members, :]
     rep = np.repeat(np.arange(pm.m), np.diff(pm.indptr))
     window_max = np.maximum.reduceat(gathered, pm.indptr[:-1], axis=0)
@@ -403,39 +420,46 @@ def test_engine_matches_oracles_on_random_chains(a, seed):
         assert_close(trace.dz[i], expected[i], rtol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# operator layout and map building
-# ---------------------------------------------------------------------------
+def test_columns_past_one_chunk_are_independent():
+    """Images beyond the first im2col chunk give the same bits as alone."""
+    net = sampled(asvinit.toy_net(3, 3, 4), seed=37)
+    rng = np.random.default_rng(41)
+    cols = refnet.CHUNK + 3
+    z = rng.normal(size=(net.geo[0].m_prev, cols))
+    delta = rng.normal(size=(net.geo[-1].m_prime, cols))
+    full = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    for col in (0, refnet.CHUNK, cols - 1):
+        single = refnet.backward(
+            net, refnet.forward(net, z[:, col]), delta_uL=delta[:, col]
+        )
+        for i in range(net.num_layers):
+            assert np.array_equal(full.u[i][:, col], single.u[i][:, 0])
+            assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
+
 
 @given(a=small_chains(), seed=st.integers(0, 2**16))
-def test_operator_data_is_the_per_tap_gather(a, seed):
-    """The one-gather-per-channel-block data equals the explicit per-tap
-    w[c(i), a]; this holds only while rows run channel-major over one
-    repeated spatial pattern.  The CSR structure is the maps' own arrays."""
+def test_batch_columns_independent_on_random_chains(a, seed):
+    """Each column of a 4-column run is bit-identical to a one-column run:
+    every pool kind, stride and padding, and the FC head's N = 1 products."""
     net = sampled(a, seed=seed)
-    for maps, w in zip(net.maps, net.weights):
-        op = refnet._layer_operator(maps, w)
-        explicit = w.ravel()[maps.c[refnet._rep_out(maps)] * w.shape[1] + maps.fwd_a]
-        assert np.array_equal(op.data, explicit)
-        assert np.shares_memory(op.indices, maps.fwd_s)
-        assert np.shares_memory(op.indptr, maps.fwd_indptr)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(net.geo[0].m_prev, 4))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 4))
+    full = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    for col in range(4):
+        single = refnet.backward(
+            net, refnet.forward(net, z[:, col]), delta_uL=delta[:, col]
+        )
+        for i in range(net.num_layers):
+            assert np.array_equal(full.u[i][:, col], single.u[i][:, 0])
+            assert np.array_equal(full.z[i + 1][:, col], single.z[i + 1][:, 0])
+            assert np.array_equal(full.du[i][:, col], single.du[i][:, 0])
+            assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
 
 
-def test_int64_maps_give_the_same_signals(monkeypatch):
-    """The int64 fallback for layers beyond 2**31 taps computes the same
-    bits as the int32 maps."""
-    a = asvinit.toy_net(3, 3, 4)
-    z0 = np.random.default_rng(3).normal(size=(16 * 16 * 3, 4))
-    narrow = sampled(a, seed=7)
-    monkeypatch.setattr(shapes, "index_dtype", lambda geo: np.int64)
-    wide = sampled(a, seed=7)
-    assert all(m.fwd_s.dtype == np.int64 for m in wide.maps)
-    t32 = refnet.backward(narrow, refnet.forward(narrow, z0))
-    t64 = refnet.backward(wide, refnet.forward(wide, z0))
-    for i in range(narrow.num_layers):
-        assert np.array_equal(t32.u[i], t64.u[i])
-        assert np.array_equal(t32.dz[i], t64.dz[i])
-
+# ---------------------------------------------------------------------------
+# map building
+# ---------------------------------------------------------------------------
 
 def test_build_maps_infers_shapes_once(monkeypatch):
     calls = []

@@ -1,13 +1,14 @@
+import json
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 import asvinit
 from asvinit import arch, cli, shapes
 from asvinit.errors import OutOfBounds
-from conftest import small_chains
 
 
 def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
@@ -164,6 +165,48 @@ def test_eps_random_configs_match_brute_force_and_maps():
         assert len(maps.bwd_j) == oracle
 
 
+def loop_forward_census(n, k, p, s, n_out):
+    """Loop oracle: in-bounds kernel taps summed over output positions."""
+    total = 0
+    for i in range(n_out):
+        lo = i * s - p
+        total += min(k, n - lo) - max(0, -lo)
+    return total
+
+
+def loop_backward_census(n, k, p, s, n_out):
+    """Loop oracle: kernel applications covering each input position."""
+    total = 0
+    for l in range(n):
+        i_lo = max(0, -(-(l + p - k + 1) // s))
+        i_hi = min(n_out - 1, (l + p) // s)
+        if i_hi >= i_lo:
+            total += i_hi - i_lo + 1
+    return total
+
+
+@given(n=st.integers(1, 2000), k=st.integers(1, 12), s=st.integers(1, 6),
+       data=st.data())
+def test_closed_form_census_matches_both_loops(n, k, s, data):
+    p = data.draw(st.integers(0, k - 1))
+    assume(n + 2 * p >= k)
+    n_out = shapes.conv_output_extent(n, k, p, s)
+    census = shapes._axis_forward_census(n, k, p, s, n_out)
+    assert census == loop_forward_census(n, k, p, s, n_out)
+    assert census == loop_backward_census(n, k, p, s, n_out)
+
+
+def test_analyze_on_a_huge_extent_is_fast(tmp_path, capsys):
+    """The census is O(kernel taps), not O(extent)."""
+    path = tmp_path / "long.json"
+    path.write_text(arch.serialize(conv_chain((10**8, 1, 1), (3, 1), (1, 1), (1, 0), 2)))
+    start = time.perf_counter()
+    assert cli.main(["analyze", "--arch", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    first = json.loads(capsys.readouterr().out)["layers"][0]
+    assert first["epsilon"] == 2 * (3 * 10**8 - 2)
+
+
 def test_eps_arch34_first_layer_matches_slow_enumeration():
     a34 = arch.builtin("arch34")
     fwd, bwd = shapes.connection_counts(a34)[0]
@@ -226,7 +269,7 @@ def test_backward_tap_total_equals_forward():
 
 
 # ---------------------------------------------------------------------------
-# index dtype and map bytes
+# index dtype
 # ---------------------------------------------------------------------------
 
 def test_index_dtype_rule_and_map_dtypes():
@@ -245,17 +288,6 @@ def test_index_dtype_rule_and_map_dtypes():
         pool = shapes.build_pool_maps(a, i, geo)
         if pool is not None:
             assert pool.members.dtype == pool.indptr.dtype == np.int64
-
-
-@given(a=small_chains())
-def test_map_and_weight_bytes_are_exact(a):
-    geo = shapes.infer_shapes(a)
-    built = [shapes.build_layer_maps(a, i, geo) for i in range(len(geo))]
-    built += [shapes.build_pool_maps(a, i, geo) for i in range(len(geo))]
-    arrays = [v for m in built if m is not None for v in vars(m).values()
-              if isinstance(v, np.ndarray)]
-    weights = 8 * sum(g.params for g in geo)
-    assert shapes.maps_and_weights_bytes(geo) == sum(x.nbytes for x in arrays) + weights
 
 
 # ---------------------------------------------------------------------------
