@@ -7,8 +7,9 @@ optional pooling step.  Shapes are (width, height, channels) triples.
 
 from __future__ import annotations
 
+import importlib.resources
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import SchemaError, UnknownName, ValidationError
 
@@ -277,82 +278,9 @@ def serialize(arch: Architecture) -> str:
 # Built-in architectures
 # ---------------------------------------------------------------------------
 
-def _conv(channels, kernel, stride=1, padding=0, pool=None, activation=RELU):
-    return LayerSpec(
-        kind=CONV,
-        out_channels=channels,
-        kernel=(kernel, kernel),
-        stride=(stride, stride),
-        padding=(padding, padding),
-        activation=activation,
-        pool=pool,
-    )
-
-
-def _input_block(channels):
-    return _conv(
-        channels, 7, stride=2, padding=3,
-        pool=Pool(kind=MAX, size=(3, 3), stride=(2, 2), padding=(1, 1)),
-    )
-
-
-def _conv_block(channels, stride=1):
-    return [
-        _conv(channels, 3, stride=stride, padding=1),
-        _conv(channels, 3, stride=1, padding=1),
-    ]
-
-
-def _conv_block2(c1, c2, stride=1):
-    return [
-        _conv(c1, 1),
-        _conv(c1, 3, stride=stride, padding=1),
-        _conv(c2, 1),
-    ]
-
-
-def _with_gap(layer):
-    return replace(layer, pool=Pool(kind=GLOBAL_AVERAGE))
-
-
-def _fc(units):
-    return LayerSpec(kind=FULLY_CONNECTED, out_channels=units, activation=IDENTITY)
-
-
-def _build_arch34():
-    layers = [_input_block(64)]
-    for _ in range(3):
-        layers += _conv_block(64)
-    layers += _conv_block(128, stride=2)
-    for _ in range(3):
-        layers += _conv_block(128)
-    layers += _conv_block(256, stride=2)
-    for _ in range(5):
-        layers += _conv_block(256)
-    layers += _conv_block(512, stride=2)
-    for _ in range(2):
-        layers += _conv_block(512)
-    layers[-1] = _with_gap(layers[-1])
-    layers.append(_fc(10))
-    return Architecture(name="arch34", input_shape=(224, 224, 3), layers=tuple(layers))
-
-
-def _build_arch50():
-    layers = [_input_block(64)]
-    for _ in range(3):
-        layers += _conv_block2(64, 256)
-    layers += _conv_block2(128, 512, stride=2)
-    for _ in range(3):
-        layers += _conv_block2(128, 512)
-    layers += _conv_block2(256, 1024, stride=2)
-    for _ in range(5):
-        layers += _conv_block2(256, 1024)
-    layers += _conv_block2(512, 2048, stride=2)
-    for _ in range(2):
-        layers += _conv_block2(512, 2048)
-    layers[-1] = _with_gap(layers[-1])
-    layers.append(_fc(10))
-    return Architecture(name="arch50", input_shape=(224, 224, 3), layers=tuple(layers))
+def _conv(channels, kernel, padding=0, pool=None):
+    return LayerSpec(kind=CONV, out_channels=channels, kernel=(kernel, kernel),
+                     padding=(padding, padding), pool=pool)
 
 
 def toy_net(c1=12, c2=16, c3=32, name="toy"):
@@ -365,25 +293,18 @@ def toy_net(c1=12, c2=16, c3=32, name="toy"):
         _conv(c1, 3, padding=1, pool=Pool(kind=MAX, size=(2, 2))),
         _conv(c2, 3, padding=1, pool=Pool(kind=AVERAGE, size=(2, 2))),
         _conv(c3, 1, pool=Pool(kind=GLOBAL_AVERAGE)),
-        _fc(10),
+        LayerSpec(kind=FULLY_CONNECTED, out_channels=10, activation=IDENTITY),
     )
     return Architecture(name=name, input_shape=(16, 16, 3), layers=layers)
 
 
-_BUILTINS = {
-    "arch34": _build_arch34,
-    "arch50": _build_arch50,
-}
+_BUILTINS = ("arch34", "arch50")
 
 
 def builtin(name: str) -> Architecture:
-    """Return a built-in architecture ("arch34" or "arch50")."""
-    try:
-        build = _BUILTINS[name]
-    except KeyError:
-        raise UnknownName(
-            f"unknown architecture {name!r}; available: {sorted(_BUILTINS)}"
-        ) from None
-    arch = build()
-    validate(arch)
-    return arch
+    """Return a built-in architecture ("arch34" or "arch50"): the parsed
+    data/<name>.json shipped with the package."""
+    if name not in _BUILTINS:
+        raise UnknownName(f"unknown architecture {name!r}; available: {list(_BUILTINS)}")
+    path = importlib.resources.files("asvinit") / "data" / f"{name}.json"
+    return parse_architecture(path.read_text(encoding="utf-8"))

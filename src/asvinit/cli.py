@@ -235,9 +235,7 @@ def cmd_simulate(args):
         except (OSError, json.JSONDecodeError) as exc:
             raise AsvinitError(f"cannot read {args.sigma_override}: {exc}") from exc
         try:
-            plan = variance_mod.plan_from_sigmas(
-                architecture, sigmas, geo=geo, tau0=args.tau0, q0=args.q0, rL=args.rL
-            )
+            plan = variance_mod.plan_from_sigmas(architecture, sigmas, geo=geo, tau0=args.tau0)
         except (TypeError, ValueError) as exc:
             raise AsvinitError(f"{args.sigma_override}: {exc}") from exc
     else:

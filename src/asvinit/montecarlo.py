@@ -9,7 +9,9 @@ measure the variance of the backward signals dz at each layer interface
 
 Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
-bit for bit for a fixed seed and trial count.
+bit for bit for a fixed seed and trial count.  Before the first draw, a run
+compares refnet.memory_need (what one draw holds at once) with the memory
+this process may use, and raises BudgetExceeded when it does not fit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arch as arch_mod, refnet, shapes as shapes_mod, variance as variance_mod
+from . import refnet, shapes as shapes_mod, variance as variance_mod
 from .errors import AsvinitError, BudgetExceeded
 
 _DEFAULT_BUDGET = 1_000_000
@@ -109,24 +111,6 @@ class VarianceTrace:
         return head, "rows", rows, columns
 
 
-def _memory_need(geo, batch, want_backward):
-    """Upper bound on the bytes one draw of _run_draws holds at once: the
-    draw's float64 weights and biases, the signals a trace keeps (u, v, z,
-    max-pool winners and, for backward, du, dv, dz) for every image, the
-    input twice (drawn and as images), one signal-sized temporary, and one
-    im2col chunk."""
-    per_image = 2 * geo[0].m_prev
-    for g in geo:
-        per_image += 2 * g.m_prime + g.m                   # u, v, z
-        if g.pool_kind == arch_mod.MAX:
-            per_image += g.m                               # winners (<= 8 bytes)
-        if want_backward:
-            per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
-    per_image += max(max(g.m_prime, g.m_prev) for g in geo)
-    chunk = min(refnet.CHUNK, batch) * max(g.s_len * g.m_prime // g.channels for g in geo)
-    return 8 * (sum(g.params for g in geo) + batch * per_image + chunk)
-
-
 def _check_memory(arch, geo, cfg, want_backward):
     """Refuse a run whose weights and signals exceed the memory this process
     may use (the soft RLIMIT_AS when one is set, else the machine's physical
@@ -134,7 +118,7 @@ def _check_memory(arch, geo, cfg, want_backward):
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    need = _memory_need(geo, cfg.n_input_draws, want_backward)
+    need = refnet.memory_need(geo, cfg.n_input_draws, want_backward)
     if need > limit:
         raise BudgetExceeded(
             f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs need "

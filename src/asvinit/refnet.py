@@ -32,6 +32,11 @@ the winning tap per window for backward, which routes each gradient to it.
 Average pooling sums the in-bounds members (padding counts as 0) and
 divides by the nominal window area T; backward spreads dz / T.
 
+A SignalTrace keeps only the signals something reads; a pooled layer's
+activations are a temporary.  memory_need bounds, from the shapes alone, the bytes one draw of
+sample_parameters, forward and backward holds at once; montecarlo checks
+it against the memory limit before a run allocates anything.
+
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
 """
@@ -114,16 +119,15 @@ class SignalTrace:
     """Forward (and optionally backward) signals of one evaluation batch.
 
     Lists are indexed by layer (0-based); z[0] is the input.  Signals are
-    (M, B) arrays, M in first-axis-fastest order.  winners holds, per
-    max-pooled layer, the winning window tap of every (image, channel,
-    window) as a (B, C, H, W) integer array, else None.  Backward fields are
-    filled by backward(); gradients for weights/biases appear in
-    d_weights/d_biases when requested.
+    (M, B) arrays, M in first-axis-fastest order.  A trace keeps what
+    backward() and the Monte Carlo estimates read: u (the ReLU masks), z
+    and, per max-pooled layer, the winning window tap of every (image,
+    channel, window) as a (B, C, H, W) integer array in winners (else
+    None).  Backward fields are filled by backward(); gradients for
+    weights/biases appear in d_weights/d_biases when requested.
     """
 
-    z0: np.ndarray
     u: list = field(default_factory=list)
-    v: list = field(default_factory=list)
     z: list = field(default_factory=list)        # z[ell], ell = 0..L
     winners: list = field(default_factory=list)  # per layer, or None
     du: list = field(default_factory=list)
@@ -134,17 +138,16 @@ class SignalTrace:
 
     @property
     def batch(self):
-        return self.z0.shape[1]
+        return self.z[0].shape[1]
 
 
 def _as_batch(x, m, what):
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
+    if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != m:
         raise ShapeMismatch(f"{what} has {x.shape[0]} entries, expected {m}")
-    return x, squeeze
+    return x
 
 
 def _images(x, shape):
@@ -324,12 +327,11 @@ def _average_unpool(dz, g):
     return dv
 
 
-def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
+def forward(net: VectorNet, z0) -> SignalTrace:
     """Run the forward chain; z0 is (M0,) or (M0, batch)."""
     g0 = net.geo[0]
-    z, _ = _as_batch(z0, g0.m_prev, "input")
-    trace = SignalTrace(z0=z)
-    trace.z.append(z)
+    z = _as_batch(z0, g0.m_prev, "input")
+    trace = SignalTrace(z=[z])
     x = _images(z, g0.in_shape)
     for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
         u = _conv_forward(_lowering(spec, g), net.weights[i], net.biases[i], x)
@@ -342,12 +344,8 @@ def forward(net: VectorNet, z0, keep_signals=True) -> SignalTrace:
         else:
             x = _average_pool(v, g)
         trace.u.append(_signals(u))
-        trace.v.append(_signals(v))
         trace.z.append(_signals(x))
         trace.winners.append(winners)
-    if not keep_signals:
-        # keep only what backward() needs: u (ReLU masks) and winners
-        trace.v = [None] * len(trace.v)
     return trace
 
 
@@ -363,7 +361,7 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     n = net.num_layers
     if delta_uL is None:
         delta_uL = trace.u[-1]
-    du_top, _ = _as_batch(delta_uL, net.geo[-1].m_prime, "delta_uL")
+    du_top = _as_batch(delta_uL, net.geo[-1].m_prime, "delta_uL")
     if du_top.shape[1] != trace.batch:
         raise ShapeMismatch(
             f"delta_uL batch {du_top.shape[1]} != trace batch {trace.batch}"
@@ -407,6 +405,25 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     # dz[L] is the injected gradient itself (z^(L) := v^(L) := u^(L))
     trace.dz[n] = du_top
     return trace
+
+
+def memory_need(geo, batch, want_backward):
+    """Upper bound on the bytes one draw of batch images holds at once: the
+    VectorNet's float64 weights and biases, the signals its trace keeps (u,
+    z, max-pool winners and, for backward, du, dv, dz), the input twice
+    (drawn and as images), one signal-sized temporary (a pooled layer's
+    activations, or the square a variance estimate takes), and one im2col
+    chunk."""
+    per_image = 2 * geo[0].m_prev
+    for g in geo:
+        per_image += g.m_prime + g.m                       # u, z
+        if g.pool_kind == arch_mod.MAX:
+            per_image += g.m                               # winners (<= 8 bytes)
+        if want_backward:
+            per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
+    per_image += max(max(g.m_prime, g.m_prev) for g in geo)
+    chunk = min(CHUNK, batch) * max(g.s_len * g.m_prime // g.channels for g in geo)
+    return 8 * (sum(g.params for g in geo) + batch * per_image + chunk)
 
 
 def loss_half_square(net, z0):

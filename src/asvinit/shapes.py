@@ -14,8 +14,9 @@ count, unit counts and kernel lengths all stay below 2**31, and int64
 otherwise (index_dtype).  The per-unit arrays (c, ctil) and every PoolMaps
 array stay int64.  The map builders take the infer_shapes list as an
 optional geo argument, so a caller that builds every layer infers the
-chain once.  Connection counts come from a closed-form census over kernel
-taps (tap_ranges), not from the maps.
+chain once.  Connection counts are LayerShape.epsilon, computed once in
+infer_shapes from a closed-form census over kernel taps (tap_ranges), not
+from the maps; connection_counts reports them per layer.
 """
 
 from __future__ import annotations
@@ -112,31 +113,11 @@ def _axis_forward_census(n, k, p, s, n_out):
 
 
 def connection_counts(arch: arch_mod.Architecture):
-    """Per-layer (eps_fwd, eps_bwd) weight-connection counts, padding-aware.
-
-    Computed combinatorially (per-axis census); build_forward_maps /
-    build_backward_maps materialize the same sets explicitly.  Every
-    forward tap (output i, input s) is the backward tap (input s, output i),
-    so the two counts are equal.
-    """
-    counts = []
-    geo = infer_shapes(arch)
-    for layer, g in zip(arch.layers, geo):
-        if layer.kind == arch_mod.FULLY_CONNECTED:
-            counts.append((g.m_prev * g.m_prime, g.m_prev * g.m_prime))
-            continue
-        w, h, d = g.in_shape
-        wp, hp, dp = g.conv_shape
-        kw, kh = layer.kernel
-        sw, sh = layer.stride
-        pw, ph = layer.padding
-        fwd = (
-            _axis_forward_census(w, kw, pw, sw, wp)
-            * _axis_forward_census(h, kh, ph, sh, hp)
-            * d * dp
-        )
-        counts.append((fwd, fwd))
-    return counts
+    """Per-layer (eps_fwd, eps_bwd) weight-connection counts, padding-aware:
+    the census infer_shapes records as epsilon.  Every forward tap (output
+    i, input s) is the backward tap (input s, output i), so the two counts
+    are equal."""
+    return [(g.epsilon, g.epsilon) for g in infer_shapes(arch)]
 
 
 def infer_shapes(arch: arch_mod.Architecture) -> list[LayerShape]:

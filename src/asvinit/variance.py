@@ -192,13 +192,13 @@ def _taus_before(geo, tau0):
     return out
 
 
-def predict_forward(geo, sigma_w, sigma_b=None, q0=1.0, tau0=1.0):
-    """Forward variance levels q[0..L] under per-layer weight std devs."""
+def predict_forward(geo, sigma_w, q0=1.0, tau0=1.0):
+    """Forward variance levels q[0..L] under per-layer weight std devs
+    (biases are drawn as 0, so they add nothing)."""
     levels = [float(q0)]
     taus = _taus_before(geo, tau0)
     for i, row in enumerate(geo):
-        sb2 = 0.0 if sigma_b is None else float(sigma_b[i]) ** 2
-        q = sb2 + float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
+        q = float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
         levels.append(q)
     return np.array(levels)
 
@@ -214,10 +214,11 @@ def predict_backward(geo, sigma_w, rL=1.0):
     return np.array(levels)
 
 
-def _plan(method, arch, geo, sigma_w, clamped, tau0, clamp_factor, q0, rL):
-    """InitPlan of the given std devs, with the q and r levels they predict."""
-    q = predict_forward(geo, sigma_w, q0=q0, tau0=tau0)
-    r = predict_backward(geo, sigma_w, rL=rL)
+def _plan(method, arch, geo, sigma_w, clamped, tau0, clamp_factor):
+    """InitPlan of the given std devs, with the q and r levels they predict
+    for unit input and top-gradient variance."""
+    q = predict_forward(geo, sigma_w, tau0=tau0)
+    r = predict_backward(geo, sigma_w)
     rows = []
     for i, row in enumerate(geo):
         consts = layer_constants(row)
@@ -233,7 +234,7 @@ def _plan(method, arch, geo, sigma_w, clamped, tau0, clamp_factor, q0, rL):
 
 
 def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
-              clamp_mode="variance", q0=1.0, rL=1.0) -> InitPlan:
+              clamp_mode="variance") -> InitPlan:
     """Compute the per-layer weight variances for one initialization method.
 
     clamp_factor applies to asv-backward only: the variance is capped at
@@ -281,12 +282,11 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
 
     return _plan(
         method, arch, geo, np.sqrt(variances), clamped_flags, tau0=tau0,
-        clamp_factor=clamp_factor if method == ASV_BACKWARD else None, q0=q0, rL=rL,
+        clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
     )
 
 
-def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0, q0=1.0, rL=1.0,
-                     label="override") -> InitPlan:
+def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0) -> InitPlan:
     """Wrap explicit per-layer std devs in an InitPlan (for overrides)."""
     if geo is None:
         geo = shapes_mod.infer_shapes(arch)
@@ -297,5 +297,5 @@ def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0, q0=1.0, rL=1.0,
         )
     if not np.all(np.isfinite(sigma_w)) or np.any(sigma_w < 0):
         raise ValueError("sigma values must be finite and non-negative")
-    return _plan(label, arch, geo, sigma_w, [False] * len(geo), tau0=tau0,
-                 clamp_factor=None, q0=q0, rL=rL)
+    return _plan("override", arch, geo, sigma_w, [False] * len(geo), tau0=tau0,
+                 clamp_factor=None)

@@ -16,11 +16,17 @@ def shipped(name):
     )
 
 
-def test_shipped_arch34_file_parses_to_builtin():
-    parsed = arch.parse_architecture(shipped("arch34"))
-    assert parsed == arch.builtin("arch34")
-    assert parsed.num_layers == 34
-    assert parsed.input_shape == (224, 224, 3)
+def test_shipped_toy_file_is_toy_net():
+    """The one architecture kept twice: the golden digests read
+    data/toy.json, the benchmark's mc-toy serializes toy_net()."""
+    assert arch.parse_architecture(shipped("toy")) == asvinit.toy_net()
+
+
+def test_package_data_holds_the_shipped_files():
+    """builtin() reads its JSON file at run time."""
+    data = importlib.resources.files("asvinit") / "data"
+    names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
+    assert names == ["arch34.json", "arch50.json", "toy.json"]
 
 
 def test_minimal_two_layer_net():
@@ -225,8 +231,10 @@ def test_mutated_documents_raise_only_schema_or_validation_errors(text):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(UnknownName):
-        arch.builtin("arch101")
+    # toy.json sits next to the built-ins' files but is not one of them
+    for name in ("arch101", "toy", "arch34.json", "../data/arch34"):
+        with pytest.raises(UnknownName):
+            arch.builtin(name)
 
 
 def test_arch34_shapes_match_reference_table():

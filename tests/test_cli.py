@@ -294,6 +294,7 @@ def test_option_surface():
 
 BAD_INPUTS = [
     (["analyze", "--builtin", ""], {}),
+    (["analyze", "--builtin", "toy"], {}),
     (["simulate", "--arch", "@arch", "--trials", "0x4"], {}),
     (["simulate", "--arch", "@arch", "--trials=-1x4"], {}),
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/short.json"], {}),

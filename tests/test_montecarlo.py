@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import asvinit
-from asvinit import cli, montecarlo, shapes, variance
+from asvinit import cli, montecarlo, refnet, shapes, variance
 from asvinit.errors import BudgetExceeded
 
 
@@ -106,7 +106,7 @@ def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
     finally:
         tracemalloc.stop()
     geo = tuple(shapes.infer_shapes(a))
-    assert montecarlo._memory_need(geo, trials[1], want_backward) >= peak
+    assert refnet.memory_need(geo, trials[1], want_backward) >= peak
 
 
 def test_budget_env_var(monkeypatch):

@@ -363,7 +363,7 @@ def test_injected_gradient_mode_and_errors():
     assert np.array_equal(trace.dz[len(net.geo)][:, 0], delta)
     with pytest.raises(ShapeMismatch):
         refnet.backward(net, trace, delta_uL=np.ones(5))
-    empty = refnet.SignalTrace(z0=np.zeros((16, 1)))
+    empty = refnet.SignalTrace(z=[np.zeros((16, 1))])
     with pytest.raises(MissingForwardTrace):
         refnet.backward(net, empty)
     with pytest.raises(ShapeMismatch):
