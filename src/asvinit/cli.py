@@ -8,15 +8,22 @@ the same handler.
 
 Every table leaves through render(): the reports hand over header fields and
 row dicts, and only this module knows the CSV and JSON layouts.
+
+main(argv) may be called any number of times in one process.  It builds the
+argument parser on its first call and reuses it.  Exit status: 0 done, 1 a
+simulate layer beyond --threshold, 2 bad input (an option, an architecture,
+a file that cannot be read or written), 3 a budget or memory limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -71,12 +78,19 @@ def render(table, fmt):
     return buf.getvalue()
 
 
+def _cannot_write(path, exc):
+    return AsvinitError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise _cannot_write(out_path, exc) from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -109,9 +123,22 @@ def _clamp_factor(text):
     return _positive("--clamp-factor", value)
 
 
+def _check_writable(path):
+    """Refuse an output path no file can be created at.  It runs before the
+    work, so simulate does not find out only after its whole run."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise AsvinitError(f"cannot write {path}: Is a directory")
+    if not os.path.isdir(parent):
+        raise AsvinitError(f"cannot write {path}: {parent} is not a directory")
+
+
 def _validate(args):
     """Reject option values the model cannot use before any work starts.
     Parses --clamp-factor and --trials in place."""
+    for path in (args.out, getattr(args, "emit_weights", None)):
+        if path:
+            _check_writable(path)
     if "clamp_factor" in args:
         args.clamp_factor = _clamp_factor(args.clamp_factor)
     if "trials" in args:
@@ -173,12 +200,15 @@ def write_weights(path, net: refnet.VectorNet, method, seed):
             for i, g in enumerate(net.geo)
         ],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8"))
+            fh.write(b"\n")
+            for w, b in zip(net.weights, net.biases):
+                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
 
 
 def read_weights(path):
@@ -324,8 +354,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process, on the first main() call.  Parsing
+    leaves the parser as it was and returns a fresh Namespace each time."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate(args)
         return args.func(args)

@@ -184,47 +184,51 @@ class InitPlan:
         return head, "layers", rows, columns
 
 
-def _taus_before(geo, tau0):
-    """tau_{ell-1} for each layer ell = 1..L."""
-    out = [tau0]
-    for row in geo[:-1]:
-        out.append(layer_constants(row).tau)
-    return out
+def _taus_before(consts, tau0):
+    """tau_{ell-1} for each layer ell = 1..L, from the layers' constants."""
+    return [tau0] + [c.tau for c in consts[:-1]]
 
 
-def predict_forward(geo, sigma_w, q0=1.0, tau0=1.0):
-    """Forward variance levels q[0..L] under per-layer weight std devs
-    (biases are drawn as 0, so they add nothing)."""
+def _forward_levels(geo, consts, sigma_w, q0, tau0):
     levels = [float(q0)]
-    taus = _taus_before(geo, tau0)
+    taus = _taus_before(consts, tau0)
     for i, row in enumerate(geo):
         q = float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
         levels.append(q)
     return np.array(levels)
 
 
-def predict_backward(geo, sigma_w, rL=1.0):
-    """Backward variance levels r[0..L] under per-layer weight std devs."""
+def _backward_levels(geo, consts, sigma_w, rL):
     levels = [float(rL)]
     for i in range(len(geo) - 1, -1, -1):
         row = geo[i]
-        g = layer_constants(row).gamma
-        r = float(sigma_w[i]) ** 2 * levels[0] * g * row.epsilon / row.m_prev
+        r = float(sigma_w[i]) ** 2 * levels[0] * consts[i].gamma * row.epsilon / row.m_prev
         levels.insert(0, r)
     return np.array(levels)
 
 
-def _plan(method, arch, geo, sigma_w, clamped, tau0, clamp_factor):
+def predict_forward(geo, sigma_w, q0=1.0, tau0=1.0):
+    """Forward variance levels q[0..L] under per-layer weight std devs
+    (biases are drawn as 0, so they add nothing)."""
+    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, q0, tau0)
+
+
+def predict_backward(geo, sigma_w, rL=1.0):
+    """Backward variance levels r[0..L] under per-layer weight std devs."""
+    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w, rL)
+
+
+def _plan(method, arch, geo, consts, sigma_w, clamped, tau0, clamp_factor):
     """InitPlan of the given std devs, with the q and r levels they predict
-    for unit input and top-gradient variance."""
-    q = predict_forward(geo, sigma_w, tau0=tau0)
-    r = predict_backward(geo, sigma_w)
+    for unit input and top-gradient variance.  consts holds each layer's
+    layer_constants, computed once by the caller."""
+    q = _forward_levels(geo, consts, sigma_w, 1.0, tau0)
+    r = _backward_levels(geo, consts, sigma_w, 1.0)
     rows = []
-    for i, row in enumerate(geo):
-        consts = layer_constants(row)
+    for i, (row, c) in enumerate(zip(geo, consts)):
         rows.append(PlanRow(
             ell=row.ell, sigma_w=float(sigma_w[i]), sigma_b=0.0,
-            tau=consts.tau, gamma=consts.gamma, epsilon=row.epsilon,
+            tau=c.tau, gamma=c.gamma, epsilon=row.epsilon,
             m_prev=row.m_prev, m_prime=row.m_prime, m=row.m,
             s_len=row.s_len, j_len=row.j_len, t=row.t,
             clamped=clamped[i], q_pred=float(q[i + 1]), r_pred=float(r[i]),
@@ -249,21 +253,21 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
         raise ValueError(f"clamp_mode must be 'variance' or 'stddev', got {clamp_mode!r}")
     if geo is None:
         geo = shapes_mod.infer_shapes(arch)
-    taus = _taus_before(geo, tau0)
+    consts = [layer_constants(g) for g in geo]
+    taus = _taus_before(consts, tau0)
 
     variances = []
     clamped_flags = []
     for i, row in enumerate(geo):
-        consts = layer_constants(row)
         clamped = False
         if method == ASV_FORWARD:
             if taus[i] < _GAMMA_FLOOR:
                 raise AsvinitError(f"layer {row.ell}: tau below {_GAMMA_FLOOR}")
             var = row.m_prime / (taus[i] * row.epsilon)
         elif method == ASV_BACKWARD:
-            if consts.gamma < _GAMMA_FLOOR:
+            if consts[i].gamma < _GAMMA_FLOOR:
                 raise AsvinitError(f"layer {row.ell}: gamma below {_GAMMA_FLOOR}")
-            var = row.m_prev / (consts.gamma * row.epsilon)
+            var = row.m_prev / (consts[i].gamma * row.epsilon)
             if clamp_factor is not None:
                 no_pool = row.m_prev / (0.5 * row.epsilon)
                 factor = clamp_factor if clamp_mode == "variance" else clamp_factor ** 2
@@ -281,7 +285,7 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
         clamped_flags.append(clamped)
 
     return _plan(
-        method, arch, geo, np.sqrt(variances), clamped_flags, tau0=tau0,
+        method, arch, geo, consts, np.sqrt(variances), clamped_flags, tau0=tau0,
         clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
     )
 
@@ -297,5 +301,5 @@ def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0) -> InitPlan:
         )
     if not np.all(np.isfinite(sigma_w)) or np.any(sigma_w < 0):
         raise ValueError("sigma values must be finite and non-negative")
-    return _plan("override", arch, geo, sigma_w, [False] * len(geo), tau0=tau0,
-                 clamp_factor=None)
+    return _plan("override", arch, geo, [layer_constants(g) for g in geo], sigma_w,
+                 [False] * len(geo), tau0=tau0, clamp_factor=None)

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import asvinit
 from asvinit import cli
 from asvinit.arch import serialize
+from conftest import small_chains
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "golden_simulate.json"
@@ -311,6 +316,13 @@ BAD_INPUTS = [
     (["init", "--arch", "@arch", "--tau0", "-1"], {}),
     (["init", "--arch", "@arch", "--seed", "-1", "--emit-weights", "@tmp/w.bin"], {}),
     (["compare-methods", "--arch", "@arch", "--clamp-factor", "abc"], {}),
+    (["analyze", "--arch", "@arch", "--out", "@tmp/missing/report.json"], {}),
+    (["analyze", "--arch", "@arch", "--out", "@tmp"], {}),
+    (["init", "--arch", "@arch", "--out", "@tmp/missing/plan.json"], {}),
+    (["init", "--arch", "@arch", "--emit-weights", "@tmp/missing/w.bin"], {}),
+    (["init", "--arch", "@arch", "--emit-weights", "@tmp"], {}),
+    (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp/missing/r.json"], {}),
+    (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp"], {}),
 ]
 
 
@@ -337,3 +349,90 @@ def test_read_weights_truncated_file(capsys, tiny_arch_file, tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(asvinit.AsvinitError, match="truncated"):
         cli.read_weights(str(path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("option", ["--out", "--emit-weights"])
+def test_failed_write_is_one_error_line_and_exit_2(capsys, tiny_arch_file, option):
+    """A write that fails after the file opened (here: no space left on the
+    device) ends like an unwritable path, not in a traceback."""
+    code, _, err = run(capsys, "init", "--arch", tiny_arch_file, option, "/dev/full")
+    assert code == 2
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+def test_reused_parser_carries_no_state(capsys, monkeypatch):
+    """Every golden command twice in one process, in shuffled order, with an
+    argparse usage error and a rejected input after each: the stdout digests
+    still match, and the parser is built once."""
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    golden = json.loads(GOLDEN.read_text())
+    commands = list(golden) * 2
+    random.Random(9).shuffle(commands)
+    mismatched = []
+    for command in commands:
+        _, out, _ = run(capsys, *toy_argv(command))
+        if hashlib.sha256(out.encode("utf-8")).hexdigest() != golden[command]:
+            mismatched.append(command)
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["init", "--builtin", "arch34", "--method", "he"])
+        assert usage.value.code == 2 and "invalid choice" in capsys.readouterr().err
+        code, out, err = run(capsys, "simulate", "--arch", TOY_FILE, "--trials", "0x4",
+                             "--clamp-factor", "none", "--seed", "3")
+        assert (code, out) == (2, "") and err.startswith("error: --trials")
+    assert mismatched == []
+    assert len(builds) == 1
+
+
+# a size field set to one of these: degenerate, negative, huge, or a small
+# value that may exceed the padded extent it slides over
+SIZES = st.sampled_from((0, -1, -5, 10**8)) | st.integers(1, 12)
+
+
+@st.composite
+def resized_documents(draw):
+    """The JSON text of a valid chain with one to three size fields changed:
+    an input extent, a conv kernel, stride or padding, or a pool size,
+    stride or padding (added when the chain lacks it)."""
+    doc = json.loads(serialize(draw(small_chains())))
+    sites = [(doc, "input", 3)]
+    for layer in doc["layers"]:
+        if "kernel" in layer:
+            sites += [(layer, key, 2) for key in ("kernel", "stride", "padding")]
+        if "pool" in layer:
+            sites += [(layer["pool"], key, 2) for key in ("size", "stride", "padding")]
+    for _ in range(draw(st.integers(1, 3))):
+        node, key, length = draw(st.sampled_from(sites))
+        value = node.get(key) or [1] * length
+        if draw(st.booleans()):
+            value = [draw(SIZES)] * length
+        else:
+            value = list(value)
+            value[draw(st.integers(0, length - 1))] = draw(SIZES)
+        node[key] = value
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def resized_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("resized") / "net.json"
+
+
+@settings(max_examples=400)
+@given(text=resized_documents())
+def test_resized_chains_analyze_or_fail_cleanly(resized_file, text):
+    """Every size mutant is either analyzed (exit 0, a JSON report) or
+    refused with one error line and exit 2; none ends in a traceback."""
+    resized_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--arch", str(resized_file)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert len(json.loads(out.getvalue())["layers"]) == len(json.loads(text)["layers"])
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

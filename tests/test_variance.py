@@ -320,3 +320,22 @@ def test_plan_csv_has_required_columns():
     for col in ("layer", "method", "sigma_w", "sigma_b", "tau", "gamma",
                 "epsilon", "M", "M_prime", "q_pred", "r_pred", "clamped"):
         assert col in header.split(",")
+
+
+def test_init_plan_computes_each_layers_constants_once(monkeypatch):
+    """One layer_constants call per layer per plan on arch50, and the
+    plan's levels are exactly the public recursions' levels."""
+    arch50 = asvinit.builtin("arch50")
+    geo = asvinit.infer_shapes(arch50)
+    calls = []
+    layer_constants = variance.layer_constants
+    monkeypatch.setattr(variance, "layer_constants",
+                        lambda g: calls.append(g) or layer_constants(g))
+    for method in variance.METHODS:
+        calls.clear()
+        plan = variance.init_plan(method, arch50, geo=geo)
+        assert len(calls) == len(geo)
+        q = variance.predict_forward(geo, plan.sigma_w)
+        r = variance.predict_backward(geo, plan.sigma_w)
+        assert [row.q_pred for row in plan.rows] == list(q[1:])
+        assert [row.r_pred for row in plan.rows] == list(r[:-1])
