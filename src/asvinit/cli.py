@@ -186,27 +186,32 @@ def _method_table(architecture, args):
     return head, "layers", rows, ("layer", *variance_mod.METHODS)
 
 
-def write_weights(path, net: refnet.VectorNet, method, seed):
+def write_weights(path, architecture, plan, seed):
     """Binary weight file: one JSON header line, then little-endian float64
-    weights and biases per layer (W row-major (C, S), then b)."""
+    weights and biases per layer (W row-major (C, S), then b).  Every weight
+    of the full kernels is written, dead taps included, one layer at a time
+    from refnet.layer_draws: the numbers sample_parameters draws for the
+    same seed before it keeps each layer's live taps."""
+    geo = shapes_mod.infer_shapes(architecture)
     header = {
         "format": _WEIGHTS_FORMAT,
         "version": 1,
-        "arch": net.arch.name,
-        "method": method,
+        "arch": architecture.name,
+        "method": plan.method,
         "seed": seed,
         "layers": [
             {"layer": i + 1, "channels": g.channels, "kernel_len": g.s_len}
-            for i, g in enumerate(net.geo)
+            for i, g in enumerate(geo)
         ],
     }
     try:
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
-            for w, b in zip(net.weights, net.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            for w, b in refnet.layer_draws(geo, plan, seed):
+                fh.write(w.astype("<f8", copy=False))
+                fh.write(b.astype("<f8", copy=False))
+                del w, b   # one layer at a time
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 
@@ -246,8 +251,7 @@ def cmd_init(args):
     plan = _init_plan(args.method, architecture, args)
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
-        net = refnet.sample_parameters(architecture, plan, args.seed)
-        write_weights(args.emit_weights, net, plan.method, args.seed)
+        write_weights(args.emit_weights, architecture, plan, args.seed)
     return EXIT_OK
 
 

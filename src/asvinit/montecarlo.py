@@ -118,7 +118,7 @@ def _check_memory(arch, geo, cfg, want_backward):
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    need = refnet.memory_need(geo, cfg.n_input_draws, want_backward)
+    need = refnet.memory_need(arch, geo, cfg.n_input_draws, want_backward)
     if need > limit:
         raise BudgetExceeded(
             f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs need "

@@ -8,16 +8,26 @@ flattening is the paper's first-axis-fastest order (w fastest, then h,
 then d).  The public signals in a SignalTrace are (M, B) arrays in that
 order: a (B, D, H, W) array's .reshape(B, -1).T, a view with no copy.
 
+A live tap is a kernel position (ty, tx) that lands inside the input for
+at least one output position (shapes.tap_ranges); a dead tap only ever
+multiplies zero padding, so its weights change no signal.  Each conv layer
+has one lowering, built once by sample_parameters and kept on the
+VectorNet: the bounding rectangle kh' x kw' of its live taps.  The net
+keeps only the weights of that rectangle, (C, D*kh'*kw'), which is the
+full (C, S) matrix whenever every tap is live (FC and 1x1 layers always,
+the built-ins at 224x224).  dense_weights gives the full matrix back,
+zero at the dropped taps, for the naive oracle.
+
 Conv layers are lowered to matrix products (im2col): for a chunk of
-CHUNK images the padded, strided kernel taps are gathered into a
-(n, D*kh*kw, H'*W') buffer whose rows run (d, kh, kw) like the columns of
-w, and u = np.matmul(w, buffer).  Only kernel taps that land inside the
-input are copied (shapes.tap_ranges); the buffer's other entries stay 0,
-which is the zero padding.  A 1x1 stride-1 unpadded conv and an FC layer
-need no gather: their buffer is the input itself, reshaped.  Backward is
-the transpose: np.matmul(w.T, du), then a loop over kernel taps adds each
-tap's rows back into the input gradient.  That is the paper's re-indexed
-backward kernel, applied without index sets.
+CHUNK images the padded, strided live taps are gathered into a
+(n, D*kh'*kw', H'*W') buffer whose rows run (d, ty, tx) like the columns
+of w, and u = np.matmul(w, buffer).  Only the in-bounds positions of each
+tap are copied; the buffer's other entries stay 0, which is the zero
+padding.  A 1x1 stride-1 unpadded conv and an FC layer need no gather:
+their buffer is the input itself, reshaped.  Backward is the transpose:
+np.matmul(w.T, du), then a loop over live taps adds each tap's rows back
+into the input gradient.  That is the paper's re-indexed backward kernel,
+applied without index sets.  Weight gradients come out in the live shape.
 
 Every BLAS call is a per-image product of the same shape whatever the batch
 width (images are the stack axis of np.matmul, never a GEMM dimension), and
@@ -30,7 +40,9 @@ Pooling loops over window taps on strided slices.  Max pooling starts from
 in window order (x fastest, then y) wins, i.e. the lowest member; it keeps
 the winning tap per window for backward, which routes each gradient to it.
 Average pooling sums the in-bounds members (padding counts as 0) and
-divides by the nominal window area T; backward spreads dz / T.
+divides by the nominal window area T; backward spreads dz / T.  A window
+that is the whole map (GlobalAverage) is one running sum over the map and
+one broadcast back.
 
 A SignalTrace keeps only the signals something reads; a pooled layer's
 activations are a temporary.  memory_need bounds, from the shapes alone, the bytes one draw of
@@ -57,12 +69,22 @@ CHUNK = 32
 
 @dataclass(frozen=True)
 class VectorNet:
-    """Sampled parameters of one architecture."""
+    """Sampled parameters of one architecture.
+
+    A conv layer keeps only the weights of its live kernel taps: the
+    bounding rectangle of the taps (ty, tx) that land inside the input for
+    at least one output position.  A tap outside it only ever multiplies
+    zero padding.  weights[i] is (C, D*kh'*kw') with kh' x kw' that
+    rectangle, its columns running (d, ty, tx) like the full kernel's; it
+    is the full (C, S) matrix whenever every tap is live, as on FC and 1x1
+    layers.  lowerings[i] names those columns; dense_weights gives the
+    full matrix back, zero at the dropped taps."""
 
     arch: arch_mod.Architecture
     geo: tuple[shapes_mod.LayerShape, ...]
-    weights: tuple[np.ndarray, ...]   # per layer, (C, S)
+    weights: tuple[np.ndarray, ...]   # per layer, (C, D*kh'*kw'), live taps
     biases: tuple[np.ndarray, ...]    # per layer, (C,)
+    lowerings: tuple[_Lowering, ...]
     seed: int | None = None
 
     @property
@@ -89,29 +111,55 @@ def build_maps(architecture):
     return maps, pools
 
 
+def layer_draws(geo, plan, seed):
+    """Each layer's full (C, S) weights and (C,) biases, iid zero-mean
+    normal with the plan's std devs, drawn from one stream in order
+    (weights, then bias, layer by layer).  A zero std dev draws nothing.
+    sample_parameters and the weight-file writer both read this stream, so
+    a file and a net of the same seed hold the same numbers.  Nothing here
+    keeps a layer once it is yielded."""
+    rng = np.random.default_rng(seed)
+
+    def normal(sigma, shape):
+        return np.zeros(shape) if sigma == 0.0 else rng.normal(0.0, sigma, size=shape)
+
+    for g, row in zip(geo, plan.rows):
+        yield normal(row.sigma_w, (g.channels, g.s_len)), normal(row.sigma_b, g.channels)
+
+
 def sample_parameters(architecture, plan, seed) -> VectorNet:
-    """Draw iid zero-mean normal weights with the plan's per-layer std devs."""
+    """Draw the plan's weights and keep each conv layer's live-tap block."""
     geo = tuple(shapes_mod.infer_shapes(architecture))
     if len(plan.rows) != len(geo):
         raise ValueError(
             f"plan covers {len(plan.rows)} layers, architecture has {len(geo)}"
         )
-    rng = np.random.default_rng(seed)
+    lowerings = tuple(_lowering(spec, g) for spec, g in zip(architecture.layers, geo))
     weights, biases = [], []
-    for g, row in zip(geo, plan.rows):
-        c, s = g.channels, g.s_len
-        if row.sigma_w == 0.0:
-            weights.append(np.zeros((c, s)))
-        else:
-            weights.append(rng.normal(0.0, row.sigma_w, size=(c, s)))
-        if row.sigma_b == 0.0:
-            biases.append(np.zeros(c))
-        else:
-            biases.append(rng.normal(0.0, row.sigma_b, size=c))
+    draws = layer_draws(geo, plan, seed)
+    for low in lowerings:
+        # not zip: its reused result tuple would keep this full draw alive
+        # while the next one is drawn
+        w, b = next(draws)
+        weights.append(low.live(w))
+        biases.append(b)
+        del w
     return VectorNet(
-        arch=architecture, geo=geo,
-        weights=tuple(weights), biases=tuple(biases), seed=seed,
+        arch=architecture, geo=geo, weights=tuple(weights), biases=tuple(biases),
+        lowerings=lowerings, seed=seed,
     )
+
+
+def dense_weights(net, layer):
+    """Layer's weights as the full (C, S) kernel matrix, zero at the taps
+    outside the live rectangle."""
+    low, w = net.lowerings[layer], net.weights[layer]
+    if low.kernel == low.full:
+        return w
+    rows, cols = low.window
+    full = np.zeros((low.out[0], low.image[0], *low.full))
+    full[:, :, rows, cols] = w.reshape(low.out[0], low.image[0], *low.kernel)
+    return full.reshape(low.out[0], -1)
 
 
 @dataclass
@@ -183,14 +231,19 @@ def _taps(in_hw, out_hw, size, stride, padding):
 @dataclass(frozen=True)
 class _Lowering:
     """A conv or FC layer as the per-image product u = w @ cols(z) + b, with
-    cols(z) of shape (k, p): k the kernel length, p the output positions.
-    taps is None when cols(z) is z itself, reshaped: an FC layer (its
-    kernel is its whole input, p = 1) or a 1x1 stride-1 unpadded conv."""
+    cols(z) of shape (k, p): k the live kernel length, p the output
+    positions.  The live kernel is the kh' x kw' rectangle of the full
+    kernel, from origin on, that holds every tap reaching the input; taps
+    index it.  taps is None when cols(z) is z itself, reshaped: an FC layer
+    (its kernel is its whole input, p = 1) or a 1x1 stride-1 unpadded
+    conv."""
 
     image: tuple[int, int, int]   # input (D, H, W)
     out: tuple[int, int, int]     # output (C, H', W')
-    kernel: tuple[int, int]       # (kh, kw)
-    taps: list | None
+    full: tuple[int, int]         # the kernel (kh, kw)
+    kernel: tuple[int, int]       # the live rectangle (kh', kw')
+    origin: tuple[int, int] = (0, 0)
+    taps: list | None = None
 
     @property
     def k(self):
@@ -200,18 +253,39 @@ class _Lowering:
     def p(self):
         return self.out[1] * self.out[2]
 
+    @property
+    def window(self):
+        """The live rectangle's (rows, columns) within the full kernel."""
+        (y0, x0), (kh, kw) = self.origin, self.kernel
+        return slice(y0, y0 + kh), slice(x0, x0 + kw)
+
+    def live(self, w):
+        """The live block of a full (C, S) weight matrix: w itself, no copy,
+        when every tap is live."""
+        if self.kernel == self.full:
+            return w
+        rows, cols = self.window
+        block = w.reshape(self.out[0], self.image[0], *self.full)[:, :, rows, cols]
+        # a copy: a view, even a reshaped one, would keep all of w alive
+        return np.ascontiguousarray(block).reshape(self.out[0], -1)
+
 
 def _lowering(spec, g):
     w, h, d = g.in_shape
     wp, hp, c = g.conv_shape
     if spec.kind == arch_mod.FULLY_CONNECTED:
-        return _Lowering((d, h, w), (c, 1, 1), (h, w), None)
+        return _Lowering((d, h, w), (c, 1, 1), (h, w), (h, w))
     kw, kh = spec.kernel
     (sw, sh), (pw, ph) = spec.stride, spec.padding
     if (kw, kh, sw, sh, pw, ph) == (1, 1, 1, 1, 0, 0):
-        return _Lowering((d, h, w), (c, hp, wp), (1, 1), None)
+        return _Lowering((d, h, w), (c, hp, wp), (1, 1), (1, 1))
     taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
-    return _Lowering((d, h, w), (c, hp, wp), (kh, kw), taps)
+    ys, xs = [t[0] for t in taps], [t[1] for t in taps]
+    y0, x0 = min(ys), min(xs)
+    return _Lowering(
+        (d, h, w), (c, hp, wp), (kh, kw), (max(ys) - y0 + 1, max(xs) - x0 + 1), (y0, x0),
+        [(ty - y0, tx - x0, o, i) for ty, tx, o, i in taps],
+    )
 
 
 def _chunks(n_img):
@@ -219,7 +293,7 @@ def _chunks(n_img):
 
 
 def _col_buffer(low, n_img):
-    """One chunk's zeroed im2col buffer (n, D, kh, kw, H', W'), or None."""
+    """One chunk's zeroed im2col buffer (n, D, kh', kw', H', W'), or None."""
     if low.taps is None:
         return None
     return np.zeros((min(CHUNK, n_img), low.image[0], *low.kernel, *low.out[1:]))
@@ -311,7 +385,18 @@ def _max_unpool(dz, winners, g):
     return dv
 
 
+def _whole_map(g):
+    """The pooling window is the whole map: one window per channel."""
+    return g.pool_padding == (0, 0) and g.pool_size == g.conv_shape[:2]
+
+
 def _average_pool(v, g):
+    if _whole_map(g):
+        # cumsum adds left to right, in the tap loop's order, so the sum is
+        # the same to the bit; np.sum would add pairwise
+        n, c = v.shape[:2]
+        total = np.cumsum(v.reshape(n, c, -1), axis=-1)[..., -1]
+        return (total / (g.pool_size[0] * g.pool_size[1])).reshape(_pooled(v, g))
     z = np.zeros(_pooled(v, g))
     for _, _, o, i in _pool_taps(g):
         z[o] += v[i]
@@ -321,7 +406,10 @@ def _average_pool(v, g):
 
 def _average_unpool(dz, g):
     share = dz / (g.pool_size[0] * g.pool_size[1])
-    dv = np.zeros((dz.shape[0], *reversed(g.conv_shape)))
+    shape = (dz.shape[0], *reversed(g.conv_shape))
+    if _whole_map(g):
+        return np.broadcast_to(share, shape).copy()
+    dv = np.zeros(shape)
     for _, _, o, i in _pool_taps(g):
         dv[i] += share[o]
     return dv
@@ -334,7 +422,7 @@ def forward(net: VectorNet, z0) -> SignalTrace:
     trace = SignalTrace(z=[z])
     x = _images(z, g0.in_shape)
     for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
-        u = _conv_forward(_lowering(spec, g), net.weights[i], net.biases[i], x)
+        u = _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x)
         v = np.maximum(u, 0.0) if spec.activation == arch_mod.RELU else u
         winners = None
         if g.pool_kind is None:
@@ -376,7 +464,7 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     du = _images(du_top, net.geo[-1].conv_shape)
     for i in range(n - 1, -1, -1):
         g = net.geo[i]
-        low = _lowering(net.arch.layers[i], g)
+        low = net.lowerings[i]
         trace.du[i] = _signals(du)
         if param_grads:
             trace.d_weights[i], trace.d_biases[i] = _param_grads(
@@ -407,13 +495,16 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     return trace
 
 
-def memory_need(geo, batch, want_backward):
+def memory_need(architecture, geo, batch, want_backward):
     """Upper bound on the bytes one draw of batch images holds at once: the
-    VectorNet's float64 weights and biases, the signals its trace keeps (u,
-    z, max-pool winners and, for backward, du, dv, dz), the input twice
-    (drawn and as images), one signal-sized temporary (a pooled layer's
-    activations, or the square a variance estimate takes), and one im2col
-    chunk."""
+    VectorNet's float64 live-tap weights and biases plus one layer's full
+    draw in flight, the signals its trace keeps (u, z, max-pool winners
+    and, for backward, du, dv, dz), the input twice (drawn and as images),
+    one signal-sized temporary (a pooled layer's activations, or the square
+    a variance estimate takes), and one im2col chunk."""
+    lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
+    weights = sum(low.out[0] * (low.k + 1) for low in lows)
+    weights += max(g.channels * g.s_len for g in geo)
     per_image = 2 * geo[0].m_prev
     for g in geo:
         per_image += g.m_prime + g.m                       # u, z
@@ -422,8 +513,8 @@ def memory_need(geo, batch, want_backward):
         if want_backward:
             per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
-    chunk = min(CHUNK, batch) * max(g.s_len * g.m_prime // g.channels for g in geo)
-    return 8 * (sum(g.params for g in geo) + batch * per_image + chunk)
+    chunk = min(CHUNK, batch) * max(low.k * low.p for low in lows)
+    return 8 * (weights + batch * per_image + chunk)
 
 
 def loss_half_square(net, z0):
@@ -505,13 +596,14 @@ def naive_forward(net: VectorNet, z0):
     us, zs = [], [z]
     for i, g in enumerate(geo):
         spec = net.arch.layers[i]
+        w = dense_weights(net, i)
         if spec.kind == arch_mod.FULLY_CONNECTED:
-            u = net.weights[i] @ z + net.biases[i]
+            u = w @ z + net.biases[i]
             u_t = None
         else:
             z_t = _to_tensor(z, g.in_shape)
             u_t = naive_conv(
-                z_t, net.weights[i], net.biases[i],
+                z_t, w, net.biases[i],
                 spec.kernel, spec.stride, spec.padding,
             )
             u = _from_tensor(u_t)

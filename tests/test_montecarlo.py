@@ -106,7 +106,26 @@ def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
     finally:
         tracemalloc.stop()
     geo = tuple(shapes.infer_shapes(a))
-    assert refnet.memory_need(geo, trials[1], want_backward) >= peak
+    assert refnet.memory_need(a, geo, trials[1], want_backward) >= peak
+
+
+def test_memory_bound_counts_live_weights_and_one_draw_in_flight():
+    """arch34 at 16x16x3 keeps 3.6M of its 21.1M weights: the bound drops
+    below the 176,107,088 bytes it was when every weight was counted, and
+    still covers the net's arrays plus one full trace."""
+    a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
+    geo = tuple(shapes.infer_shapes(a))
+    need = refnet.memory_need(a, geo, 8, True)
+    assert need < 176_107_088
+    net = refnet.sample_parameters(a, variance.init_plan(variance.ASV_BACKWARD, a), 5)
+    z0 = np.random.default_rng(6).normal(size=(geo[0].m_prev, 8))
+    trace = refnet.backward(net, refnet.forward(net, z0))
+    held = sum(x.nbytes for x in (*net.weights, *net.biases))
+    held += sum(
+        x.nbytes for signals in (trace.u, trace.z, trace.winners, trace.du, trace.dv, trace.dz)
+        for x in signals if x is not None
+    )
+    assert need > held
 
 
 def test_budget_env_var(monkeypatch):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import asvinit
-from asvinit import refnet, shapes, variance
+from asvinit import cli, refnet, shapes, variance
+from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, small_chains, small_net
 
@@ -114,8 +117,9 @@ def test_sample_variance_tracks_sigma():
 # ---------------------------------------------------------------------------
 
 def backward_kernel(net, layer):
-    """Re-indexed backward weights (C_tilde x J); a pure permutation of W."""
-    w = net.weights[layer]
+    """Re-indexed backward weights (C_tilde x J); a pure permutation of the
+    dense W, zero at the kernel taps that never reach the input."""
+    w = refnet.dense_weights(net, layer)
     spec = net.arch.layers[layer]
     if spec.kind == "FullyConnected":
         return w.T.copy()
@@ -455,6 +459,128 @@ def test_batch_columns_independent_on_random_chains(a, seed):
             assert np.array_equal(full.z[i + 1][:, col], single.z[i + 1][:, 0])
             assert np.array_equal(full.du[i][:, col], single.du[i][:, 0])
             assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
+
+
+# ---------------------------------------------------------------------------
+# live kernel taps: a net keeps only the weights that can reach the input
+# ---------------------------------------------------------------------------
+
+def dead_tap_chain(pool):
+    """A 5x5 pad-2 stride-2 conv on a 2x2 map (live taps 2..3 per axis) and
+    a 3x3 pad-1 conv on a 1x1 map (live tap 1 per axis), after a pooled
+    layer whose taps are all live."""
+    return small_net((4, 4, 2), [(3, 3, 1, 1, pool), (4, 5, 2, 2, None), (3, 3, 1, 1, POOLS[3])])
+
+
+# per layer, the live rectangle's (rows, columns) within the full kernel
+DEAD_TAP_WINDOWS = [
+    (slice(0, 3), slice(0, 3)), (slice(2, 4), slice(2, 4)), (slice(1, 2), slice(1, 2)), None,
+]
+
+
+@pytest.mark.parametrize("pool", POOLS[1:3], ids=["max", "average"])
+def test_dead_taps_are_dropped_and_change_nothing(pool, tmp_path):
+    a = dead_tap_chain(pool)
+    net = sampled(a, seed=44, method=variance.ASV_FORWARD)
+    assert [w.shape for w in net.weights] == [(3, 18), (4, 12), (3, 4), (3, 3)]
+
+    # the kept weights are the live columns of the full draw a weight file holds
+    arch_file, weight_file = tmp_path / "a.json", tmp_path / "w.bin"
+    arch_file.write_text(serialize(a))
+    assert cli.main(["init", "--arch", str(arch_file), "--method", "asv-forward",
+                     "--clamp-factor", "none", "--seed", "44", "--emit-weights", str(weight_file),
+                     "--out", str(tmp_path / "plan.csv")]) == 0
+    _, file_weights, _ = cli.read_weights(str(weight_file))
+    for w, w_file, g, window in zip(net.weights, file_weights, net.geo, DEAD_TAP_WINDOWS):
+        assert w_file.shape == (g.channels, g.s_len)
+        if window is not None:
+            k = a.layers[g.ell - 1].kernel[0]
+            w_file = w_file.reshape(g.channels, g.in_shape[2], k, k)[:, :, window[0], window[1]]
+        assert np.array_equal(w, w_file.reshape(w.shape))
+
+    # forward against the naive loops, backward against the re-indexed product
+    rng = np.random.default_rng(45)
+    z0 = rng.normal(size=(net.geo[0].m_prev, 37))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 37))
+    full = refnet.backward(net, refnet.forward(net, z0), delta_uL=delta)
+    for col in (0, 36):
+        us, zs = refnet.naive_forward(net, z0[:, col])
+        for i in range(net.num_layers):
+            assert_close(full.u[i][:, col], us[i], rtol=1e-10)
+            assert_close(full.z[i + 1][:, col], zs[i + 1], rtol=1e-10)
+    expected = oracle_backward(net, full, delta)
+    for i in range(net.num_layers):
+        assert np.abs(full.dz[i]).max() > 0.0
+        assert_close(full.dz[i], expected[i], rtol=1e-12)
+
+    # batch 1 and batch 37 give the same bits
+    for col in (0, 17, 36):
+        single = refnet.backward(
+            net, refnet.forward(net, z0[:, col]), delta_uL=delta[:, col]
+        )
+        for i in range(net.num_layers):
+            assert np.array_equal(full.u[i][:, col], single.u[i][:, 0])
+            assert np.array_equal(full.z[i + 1][:, col], single.z[i + 1][:, 0])
+            assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
+
+    # the live-block gradients against finite differences, on the column
+    # with the largest output
+    z1 = z0[:, np.argmax(np.abs(full.u[-1]).max(axis=0))]
+    trace = refnet.forward(net, z1)
+    assert np.abs(trace.u[-1]).max() > 0.1  # vacuous if the net died
+    refnet.backward(net, trace, param_grads=True)
+    fd = finite_difference_weight_grads(net, z1)
+    for layer, (analytic, numeric) in enumerate(zip(trace.d_weights, fd)):
+        assert analytic.shape == net.weights[layer].shape
+        scale = np.maximum(np.abs(numeric), 1e-6)
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-5, f"layer {layer + 1}"
+
+
+def test_dense_weights_put_zeros_at_dead_taps():
+    net = sampled(dead_tap_chain(POOLS[1]), seed=46)
+    dense = refnet.dense_weights(net, 1).reshape(4, 3, 5, 5)
+    rows, cols = DEAD_TAP_WINDOWS[1]
+    assert np.array_equal(dense[:, :, rows, cols].reshape(4, -1), net.weights[1])
+    dense[:, :, rows, cols] = 0.0
+    assert not dense.any()
+    assert refnet.dense_weights(net, 0) is net.weights[0]
+
+
+@pytest.mark.parametrize("name, input_shape, kept", [
+    ("toy", None, None),
+    ("arch34", None, None),
+    ("arch34", (16, 16, 3), 3_635_392),
+])
+def test_sampled_net_keeps_exactly_the_live_weights(name, input_shape, kept):
+    """Every weight is kept where every tap is live (toy, the built-ins at
+    224x224); at 16x16 arch34's 3x3 layers on 2x2 and 1x1 maps keep only
+    the taps that reach the input."""
+    a = asvinit.toy_net() if name == "toy" else asvinit.builtin(name)
+    if input_shape is not None:
+        a = dataclasses.replace(a, input_shape=input_shape)
+    net = sampled(a, seed=1)
+    if kept is None:
+        kept = sum(g.channels * g.s_len for g in net.geo)
+    assert sum(w.size for w in net.weights) == kept
+
+
+def test_global_average_pool_matches_naive_pool():
+    """A whole-map average sums in the naive loop's order: equal bits."""
+    a = small_net((64, 64, 2), [(3, 1, 1, 0, POOLS[3])])
+    net = sampled(a, seed=47)
+    rng = np.random.default_rng(48)
+    z0 = rng.normal(size=(net.geo[0].m_prev, 2))
+    trace = refnet.forward(net, z0)
+    g = net.geo[0]
+    for col in range(2):
+        v = refnet._to_tensor(np.maximum(trace.u[0][:, col], 0.0), g.conv_shape)
+        z = refnet.naive_pool(v, g.pool_kind, g.pool_size, g.pool_stride, g.pool_padding)
+        assert np.array_equal(trace.z[1][:, col], refnet._from_tensor(z))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 2))
+    refnet.backward(net, trace, delta_uL=delta)
+    expected = oracle_backward(net, trace, delta)
+    assert_close(trace.dz[0], expected[0], rtol=1e-12)
+    assert np.array_equal(trace.dv[0], np.repeat(trace.dz[1] / 4096, 4096, axis=0))
 
 
 # ---------------------------------------------------------------------------
