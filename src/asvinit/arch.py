@@ -7,6 +7,7 @@ optional pooling step.  Shapes are (width, height, channels) triples.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
@@ -60,7 +61,13 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Architecture:
-    """An ordered chain of layers applied to a (w, h, d) input."""
+    """An ordered chain of layers applied to a (w, h, d) input.
+
+    geo is every layer's resolved geometry (shapes.LayerShape), inferred on
+    first read and kept: the one copy every formula, plan and net reads.
+    It is no dataclass field, so it takes no part in ==, hash or
+    serialize, and dataclasses.replace builds an architecture that infers
+    its own."""
 
     name: str
     input_shape: tuple[int, int, int]
@@ -69,6 +76,12 @@ class Architecture:
     @property
     def num_layers(self):
         return len(self.layers)
+
+    @functools.cached_property
+    def geo(self):
+        from . import shapes
+
+        return tuple(shapes.infer_shapes(self))
 
 
 def _positive_pair(value, what, layer):
@@ -149,9 +162,7 @@ def validate(arch: Architecture) -> None:
         )
 
     # shape inference must succeed end to end (raises ValidationError itself)
-    from . import shapes
-
-    shapes.infer_shapes(arch)
+    arch.geo
 
 
 # ---------------------------------------------------------------------------

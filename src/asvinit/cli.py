@@ -167,20 +167,19 @@ def cmd_analyze(args):
 # init / compare-methods
 # ---------------------------------------------------------------------------
 
-def _init_plan(method, architecture, args, geo=None):
+def _init_plan(method, architecture, args):
     return variance_mod.init_plan(
-        method, architecture, geo=geo, clamp_factor=args.clamp_factor,
+        method, architecture, clamp_factor=args.clamp_factor,
         tau0=args.tau0, clamp_mode=args.clamp_mode,
     )
 
 
 def _method_table(architecture, args):
     """sigma_w of every method, one row per layer."""
-    geo = shapes_mod.infer_shapes(architecture)
-    plans = [_init_plan(m, architecture, args, geo) for m in variance_mod.METHODS]
+    plans = [_init_plan(m, architecture, args) for m in variance_mod.METHODS]
     rows = [
         {"layer": i + 1, "sigma_w": {p.method: p.rows[i].sigma_w for p in plans}}
-        for i in range(len(geo))
+        for i in range(architecture.num_layers)
     ]
     head = {"arch": architecture.name, "methods": list(variance_mod.METHODS)}
     return head, "layers", rows, ("layer", *variance_mod.METHODS)
@@ -192,7 +191,6 @@ def write_weights(path, architecture, plan, seed):
     of the full kernels is written, dead taps included, one layer at a time
     from refnet.layer_draws: the numbers sample_parameters draws for the
     same seed before it keeps each layer's live taps."""
-    geo = shapes_mod.infer_shapes(architecture)
     header = {
         "format": _WEIGHTS_FORMAT,
         "version": 1,
@@ -201,14 +199,14 @@ def write_weights(path, architecture, plan, seed):
         "seed": seed,
         "layers": [
             {"layer": i + 1, "channels": g.channels, "kernel_len": g.s_len}
-            for i, g in enumerate(geo)
+            for i, g in enumerate(architecture.geo)
         ],
     }
     try:
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
-            for w, b in refnet.layer_draws(geo, plan, seed):
+            for w, b in refnet.layer_draws(plan, seed):
                 fh.write(w.astype("<f8", copy=False))
                 fh.write(b.astype("<f8", copy=False))
                 del w, b   # one layer at a time
@@ -232,9 +230,17 @@ def read_weights(path):
                 raise AsvinitError(f"{path} is truncated")
             return np.frombuffer(data, dtype="<f8")
 
+        layers = header.get("layers")
+        if not isinstance(layers, list):
+            raise AsvinitError(f"{path}: header has no layer list")
         weights, biases = [], []
-        for layer in header["layers"]:
-            c, s = layer["channels"], layer["kernel_len"]
+        for layer in layers:
+            try:
+                c, s = layer["channels"], layer["kernel_len"]
+            except (KeyError, TypeError):
+                c = s = None
+            if not all(type(n) is int and n >= 1 for n in (c, s)):
+                raise AsvinitError(f"{path}: bad layer entry {layer!r}")
             weights.append(floats(c * s).reshape(c, s))
             biases.append(floats(c))
     return header, weights, biases
@@ -249,6 +255,12 @@ def cmd_init(args):
         _emit(render(_method_table(architecture, args), args.format), args.out)
         return EXIT_OK
     plan = _init_plan(args.method, architecture, args)
+    if args.emit_weights:
+        # write_weights holds one layer's weights and biases at a time
+        refnet.check_memory(
+            8 * max(g.channels * (g.s_len + 1) for g in architecture.geo),
+            f"{architecture.name}: the largest layer's weights",
+        )
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
         write_weights(args.emit_weights, architecture, plan, args.seed)
@@ -261,7 +273,6 @@ def cmd_init(args):
 
 def cmd_simulate(args):
     architecture = _resolve_arch(args)
-    geo = shapes_mod.infer_shapes(architecture)
     if args.sigma_override:
         try:
             with open(args.sigma_override, "r", encoding="utf-8") as fh:
@@ -269,11 +280,11 @@ def cmd_simulate(args):
         except (OSError, json.JSONDecodeError) as exc:
             raise AsvinitError(f"cannot read {args.sigma_override}: {exc}") from exc
         try:
-            plan = variance_mod.plan_from_sigmas(architecture, sigmas, geo=geo, tau0=args.tau0)
+            plan = variance_mod.plan_from_sigmas(architecture, sigmas, tau0=args.tau0)
         except (TypeError, ValueError) as exc:
             raise AsvinitError(f"{args.sigma_override}: {exc}") from exc
     else:
-        plan = _init_plan(args.method, architecture, args, geo)
+        plan = _init_plan(args.method, architecture, args)
     n_param, n_input = args.trials
     cfg = montecarlo.McConfig(
         n_param_draws=n_param, n_input_draws=n_input, seed=args.seed,

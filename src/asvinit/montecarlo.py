@@ -10,19 +10,19 @@ measure the variance of the backward signals dz at each layer interface
 Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
 bit for bit for a fixed seed and trial count.  Before the first draw, a run
-compares refnet.memory_need (what one draw holds at once) with the memory
-this process may use, and raises BudgetExceeded when it does not fit.
+holds refnet.memory_need (what one draw holds at once) against the memory
+this process may use (refnet.check_memory), and raises BudgetExceeded when
+it does not fit.
 """
 
 from __future__ import annotations
 
 import os
-import resource
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import refnet, shapes as shapes_mod, variance as variance_mod
+from . import refnet, variance as variance_mod
 from .errors import AsvinitError, BudgetExceeded
 
 _DEFAULT_BUDGET = 1_000_000
@@ -33,9 +33,12 @@ def _env_budget():
     if raw is None:
         return _DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise AsvinitError(f"ASV_BUDGET must be an integer, got {raw!r}") from None
+        budget = 0
+    if budget < 1:
+        raise AsvinitError(f"ASV_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -111,42 +114,27 @@ class VarianceTrace:
         return head, "rows", rows, columns
 
 
-def _check_memory(arch, geo, cfg, want_backward):
-    """Refuse a run whose weights and signals exceed the memory this process
-    may use (the soft RLIMIT_AS when one is set, else the machine's physical
-    memory), before any of them is allocated."""
-    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    need = refnet.memory_need(arch, geo, cfg.n_input_draws, want_backward)
-    if need > limit:
-        raise BudgetExceeded(
-            f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs need "
-            f"{need / 2**30:.1f} GiB, over the {limit / 2**30:.1f} GiB memory limit"
-        )
-
-
 def _pooled_variance(x):
     """Variance over all entries (units x batch) of one draw."""
     m = float(np.mean(x))
     return float(np.mean(x * x)) - m * m
 
 
-def _one_draw(arch, plan, cfg, geo, seeds, want_backward):
+def _one_draw(arch, plan, cfg, seeds, want_backward):
     """Pooled variances of z0, every u and (when asked) every inner dz for
     one parameter draw.  Its trace is freed on return, before the next
     draw allocates its own."""
     param_ss, input_ss, inject_ss = seeds.spawn(3)
     net = refnet.sample_parameters(arch, plan, param_ss)
     rng_in = np.random.default_rng(input_ss)
-    z0 = rng_in.normal(0.0, np.sqrt(cfg.q0), size=(geo[0].m_prev, cfg.n_input_draws))
+    z0 = rng_in.normal(0.0, np.sqrt(cfg.q0), size=(arch.geo[0].m_prev, cfg.n_input_draws))
     trace = refnet.forward(net, z0)
     u_vars = [_pooled_variance(u) for u in trace.u]
     dz_vars = None
     if want_backward:
         rng_top = np.random.default_rng(inject_ss)
         delta = rng_top.normal(
-            0.0, np.sqrt(cfg.rL), size=(geo[-1].m_prime, cfg.n_input_draws)
+            0.0, np.sqrt(cfg.rL), size=(arch.geo[-1].m_prime, cfg.n_input_draws)
         )
         refnet.backward(net, trace, delta_uL=delta)
         dz_vars = [_pooled_variance(dz) for dz in trace.dz[1:-1]]
@@ -156,9 +144,11 @@ def _one_draw(arch, plan, cfg, geo, seeds, want_backward):
 def _run_draws(arch, plan, cfg, want_backward):
     """Per-draw pooled variances of u (and dz when requested)."""
     cfg.check_budget()
-    geo = tuple(shapes_mod.infer_shapes(arch))
-    _check_memory(arch, geo, cfg, want_backward)
-    n_layers = len(geo)
+    refnet.check_memory(
+        refnet.memory_need(arch, cfg.n_input_draws, want_backward),
+        f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs",
+    )
+    n_layers = arch.num_layers
 
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.n_param_draws)
@@ -169,11 +159,11 @@ def _run_draws(arch, plan, cfg, want_backward):
 
     for a in range(cfg.n_param_draws):
         z0_vars[a], u_vars[a], dz_row = _one_draw(
-            arch, plan, cfg, geo, children[a], want_backward
+            arch, plan, cfg, children[a], want_backward
         )
         if want_backward:
             dz_vars[a] = dz_row
-    return geo, z0_vars, u_vars, dz_vars
+    return z0_vars, u_vars, dz_vars
 
 
 def _mean_stderr(per_draw):
@@ -185,21 +175,21 @@ def _mean_stderr(per_draw):
     return est, se
 
 
-def _forward_rows(geo, plan, cfg, z0_vars, u_vars):
-    q_pred = variance_mod.predict_forward(geo, plan.sigma_w, q0=cfg.q0, tau0=plan.tau0)
+def _forward_rows(arch, plan, cfg, z0_vars, u_vars):
+    q_pred = variance_mod.predict_forward(arch.geo, plan.sigma_w, q0=cfg.q0, tau0=plan.tau0)
     rows = []
     est, se = _mean_stderr(z0_vars)
     rows.append(TraceRow("forward", 0, float(q_pred[0]), est, se))
-    for i in range(len(geo)):
+    for i in range(arch.num_layers):
         est, se = _mean_stderr(u_vars[:, i])
         rows.append(TraceRow("forward", i + 1, float(q_pred[i + 1]), est, se))
     return rows
 
 
-def _backward_rows(geo, plan, cfg, dz_vars):
-    r_pred = variance_mod.predict_backward(geo, plan.sigma_w, rL=cfg.rL)
+def _backward_rows(arch, plan, cfg, dz_vars):
+    r_pred = variance_mod.predict_backward(arch.geo, plan.sigma_w, rL=cfg.rL)
     rows = []
-    for i in range(len(geo) - 1):
+    for i in range(arch.num_layers - 1):
         est, se = _mean_stderr(dz_vars[:, i])
         rows.append(TraceRow("backward", i + 1, float(r_pred[i + 1]), est, se))
     return rows
@@ -207,23 +197,23 @@ def _backward_rows(geo, plan, cfg, dz_vars):
 
 def estimate_forward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure forward variance levels under the plan; compare to predictions."""
-    geo, z0_vars, u_vars, _ = _run_draws(arch, plan, cfg, want_backward=False)
-    rows = _forward_rows(geo, plan, cfg, z0_vars, u_vars)
+    z0_vars, u_vars, _ = _run_draws(arch, plan, cfg, want_backward=False)
+    rows = _forward_rows(arch, plan, cfg, z0_vars, u_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 
 def estimate_backward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure backward variance levels under iid injected top gradients."""
-    geo, z0_vars, u_vars, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _backward_rows(geo, plan, cfg, dz_vars)
+    _, _, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
+    rows = _backward_rows(arch, plan, cfg, dz_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 
 def estimate_both(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Forward and backward in one pass (shares the forward traces)."""
-    geo, z0_vars, u_vars, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _forward_rows(geo, plan, cfg, z0_vars, u_vars)
-    rows += _backward_rows(geo, plan, cfg, dz_vars)
+    z0_vars, u_vars, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
+    rows = _forward_rows(arch, plan, cfg, z0_vars, u_vars)
+    rows += _backward_rows(arch, plan, cfg, dz_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 

@@ -45,9 +45,11 @@ that is the whole map (GlobalAverage) is one running sum over the map and
 one broadcast back.
 
 A SignalTrace keeps only the signals something reads; a pooled layer's
-activations are a temporary.  memory_need bounds, from the shapes alone, the bytes one draw of
-sample_parameters, forward and backward holds at once; montecarlo checks
-it against the memory limit before a run allocates anything.
+activations are a temporary.  memory_need bounds, from the shapes alone,
+the bytes one draw of sample_parameters, forward and backward holds at
+once.  check_memory holds a need against the memory this process may use;
+simulate (through montecarlo) and init --emit-weights call it before they
+allocate.
 
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
@@ -55,13 +57,15 @@ indices; it exists as an independent oracle for the vectorized path.
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arch as arch_mod
 from . import shapes as shapes_mod
-from .errors import MissingForwardTrace, ShapeMismatch
+from .errors import BudgetExceeded, MissingForwardTrace, ShapeMismatch
 
 # images per im2col buffer: bounds the buffer, not a tuning option
 CHUNK = 32
@@ -78,18 +82,22 @@ class VectorNet:
     rectangle, its columns running (d, ty, tx) like the full kernel's; it
     is the full (C, S) matrix whenever every tap is live, as on FC and 1x1
     layers.  lowerings[i] names those columns; dense_weights gives the
-    full matrix back, zero at the dropped taps."""
+    full matrix back, zero at the dropped taps.  geo is arch.geo, read
+    through, not a copy."""
 
     arch: arch_mod.Architecture
-    geo: tuple[shapes_mod.LayerShape, ...]
     weights: tuple[np.ndarray, ...]   # per layer, (C, D*kh'*kw'), live taps
     biases: tuple[np.ndarray, ...]    # per layer, (C,)
     lowerings: tuple[_Lowering, ...]
     seed: int | None = None
 
     @property
+    def geo(self):
+        return self.arch.geo
+
+    @property
     def num_layers(self):
-        return len(self.geo)
+        return self.arch.num_layers
 
     @property
     def maps(self):
@@ -100,18 +108,17 @@ class VectorNet:
 
 
 def build_maps(architecture):
-    """Materialize index maps for every layer (shapes inferred once).
+    """Materialize index maps for every layer.
 
     The engine does not use them.  Kept as the paper's index sets for the
     tests' oracles, and because the benchmark's tracer wraps it."""
-    geo = shapes_mod.infer_shapes(architecture)
-    layers = range(len(architecture.layers))
-    maps = tuple(shapes_mod.build_layer_maps(architecture, i, geo) for i in layers)
-    pools = tuple(shapes_mod.build_pool_maps(architecture, i, geo) for i in layers)
+    layers = range(architecture.num_layers)
+    maps = tuple(shapes_mod.build_layer_maps(architecture, i) for i in layers)
+    pools = tuple(shapes_mod.build_pool_maps(architecture, i) for i in layers)
     return maps, pools
 
 
-def layer_draws(geo, plan, seed):
+def layer_draws(plan, seed):
     """Each layer's full (C, S) weights and (C,) biases, iid zero-mean
     normal with the plan's std devs, drawn from one stream in order
     (weights, then bias, layer by layer).  A zero std dev draws nothing.
@@ -123,20 +130,22 @@ def layer_draws(geo, plan, seed):
     def normal(sigma, shape):
         return np.zeros(shape) if sigma == 0.0 else rng.normal(0.0, sigma, size=shape)
 
-    for g, row in zip(geo, plan.rows):
+    for row in plan.rows:
+        g = row.shape
         yield normal(row.sigma_w, (g.channels, g.s_len)), normal(row.sigma_b, g.channels)
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
     """Draw the plan's weights and keep each conv layer's live-tap block."""
-    geo = tuple(shapes_mod.infer_shapes(architecture))
-    if len(plan.rows) != len(geo):
+    geo = architecture.geo
+    if tuple(row.shape for row in plan.rows) != geo:
         raise ValueError(
-            f"plan covers {len(plan.rows)} layers, architecture has {len(geo)}"
+            f"plan for {plan.arch_name} ({len(plan.rows)} layers) does not fit "
+            f"the shapes of {architecture.name} ({len(geo)} layers)"
         )
     lowerings = tuple(_lowering(spec, g) for spec, g in zip(architecture.layers, geo))
     weights, biases = [], []
-    draws = layer_draws(geo, plan, seed)
+    draws = layer_draws(plan, seed)
     for low in lowerings:
         # not zip: its reused result tuple would keep this full draw alive
         # while the next one is drawn
@@ -145,7 +154,7 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
         biases.append(b)
         del w
     return VectorNet(
-        arch=architecture, geo=geo, weights=tuple(weights), biases=tuple(biases),
+        arch=architecture, weights=tuple(weights), biases=tuple(biases),
         lowerings=lowerings, seed=seed,
     )
 
@@ -495,13 +504,14 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     return trace
 
 
-def memory_need(architecture, geo, batch, want_backward):
+def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one draw of batch images holds at once: the
     VectorNet's float64 live-tap weights and biases plus one layer's full
     draw in flight, the signals its trace keeps (u, z, max-pool winners
     and, for backward, du, dv, dz), the input twice (drawn and as images),
     one signal-sized temporary (a pooled layer's activations, or the square
     a variance estimate takes), and one im2col chunk."""
+    geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
     weights = sum(low.out[0] * (low.k + 1) for low in lows)
     weights += max(g.channels * g.s_len for g in geo)
@@ -515,6 +525,19 @@ def memory_need(architecture, geo, batch, want_backward):
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
     chunk = min(CHUNK, batch) * max(low.k * low.p for low in lows)
     return 8 * (weights + batch * per_image + chunk)
+
+
+def check_memory(need, what):
+    """Refuse need bytes over the memory this process may use (the soft
+    RLIMIT_AS when one is set, else the machine's physical memory) with
+    BudgetExceeded; what names the need in the message."""
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise BudgetExceeded(
+            f"{what} need {need / 2**30:.1f} GiB, over the {limit / 2**30:.1f} GiB memory limit"
+        )
 
 
 def loss_half_square(net, z0):

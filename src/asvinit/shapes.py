@@ -12,16 +12,15 @@ engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
 Their tap arrays (ConvMaps fwd_*/bwd_*) are int32 whenever the layer's tap
 count, unit counts and kernel lengths all stay below 2**31, and int64
 otherwise (index_dtype).  The per-unit arrays (c, ctil) and every PoolMaps
-array stay int64.  The map builders take the infer_shapes list as an
-optional geo argument, so a caller that builds every layer infers the
-chain once.  Connection counts are LayerShape.epsilon, computed once in
-infer_shapes from a closed-form census over kernel taps (tap_ranges), not
-from the maps; connection_counts reports them per layer.
+array stay int64.  Connection counts are LayerShape.epsilon, computed once
+in infer_shapes from a closed-form census over kernel taps (tap_ranges), not
+from the maps; connection_counts reports them per layer.  Every reader
+after infer_shapes takes the shapes from Architecture.geo, which runs it
+once per architecture.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,7 @@ def connection_counts(arch: arch_mod.Architecture):
     the census infer_shapes records as epsilon.  Every forward tap (output
     i, input s) is the backward tap (input s, output i), so the two counts
     are equal."""
-    return [(g.epsilon, g.epsilon) for g in infer_shapes(arch)]
+    return [(g.epsilon, g.epsilon) for g in arch.geo]
 
 
 def infer_shapes(arch: arch_mod.Architecture) -> list[LayerShape]:
@@ -231,7 +230,7 @@ class ShapeReport:
 
     @classmethod
     def build(cls, arch: arch_mod.Architecture):
-        rows = tuple(infer_shapes(arch))
+        rows = arch.geo
         return cls(name=arch.name, rows=rows, total_params=sum(r.params for r in rows))
 
     def table(self):
@@ -253,28 +252,6 @@ class ShapeReport:
             for r in self.rows
         ]
         return {"name": self.name, "total_params": self.total_params}, "layers", rows, _CSV_COLUMNS
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        rows = []
-        for r in obj["layers"]:
-            pair = lambda v: tuple(v) if v is not None else None
-            rows.append(LayerShape(
-                ell=r["layer"], kind=r["kind"], activation=r["activation"],
-                in_shape=(r["in_w"], r["in_h"], r["in_d"]),
-                conv_shape=(r["conv_w"], r["conv_h"], r["conv_d"]),
-                pool_shape=(r["pool_w"], r["pool_h"], r["pool_d"]),
-                m_prev=r["M_prev"], m_prime=r["M_prime"], m=r["M"],
-                s_len=r["S"], j_len=r["J"], t=r["T"],
-                channels=r["conv_d"],
-                pool_kind=r["pool"] or None,
-                pool_size=pair(r.get("pool_size")),
-                pool_stride=pair(r.get("pool_stride")),
-                pool_padding=pair(r.get("pool_padding")),
-                params=r["params"], epsilon=r["epsilon"],
-            ))
-        return cls(name=obj["name"], rows=tuple(rows), total_params=obj["total_params"])
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +329,10 @@ def _axis_taps(n, k, p, s, n_out):
     return out
 
 
-def build_forward_maps(architecture, layer, geo=None):
-    """Explicit forward sets {a, s, c} for one layer (0-based index).
-
-    geo is infer_shapes(architecture), inferred here when not given."""
+def build_forward_maps(architecture, layer):
+    """Explicit forward sets {a, s, c} for one layer (0-based index)."""
     spec = architecture.layers[layer]
-    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
+    geo = architecture.geo[layer]
     dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
@@ -422,12 +397,10 @@ def _axis_cover(n, k, p, s, n_out):
     return out
 
 
-def build_backward_maps(architecture, layer, geo=None):
-    """Explicit backward sets {j, h, ctil} for one layer (0-based index).
-
-    geo is infer_shapes(architecture), inferred here when not given."""
+def build_backward_maps(architecture, layer):
+    """Explicit backward sets {j, h, ctil} for one layer (0-based index)."""
     spec = architecture.layers[layer]
-    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
+    geo = architecture.geo[layer]
     dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
@@ -480,12 +453,10 @@ def build_backward_maps(architecture, layer, geo=None):
     )
 
 
-def build_layer_maps(architecture, layer, geo=None):
+def build_layer_maps(architecture, layer):
     """Both directions merged into one ConvMaps."""
-    if geo is None:
-        geo = infer_shapes(architecture)
-    fwd = build_forward_maps(architecture, layer, geo)
-    bwd = build_backward_maps(architecture, layer, geo)
+    fwd = build_forward_maps(architecture, layer)
+    bwd = build_backward_maps(architecture, layer)
     return ConvMaps(
         m_prev=fwd.m_prev, m_prime=fwd.m_prime, s_len=fwd.s_len, j_len=fwd.j_len,
         c=fwd.c, fwd_indptr=fwd.fwd_indptr, fwd_a=fwd.fwd_a, fwd_s=fwd.fwd_s,
@@ -493,11 +464,9 @@ def build_layer_maps(architecture, layer, geo=None):
     )
 
 
-def build_pool_maps(architecture, layer, geo=None):
-    """Window membership of one layer's pooling step (None without pooling).
-
-    geo is infer_shapes(architecture), inferred here when not given."""
-    geo = (infer_shapes(architecture) if geo is None else geo)[layer]
+def build_pool_maps(architecture, layer):
+    """Window membership of one layer's pooling step (None without pooling)."""
+    geo = architecture.geo[layer]
     if geo.pool_kind is None:
         return None
     wp, hp, dp = geo.conv_shape

@@ -129,18 +129,15 @@ def layer_constants(geo: shapes_mod.LayerShape) -> PoolConstants:
 
 @dataclass(frozen=True)
 class PlanRow:
-    ell: int
+    """One layer of a plan: its std devs, constants and predicted levels.
+    shape is that layer's entry of the architecture's geo, the same
+    object, not a copy."""
+
+    shape: shapes_mod.LayerShape
     sigma_w: float
     sigma_b: float
     tau: float          # this layer's own composite constant
     gamma: float
-    epsilon: int
-    m_prev: int
-    m_prime: int
-    m: int
-    s_len: int
-    j_len: int
-    t: int
     clamped: bool
     q_pred: float
     r_pred: float
@@ -167,16 +164,16 @@ class InitPlan:
 
     def table(self):
         """(head, key, rows, csv columns) for cli.render."""
-        rows = [
-            {
-                "layer": r.ell, "sigma_w": r.sigma_w, "sigma_b": r.sigma_b,
-                "tau": r.tau, "gamma": r.gamma, "epsilon": r.epsilon,
-                "M_prev": r.m_prev, "M": r.m, "M_prime": r.m_prime,
-                "S": r.s_len, "J": r.j_len, "T": r.t,
+        rows = []
+        for r in self.rows:
+            g = r.shape
+            rows.append({
+                "layer": g.ell, "sigma_w": r.sigma_w, "sigma_b": r.sigma_b,
+                "tau": r.tau, "gamma": r.gamma, "epsilon": g.epsilon,
+                "M_prev": g.m_prev, "M": g.m, "M_prime": g.m_prime,
+                "S": g.s_len, "J": g.j_len, "T": g.t,
                 "q_pred": r.q_pred, "r_pred": r.r_pred, "clamped": r.clamped,
-            }
-            for r in self.rows
-        ]
+            })
         head = {"method": self.method, "arch": self.arch_name, "tau0": self.tau0,
                 "clamp_factor": self.clamp_factor}
         columns = ("layer", "method", "sigma_w", "sigma_b", "tau", "gamma",
@@ -218,26 +215,24 @@ def predict_backward(geo, sigma_w, rL=1.0):
     return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w, rL)
 
 
-def _plan(method, arch, geo, consts, sigma_w, clamped, tau0, clamp_factor):
+def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
     """InitPlan of the given std devs, with the q and r levels they predict
     for unit input and top-gradient variance.  consts holds each layer's
     layer_constants, computed once by the caller."""
-    q = _forward_levels(geo, consts, sigma_w, 1.0, tau0)
-    r = _backward_levels(geo, consts, sigma_w, 1.0)
+    q = _forward_levels(arch.geo, consts, sigma_w, 1.0, tau0)
+    r = _backward_levels(arch.geo, consts, sigma_w, 1.0)
     rows = []
-    for i, (row, c) in enumerate(zip(geo, consts)):
+    for i, (row, c) in enumerate(zip(arch.geo, consts)):
         rows.append(PlanRow(
-            ell=row.ell, sigma_w=float(sigma_w[i]), sigma_b=0.0,
-            tau=c.tau, gamma=c.gamma, epsilon=row.epsilon,
-            m_prev=row.m_prev, m_prime=row.m_prime, m=row.m,
-            s_len=row.s_len, j_len=row.j_len, t=row.t,
+            shape=row, sigma_w=float(sigma_w[i]), sigma_b=0.0,
+            tau=c.tau, gamma=c.gamma,
             clamped=clamped[i], q_pred=float(q[i + 1]), r_pred=float(r[i]),
         ))
     return InitPlan(method=method, arch_name=arch.name, tau0=tau0,
                     clamp_factor=clamp_factor, rows=tuple(rows))
 
 
-def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
+def init_plan(method, arch, clamp_factor=3.0, tau0=1.0,
               clamp_mode="variance") -> InitPlan:
     """Compute the per-layer weight variances for one initialization method.
 
@@ -251,14 +246,12 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if clamp_mode not in ("variance", "stddev"):
         raise ValueError(f"clamp_mode must be 'variance' or 'stddev', got {clamp_mode!r}")
-    if geo is None:
-        geo = shapes_mod.infer_shapes(arch)
-    consts = [layer_constants(g) for g in geo]
+    consts = [layer_constants(g) for g in arch.geo]
     taus = _taus_before(consts, tau0)
 
     variances = []
     clamped_flags = []
-    for i, row in enumerate(geo):
+    for i, row in enumerate(arch.geo):
         clamped = False
         if method == ASV_FORWARD:
             if taus[i] < _GAMMA_FLOOR:
@@ -285,21 +278,18 @@ def init_plan(method, arch, geo=None, clamp_factor=3.0, tau0=1.0,
         clamped_flags.append(clamped)
 
     return _plan(
-        method, arch, geo, consts, np.sqrt(variances), clamped_flags, tau0=tau0,
+        method, arch, consts, np.sqrt(variances), clamped_flags, tau0=tau0,
         clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
     )
 
 
-def plan_from_sigmas(arch, sigma_w, geo=None, tau0=1.0) -> InitPlan:
+def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
     """Wrap explicit per-layer std devs in an InitPlan (for overrides)."""
-    if geo is None:
-        geo = shapes_mod.infer_shapes(arch)
+    n = arch.num_layers
     sigma_w = np.asarray(sigma_w, dtype=float)
-    if sigma_w.shape != (len(geo),):
-        raise ValueError(
-            f"expected {len(geo)} sigma values, got shape {sigma_w.shape}"
-        )
+    if sigma_w.shape != (n,):
+        raise ValueError(f"expected {n} sigma values, got shape {sigma_w.shape}")
     if not np.all(np.isfinite(sigma_w)) or np.any(sigma_w < 0):
         raise ValueError("sigma values must be finite and non-negative")
-    return _plan("override", arch, geo, [layer_constants(g) for g in geo], sigma_w,
-                 [False] * len(geo), tau0=tau0, clamp_factor=None)
+    return _plan("override", arch, [layer_constants(g) for g in arch.geo], sigma_w,
+                 [False] * n, tau0=tau0, clamp_factor=None)

@@ -38,9 +38,8 @@ def test_criterion_1_kaiming_reduction():
         ),
     )
     validate(chain)
-    geo = asvinit.infer_shapes(chain)
-    plan_f = variance.init_plan(variance.ASV_FORWARD, chain, geo=geo)
-    plan_b = variance.init_plan(variance.ASV_BACKWARD, chain, geo=geo,
+    plan_f = variance.init_plan(variance.ASV_FORWARD, chain)
+    plan_b = variance.init_plan(variance.ASV_BACKWARD, chain,
                                 clamp_factor=None)
     d_in = [3, 4, 8]
     d_out = [4, 8, 16]
@@ -321,11 +320,10 @@ def test_criterion_6b_backward_variance_preservation():
 
 def test_criterion_6c_arbitrary_sigma_tracking():
     elapsed = timed()
-    geo = asvinit.infer_shapes(TOY)
     rng = np.random.default_rng(99)
-    base = variance.init_plan(variance.KAIMING_FORWARD, TOY, geo=geo).sigma_w
+    base = variance.init_plan(variance.KAIMING_FORWARD, TOY).sigma_w
     sig = base * np.exp(rng.uniform(np.log(1 / 3), np.log(3), size=len(base)))
-    plan = variance.plan_from_sigmas(TOY, sig, geo=geo)
+    plan = variance.plan_from_sigmas(TOY, sig)
     trace = montecarlo.estimate_both(TOY, plan, TRIALS)
     bad = [
         (r.direction, r.ell, round(r.rel_error, 3))
@@ -350,9 +348,8 @@ def test_criterion_6c_arbitrary_sigma_tracking():
 def test_criterion_7_backward_sigma_largest_at_resolution_change():
     elapsed = timed()
     a34 = asvinit.builtin("arch34")
-    geo = asvinit.infer_shapes(a34)
-    asv_b = variance.init_plan(variance.ASV_BACKWARD, a34, geo=geo)
-    kaiming_b = variance.init_plan(variance.KAIMING_BACKWARD, a34, geo=geo)
+    asv_b = variance.init_plan(variance.ASV_BACKWARD, a34)
+    kaiming_b = variance.init_plan(variance.KAIMING_BACKWARD, a34)
     s_asv = asv_b.rows[0].sigma_w
     s_kai = kaiming_b.rows[0].sigma_w
     ok = s_asv > s_kai

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import json
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import asvinit
-from asvinit import arch
+from asvinit import arch, shapes
 from asvinit.errors import SchemaError, UnknownName, ValidationError
 from conftest import small_chains
 
@@ -20,6 +21,24 @@ def test_shipped_toy_file_is_toy_net():
     """The one architecture kept twice: the golden digests read
     data/toy.json, the benchmark's mc-toy serializes toy_net()."""
     assert arch.parse_architecture(shipped("toy")) == asvinit.toy_net()
+
+
+def test_geo_is_kept_and_never_stale():
+    """geo is resolved once per architecture: a replaced architecture
+    infers its own, and a resolved one still equals, hashes and serializes
+    like one that has not resolved it."""
+    a34 = asvinit.builtin("arch34")
+    geo = a34.geo
+    assert a34.geo is geo
+    small = dataclasses.replace(a34, input_shape=(16, 16, 3))
+    assert small.geo == tuple(shapes.infer_shapes(small))
+    assert small.geo != geo
+    unresolved = arch.Architecture(a34.name, a34.input_shape, a34.layers)
+    assert "geo" not in vars(unresolved)
+    assert a34 == unresolved and hash(a34) == hash(unresolved)
+    fresh = arch.parse_architecture(shipped("arch34"))
+    assert a34 == fresh and hash(a34) == hash(fresh)
+    assert arch.serialize(a34) == arch.serialize(unresolved) == arch.serialize(fresh)
 
 
 def test_package_data_holds_the_shipped_files():

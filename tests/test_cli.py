@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import asvinit
-from asvinit import cli
+from asvinit import cli, shapes
 from asvinit.arch import serialize
 from conftest import small_chains
 
@@ -64,8 +64,8 @@ def test_analyze_missing_file_exits_2(capsys):
 
 def test_analyze_json_roundtrips(capsys):
     code, out, _ = run(capsys, "analyze", "--builtin", "arch34")
-    report = asvinit.ShapeReport.from_json(out)
-    assert report == asvinit.ShapeReport.build(asvinit.builtin("arch34"))
+    report = asvinit.ShapeReport.build(asvinit.builtin("arch34"))
+    assert json.loads(out) == json.loads(cli.render(report.table(), "json"))
 
 
 def test_analyze_deterministic(capsys):
@@ -176,6 +176,21 @@ def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
     assert out.stat().st_size == len(header) + 8 * sum(g.params for g in geo)
 
 
+def test_emit_weights_over_memory_limit_exits_3(capsys, tmp_path):
+    """An FC head of 10**6 outputs on a 224x224x64 input draws 25.7 TB in
+    one layer: emit refuses before it prints the plan or opens the file."""
+    net = tmp_path / "wide.json"
+    net.write_text(json.dumps({
+        "name": "wide", "input": [224, 224, 64],
+        "layers": [{"kind": "FullyConnected", "out_channels": 10**6}],
+    }))
+    out = tmp_path / "w.bin"
+    code, stdout, err = run(capsys, "init", "--arch", str(net), "--emit-weights", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_on_builtin_runs_in_3_gib():
     """The map-free engine runs arch34 at 224x224 under a 3 GiB
     address-space limit: a full report, pass or fail, and no error."""
@@ -256,6 +271,29 @@ def toy_argv(command):
     return [TOY_FILE if a == "toy.json" else a for a in command.split()]
 
 
+ONE_INFERENCE = [
+    "analyze --arch toy.json",
+    "init --arch toy.json",
+    "init --arch toy.json --method all",
+    "compare-methods --arch toy.json",
+    "init --arch toy.json --emit-weights @tmp/w.bin",
+    "simulate --arch toy.json --trials 1x2",
+]
+
+
+@pytest.mark.parametrize("command", ONE_INFERENCE)
+def test_each_command_infers_shapes_once(capsys, monkeypatch, tmp_path, command):
+    """The architecture resolves its geometry once; every reader after
+    parsing takes it from Architecture.geo."""
+    calls = []
+    infer = shapes.infer_shapes
+    monkeypatch.setattr(shapes, "infer_shapes", lambda a: calls.append(a) or infer(a))
+    argv = [a.replace("@tmp", str(tmp_path)) for a in toy_argv(command)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1), err   # simulate may miss its threshold
+    assert len(calls) == 1
+
+
 def test_stdout_matches_golden_digests(capsys):
     # sha256 of stdout per command
     mismatched = []
@@ -305,6 +343,8 @@ BAD_INPUTS = [
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/short.json"], {}),
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/dict.json"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "abc"}),
+    (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "0"}),
+    (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "-5"}),
     (["simulate", "--arch", "@arch", "--q0", "-1"], {}),
     (["simulate", "--arch", "@arch", "--rL", "nan"], {}),
     (["simulate", "--arch", "@arch", "--threshold", "nan"], {}),
@@ -348,6 +388,28 @@ def test_read_weights_truncated_file(capsys, tiny_arch_file, tmp_path):
     run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(asvinit.AsvinitError, match="truncated"):
+        cli.read_weights(str(path))
+
+
+BAD_HEADERS = {
+    "no layers": lambda h: h.pop("layers"),
+    "no channels": lambda h: h["layers"][0].pop("channels"),
+    "no kernel_len": lambda h: h["layers"][1].pop("kernel_len"),
+    "negative count": lambda h: h["layers"][0].update(channels=-3),
+    "non-integer count": lambda h: h["layers"][2].update(kernel_len=2.5),
+    "layer not an object": lambda h: h["layers"].insert(0, [3, 27]),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_read_weights_bad_header(capsys, tiny_arch_file, tmp_path, damage):
+    path = tmp_path / "w.bin"
+    run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
+    line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    damage(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(asvinit.AsvinitError):
         cli.read_weights(str(path))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import asvinit
-from asvinit import cli, montecarlo, refnet, shapes, variance
+from asvinit import cli, montecarlo, refnet, variance
 from asvinit.errors import BudgetExceeded
 
 
@@ -48,13 +48,12 @@ def test_stderr_shrinks_with_draw_count():
 
 def test_sigma_doubling_scales_downstream_variance_by_four():
     toy = tiny()
-    geo = asvinit.infer_shapes(toy)
-    base = variance.init_plan(variance.ASV_FORWARD, toy, geo=geo).sigma_w
+    base = variance.init_plan(variance.ASV_FORWARD, toy).sigma_w
     bumped = base.copy()
     bumped[1] *= 2.0
     cfg = montecarlo.McConfig(4, 128, seed=3)
-    t_base = montecarlo.estimate_forward(toy, variance.plan_from_sigmas(toy, base, geo=geo), cfg)
-    t_bump = montecarlo.estimate_forward(toy, variance.plan_from_sigmas(toy, bumped, geo=geo), cfg)
+    t_base = montecarlo.estimate_forward(toy, variance.plan_from_sigmas(toy, base), cfg)
+    t_bump = montecarlo.estimate_forward(toy, variance.plan_from_sigmas(toy, bumped), cfg)
     for rb, rx in zip(t_base.rows_for("forward"), t_bump.rows_for("forward")):
         if rb.ell >= 2:
             assert rx.estimate / rb.estimate == pytest.approx(4.0, rel=0.15)
@@ -105,8 +104,7 @@ def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    geo = tuple(shapes.infer_shapes(a))
-    assert refnet.memory_need(a, geo, trials[1], want_backward) >= peak
+    assert refnet.memory_need(a, trials[1], want_backward) >= peak
 
 
 def test_memory_bound_counts_live_weights_and_one_draw_in_flight():
@@ -114,11 +112,10 @@ def test_memory_bound_counts_live_weights_and_one_draw_in_flight():
     below the 176,107,088 bytes it was when every weight was counted, and
     still covers the net's arrays plus one full trace."""
     a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
-    geo = tuple(shapes.infer_shapes(a))
-    need = refnet.memory_need(a, geo, 8, True)
+    need = refnet.memory_need(a, 8, True)
     assert need < 176_107_088
     net = refnet.sample_parameters(a, variance.init_plan(variance.ASV_BACKWARD, a), 5)
-    z0 = np.random.default_rng(6).normal(size=(geo[0].m_prev, 8))
+    z0 = np.random.default_rng(6).normal(size=(a.geo[0].m_prev, 8))
     trace = refnet.backward(net, refnet.forward(net, z0))
     held = sum(x.nbytes for x in (*net.weights, *net.biases))
     held += sum(
@@ -171,11 +168,10 @@ def test_prediction_tracking_small_net():
                               activation="Identity"),
         ),
     )
-    geo = asvinit.infer_shapes(net)
     rng = np.random.default_rng(31)
-    base = variance.init_plan(variance.KAIMING_FORWARD, net, geo=geo).sigma_w
+    base = variance.init_plan(variance.KAIMING_FORWARD, net).sigma_w
     sig = base * np.exp(rng.uniform(-0.7, 0.7, size=len(base)))
-    plan = variance.plan_from_sigmas(net, sig, geo=geo)
+    plan = variance.plan_from_sigmas(net, sig)
     cfg = montecarlo.McConfig(8, 256, seed=6)
     trace = montecarlo.estimate_both(net, plan, cfg)
     for row in trace.rows:
@@ -199,7 +195,7 @@ def test_kaiming_backward_chain_tracks_prediction():
         ),
     )
     geo = asvinit.infer_shapes(net)
-    plan = variance.init_plan(variance.KAIMING_BACKWARD, net, geo=geo)
+    plan = variance.init_plan(variance.KAIMING_BACKWARD, net)
     r_pred = variance.predict_backward(geo, plan.sigma_w)
     assert r_pred[-2] == pytest.approx(2.0, abs=1e-12)  # head: 2/fan_out, no ReLU
     spatial = [(14, 12), (12, 10), (10, 8), (8, 6)]

@@ -99,6 +99,17 @@ def test_sampling_deterministic_for_fixed_seed():
         assert np.array_equal(w1, w2)
 
 
+def test_sample_parameters_refuses_a_plan_of_other_shapes():
+    """A plan carries its architecture's shapes; one of the same depth but
+    another input is refused, not drawn with the wrong fan-ins."""
+    toy = asvinit.toy_net()
+    plan = variance.init_plan(variance.ASV_FORWARD, toy)
+    wider = dataclasses.replace(toy, input_shape=(20, 20, 3))
+    with pytest.raises(ValueError, match="does not fit"):
+        refnet.sample_parameters(wider, plan, seed=0)
+    assert refnet.sample_parameters(asvinit.toy_net(), plan, seed=0).geo == toy.geo
+
+
 def test_sample_variance_tracks_sigma():
     a = asvinit.Architecture(
         name="wide", input_shape=(20, 20, 1),

@@ -93,7 +93,7 @@ def test_tau_cache_thread_safety():
 def test_asv_forward_fixes_q_at_one():
     toy = asvinit.toy_net()
     geo = asvinit.infer_shapes(toy)
-    plan = variance.init_plan(variance.ASV_FORWARD, toy, geo=geo)
+    plan = variance.init_plan(variance.ASV_FORWARD, toy)
     q = variance.predict_forward(geo, plan.sigma_w)
     assert np.allclose(q, 1.0, atol=1e-12)
 
@@ -101,7 +101,7 @@ def test_asv_forward_fixes_q_at_one():
 def test_asv_backward_unclamped_fixes_r_at_one():
     toy = asvinit.toy_net()
     geo = asvinit.infer_shapes(toy)
-    plan = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo, clamp_factor=None)
+    plan = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=None)
     r = variance.predict_backward(geo, plan.sigma_w)
     assert np.allclose(r, 1.0, atol=1e-12)
 
@@ -109,7 +109,7 @@ def test_asv_backward_unclamped_fixes_r_at_one():
 def test_doubling_sigma_doubles_downstream_q():
     toy = asvinit.toy_net()
     geo = asvinit.infer_shapes(toy)
-    plan = variance.init_plan(variance.ASV_FORWARD, toy, geo=geo)
+    plan = variance.init_plan(variance.ASV_FORWARD, toy)
     sig = plan.sigma_w.copy()
     k = 1
     sig[k] *= math.sqrt(2.0)
@@ -181,9 +181,8 @@ def test_forward_reduction_above_first_layer():
     """With zero padding and no pooling, the adaptive forward variances
     collapse to 2/fan_in for every layer above a ReLU layer."""
     chain = padding_free_chain()
-    geo = asvinit.infer_shapes(chain)
-    asv = variance.init_plan(variance.ASV_FORWARD, chain, geo=geo)
-    kaiming = variance.init_plan(variance.KAIMING_FORWARD, chain, geo=geo)
+    asv = variance.init_plan(variance.ASV_FORWARD, chain)
+    kaiming = variance.init_plan(variance.KAIMING_FORWARD, chain)
     for i in range(1, 4):
         assert asv.rows[i].sigma_w ** 2 == pytest.approx(
             kaiming.rows[i].sigma_w ** 2, abs=1e-12
@@ -198,9 +197,8 @@ def test_forward_reduction_exact_with_relu_style_input_constant():
     """Forcing the first-layer constant to the ReLU value 1/2 reproduces the
     fan-in rule at every layer exactly."""
     chain = padding_free_chain()
-    geo = asvinit.infer_shapes(chain)
-    asv = variance.init_plan(variance.ASV_FORWARD, chain, geo=geo, tau0=0.5)
-    kaiming = variance.init_plan(variance.KAIMING_FORWARD, chain, geo=geo)
+    asv = variance.init_plan(variance.ASV_FORWARD, chain, tau0=0.5)
+    kaiming = variance.init_plan(variance.KAIMING_FORWARD, chain)
     for a, k in zip(asv.rows, kaiming.rows):
         assert a.sigma_w ** 2 == pytest.approx(k.sigma_w ** 2, abs=1e-12)
 
@@ -211,8 +209,8 @@ def test_backward_reduction_is_exact_only_without_borders():
     exactly the input/output area ratio."""
     chain = padding_free_chain()
     geo = asvinit.infer_shapes(chain)
-    asv = variance.init_plan(variance.ASV_BACKWARD, chain, geo=geo, clamp_factor=None)
-    kaiming = variance.init_plan(variance.KAIMING_BACKWARD, chain, geo=geo)
+    asv = variance.init_plan(variance.ASV_BACKWARD, chain, clamp_factor=None)
+    kaiming = variance.init_plan(variance.KAIMING_BACKWARD, chain)
     for i in range(3):
         g = geo[i]
         area_ratio = (g.in_shape[0] * g.in_shape[1]) / (g.conv_shape[0] * g.conv_shape[1])
@@ -230,8 +228,7 @@ def test_backward_reduction_is_exact_only_without_borders():
                               activation="Identity"),
         ),
     )
-    geo_full = asvinit.infer_shapes(full)
-    asv_full = variance.init_plan(variance.ASV_BACKWARD, full, geo=geo_full,
+    asv_full = variance.init_plan(variance.ASV_BACKWARD, full,
                                   clamp_factor=None)
     assert asv_full.rows[0].sigma_w ** 2 == pytest.approx(2.0 / (9 * 8), abs=1e-12)
 
@@ -239,9 +236,9 @@ def test_backward_reduction_is_exact_only_without_borders():
 def test_kaiming_formulas():
     toy = asvinit.toy_net()
     geo = asvinit.infer_shapes(toy)
-    kf = variance.init_plan(variance.KAIMING_FORWARD, toy, geo=geo)
-    kb = variance.init_plan(variance.KAIMING_BACKWARD, toy, geo=geo)
-    xa = variance.init_plan(variance.XAVIER, toy, geo=geo)
+    kf = variance.init_plan(variance.KAIMING_FORWARD, toy)
+    kb = variance.init_plan(variance.KAIMING_BACKWARD, toy)
+    xa = variance.init_plan(variance.XAVIER, toy)
     for i, g in enumerate(geo):
         assert kf.rows[i].sigma_w ** 2 == pytest.approx(2.0 / g.s_len, rel=1e-15)
         assert kb.rows[i].sigma_w ** 2 == pytest.approx(2.0 / g.j_len, rel=1e-15)
@@ -252,15 +249,14 @@ def test_kaiming_formulas():
 
 def test_clamp_engages_on_large_t_average_pool():
     toy = asvinit.toy_net()
-    geo = asvinit.infer_shapes(toy)
-    clamped = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo, clamp_factor=3.0)
-    raw = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo, clamp_factor=None)
+    clamped = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=3.0)
+    raw = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=None)
     # 2x2 average pool (gamma = 1/32) and GAP (gamma = 1/512) exceed 3x the
     # plain-ReLU value; the max pool (gamma = 15/64) and the head do not
     assert [r.clamped for r in clamped.rows] == [False, True, True, False]
     for rc, rr in zip(clamped.rows, raw.rows):
         if rc.clamped:
-            expected = 3.0 * rr.m_prev / (0.5 * rr.epsilon)
+            expected = 3.0 * rr.shape.m_prev / (0.5 * rr.shape.epsilon)
             assert rc.sigma_w ** 2 == pytest.approx(expected, rel=1e-12)
             assert rc.sigma_w < rr.sigma_w
         else:
@@ -270,7 +266,7 @@ def test_clamp_engages_on_large_t_average_pool():
 def test_clamp_deviation_is_exactly_the_clamp_ratio():
     toy = asvinit.toy_net()
     geo = asvinit.infer_shapes(toy)
-    plan = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo, clamp_factor=3.0)
+    plan = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=3.0)
     r = variance.predict_backward(geo, plan.sigma_w)
     for i, row in enumerate(plan.rows):
         g = variance.layer_constants(geo[i]).gamma
@@ -284,10 +280,9 @@ def test_clamp_deviation_is_exactly_the_clamp_ratio():
 
 def test_clamp_stddev_mode():
     toy = asvinit.toy_net()
-    geo = asvinit.infer_shapes(toy)
-    var_mode = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo,
+    var_mode = variance.init_plan(variance.ASV_BACKWARD, toy,
                                   clamp_factor=3.0, clamp_mode="variance")
-    std_mode = variance.init_plan(variance.ASV_BACKWARD, toy, geo=geo,
+    std_mode = variance.init_plan(variance.ASV_BACKWARD, toy,
                                   clamp_factor=3.0, clamp_mode="stddev")
     i = 1  # clamped layer
     assert std_mode.rows[i].sigma_w ** 2 == pytest.approx(
@@ -333,7 +328,7 @@ def test_init_plan_computes_each_layers_constants_once(monkeypatch):
                         lambda g: calls.append(g) or layer_constants(g))
     for method in variance.METHODS:
         calls.clear()
-        plan = variance.init_plan(method, arch50, geo=geo)
+        plan = variance.init_plan(method, arch50)
         assert len(calls) == len(geo)
         q = variance.predict_forward(geo, plan.sigma_w)
         r = variance.predict_backward(geo, plan.sigma_w)
