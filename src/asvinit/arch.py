@@ -239,7 +239,7 @@ def parse_architecture(text: str) -> Architecture:
     """Parse and validate an architecture file (JSON text)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _check_keys(obj, ("name", "input", "layers"), "architecture")
     for key in ("name", "input", "layers"):

@@ -40,15 +40,20 @@ EXIT_BUDGET = 3
 _WEIGHTS_FORMAT = "asvinit-weights"
 
 
+def _read_text(path):
+    """Text of an input file; one that cannot be opened or is not UTF-8
+    is an AsvinitError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AsvinitError(f"cannot read {path}: {exc}") from exc
+
+
 def _resolve_arch(args):
     if args.builtin is not None:
         return arch_mod.builtin(args.builtin)
-    try:
-        with open(args.arch, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise AsvinitError(f"cannot read {args.arch}: {exc}") from exc
-    return arch_mod.parse_architecture(text)
+    return arch_mod.parse_architecture(_read_text(args.arch))
 
 
 def render(table, fmt):
@@ -114,7 +119,7 @@ def _parse_trials(text):
 
 
 def _clamp_factor(text):
-    if text.lower() in ("none", "off"):
+    if text.lower() == "none":
         return None
     try:
         value = float(text)
@@ -169,8 +174,7 @@ def cmd_analyze(args):
 
 def _init_plan(method, architecture, args):
     return variance_mod.init_plan(
-        method, architecture, clamp_factor=args.clamp_factor,
-        tau0=args.tau0, clamp_mode=args.clamp_mode,
+        method, architecture, clamp_factor=args.clamp_factor, tau0=args.tau0,
     )
 
 
@@ -219,7 +223,7 @@ def read_weights(path):
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError:
+        except (ValueError, RecursionError):
             header = None
         if not isinstance(header, dict) or header.get("format") != _WEIGHTS_FORMAT:
             raise AsvinitError(f"{path} is not a weight file")
@@ -271,18 +275,25 @@ def cmd_init(args):
 # simulate
 # ---------------------------------------------------------------------------
 
+def _override_plan(path, architecture, tau0):
+    """Plan of a --sigma-override file: a JSON list of numbers, one per
+    layer.  A string or a boolean is refused, not read as a number."""
+    try:
+        sigmas = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise AsvinitError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(sigmas, list) or any(type(s) not in (int, float) for s in sigmas):
+        raise AsvinitError(f"{path}: expected a JSON list of numbers")
+    try:
+        return variance_mod.plan_from_sigmas(architecture, sigmas, tau0=tau0)
+    except (ValueError, OverflowError) as exc:
+        raise AsvinitError(f"{path}: {exc}") from exc
+
+
 def cmd_simulate(args):
     architecture = _resolve_arch(args)
     if args.sigma_override:
-        try:
-            with open(args.sigma_override, "r", encoding="utf-8") as fh:
-                sigmas = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise AsvinitError(f"cannot read {args.sigma_override}: {exc}") from exc
-        try:
-            plan = variance_mod.plan_from_sigmas(architecture, sigmas, tau0=args.tau0)
-        except (TypeError, ValueError) as exc:
-            raise AsvinitError(f"{args.sigma_override}: {exc}") from exc
+        plan = _override_plan(args.sigma_override, architecture, args.tau0)
     else:
         plan = _init_plan(args.method, architecture, args)
     n_param, n_input = args.trials
@@ -328,8 +339,8 @@ def build_parser():
         group.add_argument("--arch", metavar="FILE", help="architecture JSON file")
         if plan_args:
             p.add_argument("--clamp-factor", default="3", metavar="F",
-                           help="asv-backward cap vs. the no-pool value ('none' disables)")
-            p.add_argument("--clamp-mode", choices=("variance", "stddev"), default="variance")
+                           help="asv-backward variance cap vs. the no-pool value "
+                                "('none' disables)")
             p.add_argument("--tau0", type=float, default=1.0,
                            help="input-layer forward constant (raw inputs carry their full variance)")
         p.add_argument("--format", choices=("json", "csv"), default="json")

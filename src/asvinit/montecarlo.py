@@ -43,10 +43,11 @@ def _env_budget():
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial counts and randomness for one estimation run.
+    """Trial counts, randomness and signal scales for one estimation run.
 
-    The product n_param_draws * n_input_draws must stay within budget
-    (default from the ASV_BUDGET environment variable, else 1e6).
+    The product n_param_draws * n_input_draws must stay within the budget
+    the ASV_BUDGET environment variable sets (default 1e6); check_budget
+    reads it on every call.
     """
 
     n_param_draws: int
@@ -54,12 +55,11 @@ class McConfig:
     seed: int = 0
     q0: float = 1.0
     rL: float = 1.0
-    budget: int | None = None
 
     def check_budget(self):
         if self.n_param_draws < 1 or self.n_input_draws < 1:
             raise ValueError("trial counts must be >= 1")
-        budget = self.budget if self.budget is not None else _env_budget()
+        budget = _env_budget()
         total = self.n_param_draws * self.n_input_draws
         if total > budget:
             raise BudgetExceeded(
@@ -219,12 +219,22 @@ def estimate_both(arch, plan, cfg: McConfig) -> VarianceTrace:
 
 @dataclass(frozen=True)
 class CompareReport:
+    """Pass/fail verdict on a trace: failures are the rows whose relative
+    error exceeds threshold, worst the row with the largest (None for an
+    empty trace).  max_rel_error and passed derive from them."""
+
     threshold: float
-    max_rel_error: float
     worst: TraceRow | None
     failures: tuple[TraceRow, ...]
-    passed: bool
     trace: VarianceTrace
+
+    @property
+    def max_rel_error(self):
+        return self.worst.rel_error if self.worst is not None else 0.0
+
+    @property
+    def passed(self):
+        return not self.failures
 
     def table(self):
         """(head, key, rows, csv columns) for cli.render, JSON only: the
@@ -246,13 +256,9 @@ class CompareReport:
 def compare(trace: VarianceTrace, threshold: float) -> CompareReport:
     """Pass/fail report: every layer's relative error must stay inside
     threshold."""
-    failures = tuple(r for r in trace.rows if r.rel_error > threshold)
-    worst = max(trace.rows, key=lambda r: r.rel_error, default=None)
     return CompareReport(
         threshold=threshold,
-        max_rel_error=worst.rel_error if worst is not None else 0.0,
-        worst=worst,
-        failures=failures,
-        passed=not failures,
+        worst=max(trace.rows, key=lambda r: r.rel_error, default=None),
+        failures=tuple(r for r in trace.rows if r.rel_error > threshold),
         trace=trace,
     )

@@ -89,7 +89,6 @@ class VectorNet:
     weights: tuple[np.ndarray, ...]   # per layer, (C, D*kh'*kw'), live taps
     biases: tuple[np.ndarray, ...]    # per layer, (C,)
     lowerings: tuple[_Lowering, ...]
-    seed: int | None = None
 
     @property
     def geo(self):
@@ -119,12 +118,12 @@ def build_maps(architecture):
 
 
 def layer_draws(plan, seed):
-    """Each layer's full (C, S) weights and (C,) biases, iid zero-mean
-    normal with the plan's std devs, drawn from one stream in order
-    (weights, then bias, layer by layer).  A zero std dev draws nothing.
-    sample_parameters and the weight-file writer both read this stream, so
-    a file and a net of the same seed hold the same numbers.  Nothing here
-    keeps a layer once it is yielded."""
+    """Each layer's full (C, S) weights, iid zero-mean normal with the
+    plan's std dev and drawn from one stream layer by layer, with its (C,)
+    biases, which are zero.  A zero std dev draws nothing.  sample_parameters
+    and the weight-file writer both read this stream, so a file and a net
+    of the same seed hold the same numbers.  Nothing here keeps a layer
+    once it is yielded."""
     rng = np.random.default_rng(seed)
 
     def normal(sigma, shape):
@@ -132,7 +131,7 @@ def layer_draws(plan, seed):
 
     for row in plan.rows:
         g = row.shape
-        yield normal(row.sigma_w, (g.channels, g.s_len)), normal(row.sigma_b, g.channels)
+        yield normal(row.sigma_w, (g.channels, g.s_len)), np.zeros(g.channels)
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
@@ -155,7 +154,7 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
         del w
     return VectorNet(
         arch=architecture, weights=tuple(weights), biases=tuple(biases),
-        lowerings=lowerings, seed=seed,
+        lowerings=lowerings,
     )
 
 

@@ -9,14 +9,11 @@ The index maps (build_*_maps) materialize the paper's forward and backward
 index sets.  The reference engine in refnet does not use them; they stay
 because they are the paper's formulation, the tests' oracles for the
 engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
-Their tap arrays (ConvMaps fwd_*/bwd_*) are int32 whenever the layer's tap
-count, unit counts and kernel lengths all stay below 2**31, and int64
-otherwise (index_dtype).  The per-unit arrays (c, ctil) and every PoolMaps
-array stay int64.  Connection counts are LayerShape.epsilon, computed once
-in infer_shapes from a closed-form census over kernel taps (tap_ranges), not
-from the maps; connection_counts reports them per layer.  Every reader
-after infer_shapes takes the shapes from Architecture.geo, which runs it
-once per architecture.
+Every array they hold is int64.  Connection counts are LayerShape.epsilon,
+computed once in infer_shapes from a closed-form census over kernel taps
+(tap_ranges), not from the maps; connection_counts reports them per layer.
+Every reader after infer_shapes takes the shapes from Architecture.geo,
+which runs it once per architecture.
 """
 
 from __future__ import annotations
@@ -262,14 +259,6 @@ class ShapeReport:
 # tracer wraps.
 # ---------------------------------------------------------------------------
 
-def index_dtype(geo: LayerShape):
-    """Dtype of one layer's tap arrays: np.int32 when its tap count
-    (epsilon), m_prev, m_prime and kernel lengths are all below 2**31,
-    np.int64 otherwise."""
-    bound = max(geo.epsilon, geo.m_prev, geo.m_prime, geo.s_len, geo.j_len)
-    return np.int32 if bound < 2**31 else np.int64
-
-
 @dataclass(frozen=True)
 class ConvMaps:
     """Flattened connection sets of one layer's linear map.
@@ -284,8 +273,7 @@ class ConvMaps:
     fwd_a = tile(a_sp, C) where a_sp = fwd_a[:fwd_indptr[m_prime // C]]
     (for an FC layer C = m_prime and a_sp = arange(m_prev)).  Input units
     of the backward sets are laid out the same way over input channels.
-    Tap arrays and indptrs have dtype index_dtype(geo); c and ctil are
-    int64.
+    Every array is int64.
     """
 
     m_prev: int
@@ -333,11 +321,10 @@ def build_forward_maps(architecture, layer):
     """Explicit forward sets {a, s, c} for one layer (0-based index)."""
     spec = architecture.layers[layer]
     geo = architecture.geo[layer]
-    dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
-        a = np.tile(np.arange(m_prev, dtype=dt), m_prime)
-        indptr = np.arange(m_prime + 1, dtype=dt) * m_prev
+        a = np.tile(np.arange(m_prev, dtype=np.int64), m_prime)
+        indptr = np.arange(m_prime + 1, dtype=np.int64) * m_prev
         c = np.arange(m_prime, dtype=np.int64)
         return ConvMaps(
             m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
@@ -370,14 +357,14 @@ def build_forward_maps(architecture, layer):
             a_blocks.append(a_blk.reshape(-1, order="F"))
             s_blocks.append(s_blk.reshape(-1, order="F"))
             counts[x + wp * y] = xn * yn * d
-    a_sp = np.concatenate(a_blocks).astype(dt)
-    s_sp = np.concatenate(s_blocks).astype(dt)
+    a_sp = np.concatenate(a_blocks)
+    s_sp = np.concatenate(s_blocks)
 
     # replicate the spatial pattern across output channels (same a/s, c = ch)
     fwd_a = np.tile(a_sp, dp)
     fwd_s = np.tile(s_sp, dp)
-    indptr = np.zeros(wp * hp * dp + 1, dtype=dt)
-    np.cumsum(np.tile(counts, dp), dtype=dt, out=indptr[1:])
+    indptr = np.zeros(wp * hp * dp + 1, dtype=np.int64)
+    np.cumsum(np.tile(counts, dp), out=indptr[1:])
     c = np.repeat(np.arange(dp, dtype=np.int64), wp * hp)
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,
@@ -401,11 +388,10 @@ def build_backward_maps(architecture, layer):
     """Explicit backward sets {j, h, ctil} for one layer (0-based index)."""
     spec = architecture.layers[layer]
     geo = architecture.geo[layer]
-    dt = index_dtype(geo)
     if spec.kind == arch_mod.FULLY_CONNECTED:
         m_prev, m_prime = geo.m_prev, geo.m_prime
-        j = np.tile(np.arange(m_prime, dtype=dt), m_prev)
-        indptr = np.arange(m_prev + 1, dtype=dt) * m_prime
+        j = np.tile(np.arange(m_prime, dtype=np.int64), m_prev)
+        indptr = np.arange(m_prev + 1, dtype=np.int64) * m_prime
         return ConvMaps(
             m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
             c=None, fwd_indptr=None, fwd_a=None, fwd_s=None,
@@ -438,13 +424,13 @@ def build_backward_maps(architecture, layer):
             h_blocks.append(h_blk.reshape(-1, order="F"))
             j_blocks.append(j_blk.reshape(-1, order="F"))
             counts[l + w * m] = len(xl) * len(ym) * dp
-    h_sp = np.concatenate(h_blocks).astype(dt)
-    j_sp = np.concatenate(j_blocks).astype(dt)
+    h_sp = np.concatenate(h_blocks)
+    j_sp = np.concatenate(j_blocks)
 
     bwd_h = np.tile(h_sp, d)
     bwd_j = np.tile(j_sp, d)
-    indptr = np.zeros(w * h * d + 1, dtype=dt)
-    np.cumsum(np.tile(counts, d), dtype=dt, out=indptr[1:])
+    indptr = np.zeros(w * h * d + 1, dtype=np.int64)
+    np.cumsum(np.tile(counts, d), out=indptr[1:])
     ctil = np.repeat(np.arange(d, dtype=np.int64), w * h)
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,

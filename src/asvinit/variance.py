@@ -2,7 +2,7 @@
 
 Forward recursion (pre-activation variance, layer ell):
 
-    q_ell = sigma_b^2 + sigma_w^2 * q_{ell-1} * tau_{ell-1} * eps_ell / M'_ell
+    q_ell = sigma_w^2 * q_{ell-1} * tau_{ell-1} * eps_ell / M'_ell
 
 Backward recursion (gradient variance at the pooled signal):
 
@@ -12,7 +12,8 @@ tau is the second moment of a ReLU+pool output relative to its pre-activation
 variance; gamma the expected squared gradient of the pool+ReLU composite.
 The input "layer 0" carries tau_0 = 1 by default: network inputs are raw
 signals, not ReLU outputs, so their full second moment propagates.  Layers
-with Identity activation use tau = gamma = 1 (no ReLU halving).
+with Identity activation use tau = gamma = 1 (no ReLU halving).  Every
+method draws zero biases, so the paper's sigma_b^2 term is 0 throughout.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ def layer_constants(geo: shapes_mod.LayerShape) -> PoolConstants:
 
 @dataclass(frozen=True)
 class PlanRow:
-    """One layer of a plan: its std devs, constants and predicted levels.
+    """One layer of a plan: its weight std dev, constants and predicted
+    levels.  Biases are zero for every plan, so no bias std dev is kept.
     shape is that layer's entry of the architecture's geo, the same
     object, not a copy."""
 
     shape: shapes_mod.LayerShape
     sigma_w: float
-    sigma_b: float
     tau: float          # this layer's own composite constant
     gamma: float
     clamped: bool
@@ -158,17 +159,13 @@ class InitPlan:
     def sigma_w(self):
         return np.array([r.sigma_w for r in self.rows])
 
-    @property
-    def sigma_b(self):
-        return np.array([r.sigma_b for r in self.rows])
-
     def table(self):
         """(head, key, rows, csv columns) for cli.render."""
         rows = []
         for r in self.rows:
             g = r.shape
             rows.append({
-                "layer": g.ell, "sigma_w": r.sigma_w, "sigma_b": r.sigma_b,
+                "layer": g.ell, "sigma_w": r.sigma_w, "sigma_b": 0.0,
                 "tau": r.tau, "gamma": r.gamma, "epsilon": g.epsilon,
                 "M_prev": g.m_prev, "M": g.m, "M_prime": g.m_prime,
                 "S": g.s_len, "J": g.j_len, "T": g.t,
@@ -224,28 +221,23 @@ def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
     rows = []
     for i, (row, c) in enumerate(zip(arch.geo, consts)):
         rows.append(PlanRow(
-            shape=row, sigma_w=float(sigma_w[i]), sigma_b=0.0,
-            tau=c.tau, gamma=c.gamma,
+            shape=row, sigma_w=float(sigma_w[i]), tau=c.tau, gamma=c.gamma,
             clamped=clamped[i], q_pred=float(q[i + 1]), r_pred=float(r[i]),
         ))
     return InitPlan(method=method, arch_name=arch.name, tau0=tau0,
                     clamp_factor=clamp_factor, rows=tuple(rows))
 
 
-def init_plan(method, arch, clamp_factor=3.0, tau0=1.0,
-              clamp_mode="variance") -> InitPlan:
+def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
     """Compute the per-layer weight variances for one initialization method.
 
     clamp_factor applies to asv-backward only: the variance is capped at
     clamp_factor times the value derived with the pooling factor replaced by
-    the plain-ReLU 1/2.  Pass clamp_factor=None to disable.  clamp_mode
-    chooses whether the cap multiplies variances ("variance", default) or
-    std deviations ("stddev").
+    the plain-ReLU 1/2, so a factor F**2 caps the std dev at F times its
+    no-pool value.  Pass clamp_factor=None to disable.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if clamp_mode not in ("variance", "stddev"):
-        raise ValueError(f"clamp_mode must be 'variance' or 'stddev', got {clamp_mode!r}")
     consts = [layer_constants(g) for g in arch.geo]
     taus = _taus_before(consts, tau0)
 
@@ -262,9 +254,8 @@ def init_plan(method, arch, clamp_factor=3.0, tau0=1.0,
                 raise AsvinitError(f"layer {row.ell}: gamma below {_GAMMA_FLOOR}")
             var = row.m_prev / (consts[i].gamma * row.epsilon)
             if clamp_factor is not None:
-                no_pool = row.m_prev / (0.5 * row.epsilon)
-                factor = clamp_factor if clamp_mode == "variance" else clamp_factor ** 2
-                cap = factor * no_pool
+                # the no-pool value first, then the factor: the pinned rounding
+                cap = clamp_factor * (row.m_prev / (0.5 * row.epsilon))
                 if var > cap:
                     var = cap
                     clamped = True

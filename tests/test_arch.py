@@ -19,8 +19,10 @@ def shipped(name):
 
 def test_shipped_toy_file_is_toy_net():
     """The one architecture kept twice: the golden digests read
-    data/toy.json, the benchmark's mc-toy serializes toy_net()."""
+    data/toy.json, the benchmark's mc-toy serializes toy_net().  Both the
+    parsed net and the file's text agree."""
     assert arch.parse_architecture(shipped("toy")) == asvinit.toy_net()
+    assert arch.serialize(asvinit.toy_net()) + "\n" == shipped("toy")
 
 
 def test_geo_is_kept_and_never_stale():

@@ -4,16 +4,26 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import asvinit
+from asvinit import cli
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+TOY_FILE = str(Path(asvinit.__file__).parent / "data" / "toy.json")
+
+
+def load_spans(monkeypatch):
+    """perfbench/spans.py as a module, leaving no bytecode beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_every_traced_target_resolves(monkeypatch):
     """The benchmark's traced mode wraps asvinit functions by name
     (perfbench/spans.py TARGETS); a rename fails here first."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans(monkeypatch)
     missing = []
     for mod_name, attr in spans.TARGETS:
         owner = importlib.import_module(f"asvinit.{mod_name}")
@@ -22,3 +32,20 @@ def test_every_traced_target_resolves(monkeypatch):
         except AttributeError:
             missing.append(f"{mod_name}.{attr}")
     assert not missing
+
+
+def test_traced_commands_run(monkeypatch, capsys, tmp_path):
+    """The traced mode's counters read the program's objects at run time
+    (VectorNet.maps, the written file), so a simulate and an emit run under
+    the tracer end as they do untraced and record their spans."""
+    spans = load_spans(monkeypatch)
+    weights = tmp_path / "w.bin"
+    with spans.Tracer().installed() as tracer:
+        simulate = cli.main(["simulate", "--arch", TOY_FILE, "--trials", "1x2"])
+        emit = cli.main(["init", "--arch", TOY_FILE, "--emit-weights", str(weights)])
+    err = capsys.readouterr().err
+    assert (simulate, emit) == (1, 0), err
+    names = {span[0] for span in tracer.spans}
+    assert {"montecarlo.estimate", "refnet.forward", "refnet.backward",
+            "cli.write_weights"} <= names
+    assert tracer.counts["cli.write_weights.bytes"] == weights.stat().st_size

@@ -323,7 +323,7 @@ def test_option_surface():
         for name, p in sub.choices.items()
     }
     common = ["--arch", "--builtin", "--format", "--help", "--out", "-h"]
-    plan = ["--clamp-factor", "--clamp-mode", "--tau0"]
+    plan = ["--clamp-factor", "--tau0"]
     assert options == {
         "analyze": sorted(common),
         "init": sorted(common + plan + ["--emit-weights", "--method", "--seed"]),
@@ -342,6 +342,13 @@ BAD_INPUTS = [
     (["simulate", "--arch", "@arch", "--trials=-1x4"], {}),
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/short.json"], {}),
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/dict.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/strings.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/bools.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/huge.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/latin1.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/deep.json"], {}),
+    (["analyze", "--arch", "@tmp/latin1.json"], {}),
+    (["analyze", "--arch", "@tmp/deep.json"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "abc"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "0"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "-5"}),
@@ -374,6 +381,12 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
                                                 tmp_path, argv, env):
     (tmp_path / "short.json").write_text("[1.0, 2.0]")
     (tmp_path / "dict.json").write_text('{"a": 1}')
+    # four entries, one per layer of the tiny net
+    (tmp_path / "strings.json").write_text('["0.5", "0.5", "0.5", "0.5"]')
+    (tmp_path / "bools.json").write_text("[true, true, true, true]")
+    (tmp_path / "huge.json").write_text(f"[{10**400}, 1.0, 1.0, 1.0]")
+    (tmp_path / "latin1.json").write_bytes(b'["\xe9"]')  # not UTF-8
+    (tmp_path / "deep.json").write_text("[" * 200_000)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     argv = [a.replace("@arch", tiny_arch_file).replace("@tmp", str(tmp_path)) for a in argv]
@@ -398,6 +411,8 @@ BAD_HEADERS = {
     "negative count": lambda h: h["layers"][0].update(channels=-3),
     "non-integer count": lambda h: h["layers"][2].update(kernel_len=2.5),
     "layer not an object": lambda h: h["layers"].insert(0, [3, 27]),
+    # a damage that returns bytes replaces the whole header line
+    "nested too deep": lambda h: b"[" * 200_000,
 }
 
 
@@ -407,8 +422,10 @@ def test_read_weights_bad_header(capsys, tiny_arch_file, tmp_path, damage):
     run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
     line, body = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
-    damage(header)
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    line = damage(header)
+    if not isinstance(line, bytes):
+        line = json.dumps(header).encode("utf-8")
+    path.write_bytes(line + b"\n" + body)
     with pytest.raises(asvinit.AsvinitError):
         cli.read_weights(str(path))
 

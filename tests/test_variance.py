@@ -279,14 +279,19 @@ def test_clamp_deviation_is_exactly_the_clamp_ratio():
 
 
 def test_clamp_stddev_mode():
+    """A std-dev cap of F is the variance cap F**2: factor 9 caps sigma at
+    3x its no-pool value, and its variance is 3x the factor-3 one."""
     toy = asvinit.toy_net()
-    var_mode = variance.init_plan(variance.ASV_BACKWARD, toy,
-                                  clamp_factor=3.0, clamp_mode="variance")
-    std_mode = variance.init_plan(variance.ASV_BACKWARD, toy,
-                                  clamp_factor=3.0, clamp_mode="stddev")
+    f3 = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=3.0)
+    f9 = variance.init_plan(variance.ASV_BACKWARD, toy, clamp_factor=9.0)
     i = 1  # clamped layer
-    assert std_mode.rows[i].sigma_w ** 2 == pytest.approx(
-        3.0 * var_mode.rows[i].sigma_w ** 2, rel=1e-12
+    g = toy.geo[i]
+    assert f3.rows[i].clamped and f9.rows[i].clamped
+    assert f9.rows[i].sigma_w == pytest.approx(
+        3.0 * math.sqrt(g.m_prev / (0.5 * g.epsilon)), rel=1e-12
+    )
+    assert f9.rows[i].sigma_w ** 2 == pytest.approx(
+        3.0 * f3.rows[i].sigma_w ** 2, rel=1e-12
     )
 
 
@@ -294,7 +299,8 @@ def test_sigma_b_zero_everywhere():
     toy = asvinit.toy_net()
     for m in variance.METHODS:
         plan = variance.init_plan(m, toy)
-        assert all(r.sigma_b == 0.0 for r in plan.rows)
+        _, _, rows, _ = plan.table()
+        assert all(r["sigma_b"] == 0.0 for r in rows)
         assert all(r.sigma_w > 0 and math.isfinite(r.sigma_w) for r in plan.rows)
 
 
