@@ -237,7 +237,7 @@ def read_weights(path):
         layers = header.get("layers")
         if not isinstance(layers, list):
             raise AsvinitError(f"{path}: header has no layer list")
-        weights, biases = [], []
+        counts = []
         for layer in layers:
             try:
                 c, s = layer["channels"], layer["kernel_len"]
@@ -245,6 +245,14 @@ def read_weights(path):
                 c = s = None
             if not all(type(n) is int and n >= 1 for n in (c, s)):
                 raise AsvinitError(f"{path}: bad layer entry {layer!r}")
+            counts.append((c, s))
+        # refuse a header that claims more floats than the file holds before
+        # asking for them: a huge claim would overflow or exhaust memory
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * sum(c * (s + 1) for c, s in counts) > left:
+            raise AsvinitError(f"{path} is truncated")
+        weights, biases = [], []
+        for c, s in counts:
             weights.append(floats(c * s).reshape(c, s))
             biases.append(floats(c))
     return header, weights, biases

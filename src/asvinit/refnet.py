@@ -18,8 +18,19 @@ full (C, S) matrix whenever every tap is live (FC and 1x1 layers always,
 the built-ins at 224x224).  dense_weights gives the full matrix back,
 zero at the dropped taps, for the naive oracle.
 
+forward() and backward() run a batch as a pipeline of chunks.  Each call
+allocates the trace's arrays once, then takes each chunk of CHUNK images
+through every layer, writing straight into that chunk's slices: conv,
+activation and pooling going forward; conv^T, unpooling and the ReLU mask
+going backward.  Chunks run on min(CPUs in the process's affinity mask,
+chunks) threads at once: the calling thread and a module-level thread pool
+created on first use.  A one-chunk batch runs inline.  numpy releases the
+interpreter lock inside its products and array loops, so the threads
+overlap.  A helper thread that cannot start leaves its chunks to the
+others.
+
 Conv layers are lowered to matrix products (im2col): for a chunk of
-CHUNK images the padded, strided live taps are gathered into a
+n <= CHUNK images the padded, strided live taps are gathered into a
 (n, D*kh'*kw', H'*W') buffer whose rows run (d, ty, tx) like the columns
 of w, and u = np.matmul(w, buffer).  Only the in-bounds positions of each
 tap are copied; the buffer's other entries stay 0, which is the zero
@@ -33,7 +44,9 @@ Every BLAS call is a per-image product of the same shape whatever the batch
 width (images are the stack axis of np.matmul, never a GEMM dimension), and
 every other step is elementwise or a fixed-order loop over taps, so each
 column of a trace is bit-identical to a single-column run with the same
-weights.
+weights.  For the same reason a trace does not depend on how many threads
+ran it, or which thread ran which chunk: no chunk reads another's slices,
+and weight gradients are summed per chunk, then added in chunk order.
 
 Pooling loops over window taps on strided slices.  Max pooling starts from
 -inf and takes a tap only when it is strictly greater, so the first maximum
@@ -45,9 +58,10 @@ that is the whole map (GlobalAverage) is one running sum over the map and
 one broadcast back.
 
 A SignalTrace keeps only the signals something reads; a pooled layer's
-activations are a temporary.  memory_need bounds, from the shapes alone,
-the bytes one draw of sample_parameters, forward and backward holds at
-once.  check_memory holds a need against the memory this process may use;
+activations are a per-chunk temporary.  memory_need bounds, from the
+shapes alone, the bytes one draw of sample_parameters, forward and
+backward holds at once, one set of chunk temporaries per thread
+included.  check_memory holds a need against the memory this process may use;
 simulate (through montecarlo) and init --emit-weights call it before they
 allocate.
 
@@ -58,7 +72,10 @@ indices; it exists as an independent oracle for the vectorized path.
 from __future__ import annotations
 
 import os
+import queue
 import resource
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,65 +317,109 @@ def _chunks(n_img):
     return [(b0, min(b0 + CHUNK, n_img)) for b0 in range(0, n_img, CHUNK)]
 
 
-def _col_buffer(low, n_img):
-    """One chunk's zeroed im2col buffer (n, D, kh', kw', H', W'), or None."""
-    if low.taps is None:
-        return None
-    return np.zeros((min(CHUNK, n_img), low.image[0], *low.kernel, *low.out[1:]))
+def _cpus():
+    """CPUs this process may run on (its affinity mask)."""
+    return len(os.sched_getaffinity(0))
 
 
-def _cols(low, x, buf):
-    """cols(z) of a chunk of images x, as (n, k, p).  Entries of buf that
-    no tap writes stay 0 from one chunk to the next."""
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helpers():
+    """The module's thread pool, created on first use: _cpus() - 1 threads
+    at most, since the calling thread works too."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="refnet")
+        return _pool
+
+
+def _workers(n_img):
+    """Chunks of a batch of n_img images that run at once."""
+    return min(_cpus(), len(_chunks(n_img)))
+
+
+def _each_chunk(n_img, block):
+    """Call block(c, b0, b1) for every chunk c, images [b0, b1), of a batch.
+
+    Up to _workers(n_img) chunks run at once, one on the calling thread and
+    the rest on _helpers(); a one-chunk batch runs inline and creates no
+    pool.  A helper that cannot start (a thread needs address space for
+    its stack) leaves its share to the threads that did.  Returns once
+    every chunk has ended, then raises the exception of the first chunk
+    that failed, if any."""
+    chunks = _chunks(n_img)
+    workers = _workers(n_img)
+    if workers == 1:
+        for c, (b0, b1) in enumerate(chunks):
+            block(c, b0, b1)
+        return
+    todo = queue.SimpleQueue()
+    for item in enumerate(chunks):
+        todo.put(item)
+    errors = [None] * len(chunks)
+    ended = threading.Semaphore(0)
+
+    def drain():
+        while True:
+            try:
+                c, (b0, b1) = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                block(c, b0, b1)
+            except Exception as exc:  # re-raised by the calling thread
+                errors[c] = exc
+            finally:
+                ended.release()
+
+    for _ in range(workers - 1):
+        try:
+            _helpers().submit(drain)
+        except RuntimeError:   # can't start new thread
+            break
+    drain()
+    # count ended chunks, not finished helpers: a helper whose thread
+    # failed to start may still run drain later, and then finds no chunk
+    for _ in chunks:
+        ended.acquire()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _cols(low, x):
+    """cols(z) of a chunk of images x, as (n, k, p): a zeroed buffer
+    (n, D, kh', kw', H', W') whose entries no tap writes stay 0."""
     n = x.shape[0]
     if low.taps is None:
         return x.reshape(n, low.k, low.p)
-    cols = buf[:n]
+    cols = np.zeros((n, low.image[0], *low.kernel, *low.out[1:]))
     for ty, tx, o, i in low.taps:
         cols[:, :, ty, tx][o] = x[i]
     return cols.reshape(n, low.k, low.p)
 
 
-def _conv_forward(low, w, b, x):
-    u = np.empty((x.shape[0], *low.out))
-    u_cols = u.reshape(x.shape[0], low.out[0], low.p)
-    buf = _col_buffer(low, x.shape[0])
-    for b0, b1 in _chunks(x.shape[0]):
-        np.matmul(w, _cols(low, x[b0:b1], buf), out=u_cols[b0:b1])
-    u += b[:, None, None]
-    return u
+def _conv_forward(low, w, b, x, out):
+    """u = W cols(x) + b of a chunk of images x into out, (n, C, H', W')."""
+    np.matmul(w, _cols(low, x), out=out.reshape(x.shape[0], low.out[0], low.p))
+    out += b[:, None, None]
 
 
-def _conv_backward(low, w, du):
-    """dz = W^T du: per-image products, then each tap's rows added back into
-    the input positions it read."""
-    n_img = du.shape[0]
-    du_cols = du.reshape(n_img, low.out[0], low.p)
+def _conv_backward(low, w, du, out):
+    """dz = W^T du of a chunk into out, zero on entry: per-image products,
+    then each tap's rows added back into the input positions it read."""
+    n = du.shape[0]
+    du_cols = du.reshape(n, low.out[0], low.p)
     if low.taps is None:
-        dz = np.empty((n_img, *low.image))
-        np.matmul(w.T, du_cols, out=dz.reshape(n_img, low.k, low.p))
-        return dz
-    dz = np.zeros((n_img, *low.image))
-    buf = _col_buffer(low, n_img)
-    for b0, b1 in _chunks(n_img):
-        dcols = buf[:b1 - b0]
-        np.matmul(w.T, du_cols[b0:b1], out=dcols.reshape(b1 - b0, low.k, low.p))
-        dz_chunk = dz[b0:b1]
-        for ty, tx, o, i in low.taps:
-            dz_chunk[i] += dcols[:, :, ty, tx][o]
-    return dz
-
-
-def _param_grads(low, du, x):
-    """(dW, db) summed over images, one per-image product per image."""
-    n_img = du.shape[0]
-    du_cols = du.reshape(n_img, low.out[0], low.p)
-    dw = np.zeros((low.out[0], low.k))
-    buf = _col_buffer(low, n_img)
-    for b0, b1 in _chunks(n_img):
-        cols = _cols(low, x[b0:b1], buf)
-        dw += np.matmul(du_cols[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
-    return dw, du_cols.sum(axis=(0, 2))
+        np.matmul(w.T, du_cols, out=out.reshape(n, low.k, low.p))
+        return
+    dcols = np.empty((n, low.image[0], *low.kernel, *low.out[1:]))
+    np.matmul(w.T, du_cols, out=dcols.reshape(n, low.k, low.p))
+    for ty, tx, o, i in low.taps:
+        out[i] += dcols[:, :, ty, tx][o]
 
 
 def _pool_taps(g):
@@ -367,30 +428,23 @@ def _pool_taps(g):
     return _taps((hp, wp), (hh, ww), (th, tw), (sh, sw), (qh, qw))
 
 
-def _pooled(v, g):
-    ww, hh, c = g.pool_shape
-    return (v.shape[0], c, hh, ww)
-
-
-def _max_pool(v, g):
-    """Window max and the winning tap (first maximum in window order)."""
-    tw, th = g.pool_size
-    z = np.full(_pooled(v, g), -np.inf)
-    winners = np.zeros(z.shape, dtype=np.min_scalar_type(tw * th - 1))
+def _max_pool(v, g, z, winners):
+    """Window max into z and the winning tap (first maximum in window
+    order) into winners, zero on entry."""
+    tw, _ = g.pool_size
+    z.fill(-np.inf)
     for ty, tx, o, i in _pool_taps(g):
         cand, best = v[i], z[o]
         hit = cand > best
         np.maximum(best, cand, out=best)
         np.putmask(winners[o], hit, ty * tw + tx)
-    return z, winners
 
 
-def _max_unpool(dz, winners, g):
+def _max_unpool(dz, winners, g, dv):
+    """Each window's gradient into its winner's slot of dv, zero on entry."""
     tw, _ = g.pool_size
-    dv = np.zeros((dz.shape[0], *reversed(g.conv_shape)))
     for ty, tx, o, i in _pool_taps(g):
         dv[i] += dz[o] * (winners[o] == ty * tw + tx)
-    return dv
 
 
 def _whole_map(g):
@@ -398,51 +452,75 @@ def _whole_map(g):
     return g.pool_padding == (0, 0) and g.pool_size == g.conv_shape[:2]
 
 
-def _average_pool(v, g):
+def _average_pool(v, g, z):
+    """Window means into z, zero on entry."""
+    area = g.pool_size[0] * g.pool_size[1]
     if _whole_map(g):
         # cumsum adds left to right, in the tap loop's order, so the sum is
         # the same to the bit; np.sum would add pairwise
         n, c = v.shape[:2]
         total = np.cumsum(v.reshape(n, c, -1), axis=-1)[..., -1]
-        return (total / (g.pool_size[0] * g.pool_size[1])).reshape(_pooled(v, g))
-    z = np.zeros(_pooled(v, g))
+        np.divide(total, area, out=z.reshape(n, c))
+        return
     for _, _, o, i in _pool_taps(g):
         z[o] += v[i]
-    z /= g.pool_size[0] * g.pool_size[1]
-    return z
+    z /= area
 
 
-def _average_unpool(dz, g):
+def _average_unpool(dz, g, dv):
+    """dz / T spread over each window's members into dv, zero on entry."""
     share = dz / (g.pool_size[0] * g.pool_size[1])
-    shape = (dz.shape[0], *reversed(g.conv_shape))
     if _whole_map(g):
-        return np.broadcast_to(share, shape).copy()
-    dv = np.zeros(shape)
+        dv[...] = share
+        return
     for _, _, o, i in _pool_taps(g):
         dv[i] += share[o]
-    return dv
 
 
 def forward(net: VectorNet, z0) -> SignalTrace:
     """Run the forward chain; z0 is (M0,) or (M0, batch)."""
     g0 = net.geo[0]
     z = _as_batch(z0, g0.m_prev, "input")
-    trace = SignalTrace(z=[z])
-    x = _images(z, g0.in_shape)
-    for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
-        u = _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x)
-        v = np.maximum(u, 0.0) if spec.activation == arch_mod.RELU else u
-        winners = None
-        if g.pool_kind is None:
-            x = v
-        elif g.pool_kind == arch_mod.MAX:
-            x, winners = _max_pool(v, g)
+    n_img = z.shape[1]
+    us, zs, winners = [], [], []
+    for spec, g, low in zip(net.arch.layers, net.geo, net.lowerings):
+        u = np.empty((n_img, *low.out))
+        pooled = (n_img, *reversed(g.pool_shape))
+        if g.pool_kind is not None:
+            x = np.zeros(pooled)
+        elif spec.activation == arch_mod.RELU:
+            x = np.empty(u.shape)
         else:
-            x = _average_pool(v, g)
-        trace.u.append(_signals(u))
-        trace.z.append(_signals(x))
-        trace.winners.append(winners)
-    return trace
+            x = u
+        us.append(u)
+        zs.append(x)
+        if g.pool_kind == arch_mod.MAX:
+            tw, th = g.pool_size
+            winners.append(np.zeros(pooled, np.min_scalar_type(tw * th - 1)))
+        else:
+            winners.append(None)
+
+    def block(c, b0, b1):
+        x = _images(z[:, b0:b1], g0.in_shape)
+        for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
+            u, out = us[i][b0:b1], zs[i][b0:b1]
+            _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x, u)
+            relu = spec.activation == arch_mod.RELU
+            if g.pool_kind is None:
+                if relu:
+                    np.maximum(u, 0.0, out=out)
+            else:
+                v = np.maximum(u, 0.0) if relu else u
+                if g.pool_kind == arch_mod.MAX:
+                    _max_pool(v, g, out, winners[i][b0:b1])
+                else:
+                    _average_pool(v, g, out)
+            x = out
+
+    _each_chunk(n_img, block)
+    return SignalTrace(
+        u=[_signals(u) for u in us], z=[z] + [_signals(x) for x in zs], winners=winners,
+    )
 
 
 def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=False):
@@ -458,48 +536,66 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     if delta_uL is None:
         delta_uL = trace.u[-1]
     du_top = _as_batch(delta_uL, net.geo[-1].m_prime, "delta_uL")
-    if du_top.shape[1] != trace.batch:
+    n_img = trace.batch
+    if du_top.shape[1] != n_img:
         raise ShapeMismatch(
-            f"delta_uL batch {du_top.shape[1]} != trace batch {trace.batch}"
+            f"delta_uL batch {du_top.shape[1]} != trace batch {n_img}"
         )
+    if any(g.pool_kind == arch_mod.MAX and w is None
+           for g, w in zip(net.geo[:-1], trace.winners)):
+        raise MissingForwardTrace("forward trace lacks max-pool winners")
 
-    trace.du = [None] * n
-    trace.dv = [None] * n
-    trace.dz = [None] * (n + 1)
+    # dz[i] is W^T du[i]; dv[i] is dz[i + 1] through layer i's pooling (the
+    # same array when it has none), du[i] is dv[i] through its activation
+    dz = [
+        np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
+        for low in net.lowerings
+    ]
+    du = [None] * n
+    dv = [None] * n
+    du[n - 1] = np.empty((n_img, *net.lowerings[-1].out))
+    for i, (spec, g) in enumerate(zip(net.arch.layers[:-1], net.geo[:-1])):
+        dv[i] = dz[i + 1] if g.pool_kind is None else np.zeros((n_img, *net.lowerings[i].out))
+        du[i] = np.empty(dv[i].shape) if spec.activation == arch_mod.RELU else dv[i]
+    partials = [[None] * len(_chunks(n_img)) for _ in range(n)] if param_grads else None
+
+    def block(c, b0, b1):
+        _signals(du[n - 1])[:, b0:b1] = du_top[:, b0:b1]
+        for i in range(n - 1, -1, -1):
+            low, du_c, dz_c = net.lowerings[i], du[i][b0:b1], dz[i][b0:b1]
+            if param_grads:
+                cols = _cols(low, _images(trace.z[i][:, b0:b1], net.geo[i].in_shape))
+                du_cols = du_c.reshape(b1 - b0, low.out[0], low.p)
+                partials[i][c] = np.matmul(du_cols, cols.transpose(0, 2, 1)).sum(axis=0)
+            _conv_backward(low, net.weights[i], du_c, dz_c)
+            if i == 0:
+                break
+            # through layer i-1's pooling and activation
+            below = net.geo[i - 1]
+            dv_c = dv[i - 1][b0:b1]
+            if below.pool_kind == arch_mod.MAX:
+                _max_unpool(dz_c, trace.winners[i - 1][b0:b1], below, dv_c)
+            elif below.pool_kind is not None:
+                _average_unpool(dz_c, below, dv_c)
+            if net.arch.layers[i - 1].activation == arch_mod.RELU:
+                u = _images(trace.u[i - 1][:, b0:b1], below.conv_shape)
+                np.multiply(dv_c, u >= 0.0, out=du[i - 1][b0:b1])
+
+    _each_chunk(n_img, block)
+    trace.du = [_signals(x) for x in du]
+    trace.dv = [_signals(x) for x in dv[:-1]] + [None]
+    # dz[L] is the injected gradient itself (z^(L) := v^(L) := u^(L))
+    trace.dz = [_signals(x) for x in dz] + [du_top]
     trace.d_weights = [None] * n
     trace.d_biases = [None] * n
-
-    du = _images(du_top, net.geo[-1].conv_shape)
-    for i in range(n - 1, -1, -1):
-        g = net.geo[i]
-        low = net.lowerings[i]
-        trace.du[i] = _signals(du)
-        if param_grads:
-            trace.d_weights[i], trace.d_biases[i] = _param_grads(
-                low, du, _images(trace.z[i], g.in_shape)
-            )
-        dz = _conv_backward(low, net.weights[i], du)
-        trace.dz[i] = _signals(dz)
-        if i == 0:
-            break
-        # through layer i-1's pooling and activation
-        below = net.geo[i - 1]
-        if below.pool_kind is None:
-            dv = dz
-        elif below.pool_kind == arch_mod.MAX:
-            winners = trace.winners[i - 1]
-            if winners is None:
-                raise MissingForwardTrace("forward trace lacks max-pool winners")
-            dv = _max_unpool(dz, winners, below)
-        else:
-            dv = _average_unpool(dz, below)
-        if below.activation == arch_mod.RELU:
-            du = dv * (_images(trace.u[i - 1], below.conv_shape) >= 0.0)
-        else:
-            du = dv
-        trace.dv[i - 1] = _signals(dv)
-    # dz[L] is the injected gradient itself (z^(L) := v^(L) := u^(L))
-    trace.dz[n] = du_top
+    if param_grads:
+        for i, low in enumerate(net.lowerings):
+            # the chunks' partial sums, added in chunk order
+            dw = np.zeros((low.out[0], low.k))
+            for part in partials[i]:
+                dw += part
+            trace.d_weights[i] = dw
+            trace.d_biases[i] = du[i].reshape(n_img, low.out[0], low.p).sum(axis=(0, 2))
     return trace
 
 
@@ -507,14 +603,16 @@ def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one draw of batch images holds at once: the
     VectorNet's float64 live-tap weights and biases plus one layer's full
     draw in flight, the signals its trace keeps (u, z, max-pool winners
-    and, for backward, du, dv, dz), the input twice (drawn and as images),
-    one signal-sized temporary (a pooled layer's activations, or the square
-    a variance estimate takes), and one im2col chunk."""
+    and, for backward, du, dv, dz), the drawn input, one signal-sized
+    temporary (the square a variance estimate takes), and, for each chunk
+    that runs at once (_workers), one chunk's temporaries: its input images,
+    one layer's im2col buffer, a pooled layer's activations and the
+    pooling's or the ReLU mask's scratch of the same size."""
     geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
     weights = sum(low.out[0] * (low.k + 1) for low in lows)
     weights += max(g.channels * g.s_len for g in geo)
-    per_image = 2 * geo[0].m_prev
+    per_image = geo[0].m_prev
     for g in geo:
         per_image += g.m_prime + g.m                       # u, z
         if g.pool_kind == arch_mod.MAX:
@@ -522,8 +620,11 @@ def memory_need(architecture, batch, want_backward):
         if want_backward:
             per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
-    chunk = min(CHUNK, batch) * max(low.k * low.p for low in lows)
-    return 8 * (weights + batch * per_image + chunk)
+    chunk_image = geo[0].m_prev + max(
+        low.k * low.p + 2 * g.m_prime for low, g in zip(lows, geo)
+    )
+    chunks = _workers(batch) * min(CHUNK, batch) * chunk_image
+    return 8 * (weights + batch * per_image + chunks)
 
 
 def check_memory(need, what):

@@ -202,6 +202,18 @@ def test_simulate_on_builtin_runs_in_3_gib():
     assert report["trace"]["trials"] == [1, 1]
 
 
+def test_simulate_on_toy_runs_chunks_in_3_gib():
+    """512 images are 16 chunks, spread over helper threads: under the same
+    cap, each thread's stack and arena fit, or the calling thread does its
+    share.  A full report, pass or fail, and no error."""
+    proc = run_in_3_gib("simulate", "--arch", TOY_FILE, "--trials", "1x512")
+    err = proc.stderr.decode()
+    assert proc.returncode in (0, 1), err
+    assert "Traceback" not in err and "error:" not in err
+    report = json.loads(proc.stdout)
+    assert report["trace"]["trials"] == [1, 512]
+
+
 def test_simulate_on_builtin_over_memory_limit_exits_3():
     """64 images of arch34's signals (~155 MB each) exceed 3 GiB: simulate
     refuses before it allocates them, with one error line."""
@@ -400,6 +412,22 @@ def test_read_weights_truncated_file(capsys, tiny_arch_file, tmp_path):
     path = tmp_path / "w.bin"
     run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
     path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(asvinit.AsvinitError, match="truncated"):
+        cli.read_weights(str(path))
+
+
+@pytest.mark.parametrize("channels, kernel_len", [(10**20, 1), (3 * 10**6, 10**7)],
+                         ids=["1e20 channels", "3e13 weights"])
+def test_read_weights_refuses_a_header_longer_than_the_file(capsys, tiny_arch_file, tmp_path,
+                                                           channels, kernel_len):
+    """A header that claims more floats than the file holds is a truncated
+    file, refused before any read: not an OverflowError or MemoryError."""
+    path = tmp_path / "w.bin"
+    run(capsys, "init", "--arch", tiny_arch_file, "--emit-weights", str(path))
+    line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["layers"][0].update(channels=channels, kernel_len=kernel_len)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(asvinit.AsvinitError, match="truncated"):
         cli.read_weights(str(path))
 

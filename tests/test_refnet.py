@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -470,6 +471,119 @@ def test_batch_columns_independent_on_random_chains(a, seed):
             assert np.array_equal(full.z[i + 1][:, col], single.z[i + 1][:, 0])
             assert np.array_equal(full.du[i][:, col], single.du[i][:, 0])
             assert np.array_equal(full.dz[i][:, col], single.dz[i][:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the chunk pipeline: results do not depend on how many threads run it
+# ---------------------------------------------------------------------------
+
+TRACE_FIELDS = ("u", "z", "winners", "du", "dv", "dz", "d_weights", "d_biases")
+
+
+def with_cpus(monkeypatch, n):
+    """Run the engine as if the process could use n CPUs, on a fresh pool."""
+    monkeypatch.setattr(refnet, "_cpus", lambda: n)
+    monkeypatch.setattr(refnet, "_pool", None)
+
+
+def full_trace(net, cols, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(net.geo[0].m_prev, cols))
+    delta = rng.normal(size=(net.geo[-1].m_prime, cols))
+    return refnet.backward(net, refnet.forward(net, z), delta_uL=delta, param_grads=True)
+
+
+def assert_same_traces(a, b):
+    for name in TRACE_FIELDS:
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("name, chunk, cols", [
+    ("toy", refnet.CHUNK, 3 * refnet.CHUNK + 5),
+    # stride-2 convs, the padded overlapping 3x3 Max pool and GlobalAverage;
+    # chunks of 2 images keep the deep net's weight gradients cheap
+    ("arch34-32", 2, 2 * 2 + 1),
+])
+def test_traces_do_not_depend_on_the_worker_count(monkeypatch, name, chunk, cols):
+    if name == "toy":
+        a = asvinit.toy_net()
+    else:
+        a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(32, 32, 3))
+    monkeypatch.setattr(refnet, "CHUNK", chunk)
+    net = sampled(a, seed=43)
+    traces = []
+    for cpus in (1, 3):
+        with_cpus(monkeypatch, cpus)
+        traces.append(full_trace(net, cols, seed=47))
+    assert_same_traces(*traces)
+
+
+def test_weight_gradients_add_the_chunks_in_chunk_order(monkeypatch):
+    """Two runs in a row give the same dW, whichever thread finished first:
+    the sum, from zeros, of each chunk's dW run alone, in chunk order."""
+    with_cpus(monkeypatch, 3)
+    net = sampled(asvinit.toy_net(), seed=53)
+    cols = 4 * refnet.CHUNK
+    first, second = (full_trace(net, cols, seed=59) for _ in range(2))
+    rng = np.random.default_rng(59)
+    z = rng.normal(size=(net.geo[0].m_prev, cols))
+    delta = rng.normal(size=(net.geo[-1].m_prime, cols))
+    expected = [np.zeros_like(w) for w in first.d_weights]
+    for b0, b1 in refnet._chunks(cols):
+        alone = refnet.backward(net, refnet.forward(net, z[:, b0:b1]),
+                                delta_uL=delta[:, b0:b1], param_grads=True)
+        for dw, part in zip(expected, alone.d_weights):
+            dw += part
+    for x, y, dw in zip(first.d_weights, second.d_weights, expected, strict=True):
+        assert np.array_equal(x, y)
+        assert np.array_equal(x, dw)
+
+
+def test_one_chunk_runs_inline_and_creates_no_pool(monkeypatch):
+    with_cpus(monkeypatch, 4)
+    net = sampled(asvinit.toy_net(), seed=61)
+    full_trace(net, refnet.CHUNK, seed=67)
+    assert refnet._pool is None
+
+
+def test_a_helper_that_cannot_start_leaves_its_chunks_to_the_caller(monkeypatch):
+    """A thread start refused (as under an address-space cap) is no error:
+    the calling thread runs every chunk, to the same bits."""
+    net = sampled(asvinit.toy_net(), seed=71)
+    with_cpus(monkeypatch, 1)
+    alone = full_trace(net, 2 * refnet.CHUNK + 1, seed=73)
+
+    class NoThreads:
+        def submit(self, fn, *args):
+            raise RuntimeError("can't start new thread")
+
+    with_cpus(monkeypatch, 3)
+    monkeypatch.setattr(refnet, "_helpers", NoThreads)
+    assert_same_traces(alone, full_trace(net, 2 * refnet.CHUNK + 1, seed=73))
+
+
+def test_every_chunk_runs_once_before_the_first_failure_is_raised(monkeypatch):
+    """More threads than cores and a short switch interval: each chunk runs
+    exactly once, failing ones included, and the caller gets the failure of
+    the first failing chunk in chunk order."""
+    with_cpus(monkeypatch, 8)
+    n_img = 40 * refnet.CHUNK + 1
+    ran = []
+
+    def block(c, b0, b1):
+        ran.append((c, b0, b1))
+        if c in (5, 9):
+            raise ValueError(c)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ValueError, match="^5$"):
+            refnet._each_chunk(n_img, block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == [(c, b0, b1) for c, (b0, b1) in enumerate(refnet._chunks(n_img))]
 
 
 # ---------------------------------------------------------------------------
