@@ -46,7 +46,8 @@ every other step is elementwise or a fixed-order loop over taps, so each
 column of a trace is bit-identical to a single-column run with the same
 weights.  For the same reason a trace does not depend on how many threads
 ran it, or which thread ran which chunk: no chunk reads another's slices,
-and weight gradients are summed per chunk, then added in chunk order.
+and weight gradients are summed per chunk, image by image, then added
+in chunk order.
 
 Pooling loops over window taps on strided slices.  Max pooling starts from
 -inf and takes a tap only when it is strictly greater, so the first maximum
@@ -422,6 +423,18 @@ def _conv_backward(low, w, du, out):
         out[i] += dcols[:, :, ty, tx][o]
 
 
+def _weight_grad(du_cols, cols):
+    """dW of a chunk, sum over its images j of du_j cols_j^T, as (C, k).
+    The per-image products are added in image order into one array, so no
+    (n, C, k) stack is formed; the bits are those of the stack's sum over
+    images."""
+    dw = np.matmul(du_cols[0], cols[0].T)
+    product = np.empty_like(dw)
+    for du_j, cols_j in zip(du_cols[1:], cols[1:]):
+        dw += np.matmul(du_j, cols_j.T, out=product)
+    return dw
+
+
 def _pool_taps(g):
     (wp, hp, _), (ww, hh, _) = g.conv_shape, g.pool_shape
     (tw, th), (sw, sh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
@@ -565,8 +578,7 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
             low, du_c, dz_c = net.lowerings[i], du[i][b0:b1], dz[i][b0:b1]
             if param_grads:
                 cols = _cols(low, _images(trace.z[i][:, b0:b1], net.geo[i].in_shape))
-                du_cols = du_c.reshape(b1 - b0, low.out[0], low.p)
-                partials[i][c] = np.matmul(du_cols, cols.transpose(0, 2, 1)).sum(axis=0)
+                partials[i][c] = _weight_grad(du_c.reshape(b1 - b0, low.out[0], low.p), cols)
             _conv_backward(low, net.weights[i], du_c, dz_c)
             if i == 0:
                 break

@@ -14,6 +14,14 @@ The input "layer 0" carries tau_0 = 1 by default: network inputs are raw
 signals, not ReLU outputs, so their full second moment propagates.  Layers
 with Identity activation use tau = gamma = 1 (no ReLU halving).  Every
 method draws zero biases, so the paper's sigma_b^2 term is 0 throughout.
+
+tau for max pooling is a quadrature over the standard normal CDF Phi.  Phi
+is computed here (_ndtr), a port of the Cephes ndtr/erf/erfc that
+scipy.special.ndtr runs, with the same coefficient tables and order of
+operations, so the constants carry scipy's bits without importing scipy
+(most of the package's import time).  Its exp(-x^2) is libm's exp called
+per element (math.exp), as in the C code; np.exp differs in the last bit
+at some quadrature nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import arch as arch_mod
 from . import shapes as shapes_mod
@@ -51,10 +58,79 @@ class PoolConstants:
     gamma: float
 
 
+# Cephes ndtr.c coefficient tables, the ones scipy.special.ndtr uses:
+# erf on |x| <= 1 is x * T(x^2) / U(x^2); erfc on 1 <= x < 8 is
+# exp(-x^2) * P(x) / Q(x), and on x >= 8 exp(-x^2) * R(x) / S(x).
+# U, Q and S have an implicit leading coefficient 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _horner(x, coefs, monic=False):
+    """Cephes polevl (monic=False) or p1evl (monic=True, leading 1 implied)
+    at x, in Cephes' order of operations."""
+    acc = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(a):
+    """Cephes erf for 0 <= a <= 1."""
+    z = a * a
+    return a * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc(a):
+    """Cephes erfc for a >= 1, with libm's exp per element."""
+    e = np.fromiter(map(math.exp, (-a * a).tolist()), float, count=a.size)
+    near = a < 8.0
+    p = np.where(near, _horner(a, _ERFC_P), _horner(a, _ERFC_R))
+    q = np.where(near, _horner(a, _ERFC_Q, monic=True), _horner(a, _ERFC_S, monic=True))
+    return e * p / q
+
+
+def _ndtr(x):
+    """Standard normal CDF at x >= 0, elementwise: Cephes ndtr, which gives
+    scipy.special.ndtr's bits."""
+    a = x * _SQRT1_2
+    out = np.empty_like(a)
+    low = a < _SQRT1_2
+    mid = ~low & (a < 1.0)
+    tail = a >= 1.0
+    out[low] = 0.5 + 0.5 * _erf(a[low])
+    out[mid] = 1.0 - 0.5 * (1.0 - _erf(a[mid]))
+    out[tail] = 1.0 - 0.5 * _erfc(a[tail])
+    return out
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # integrand tail above 12 is below 1e-28 and dropped
 _UPPER = 12.0
+
+
+def _panel_nodes(panels):
+    """The nodes of composite Gauss-Legendre on [0, 12] over equal panels,
+    and the panels' half width."""
+    edges = np.linspace(0.0, _UPPER, panels + 1)
+    half = (edges[1] - edges[0]) / 2.0
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    return (mids[:, None] + half * _GL_NODES[None, :]).ravel(), half
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,12 +142,9 @@ def _tau_max_integral(t):
     diff = math.inf
     panels = 1
     while panels <= 4096:
-        edges = np.linspace(0.0, _UPPER, panels + 1)
-        half = (edges[1] - edges[0]) / 2.0
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        x = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
+        x, half = _panel_nodes(panels)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        integrand = x * x * phi * ndtr(x) ** (t - 1)
+        integrand = x * x * phi * _ndtr(x) ** (t - 1)
         value = t * half * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
         if prev is not None:
             diff = abs(value - prev)

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,24 @@ def test_weight_gradients_add_the_chunks_in_chunk_order(monkeypatch):
     for x, y, dw in zip(first.d_weights, second.d_weights, expected, strict=True):
         assert np.array_equal(x, y)
         assert np.array_equal(x, dw)
+
+
+def test_weight_gradients_form_no_per_image_stack():
+    """A chunk's dW is added up image by image: backward(param_grads=True)
+    on a wide layer at a 2x2 map peaks below the (n, C, k) stack of the
+    chunk's per-image products."""
+    net = sampled(small_net((2, 2, 64), [(128, 3, 1, 1, None)]), seed=79)
+    z = np.random.default_rng(83).normal(size=(net.geo[0].m_prev, refnet.CHUNK))
+    trace = refnet.forward(net, z)
+    low = net.lowerings[0]
+    stack = 8 * refnet.CHUNK * low.out[0] * low.k
+    tracemalloc.start()
+    try:
+        refnet.backward(net, trace, param_grads=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
 
 
 def test_one_chunk_runs_inline_and_creates_no_pool(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,43 @@ def test_tau_cache_thread_safety():
     for th in threads:
         th.join()
     assert len(set(results)) == 1
+
+
+def test_ndtr_has_scipys_bits_at_every_quadrature_node():
+    """The in-module Phi is scipy.special.ndtr to the bit wherever the
+    max-pool quadrature evaluates it, and on a dense grid over [0, 12]."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    panels = 1
+    while panels <= 4096:
+        x, _ = variance._panel_nodes(panels)
+        assert np.array_equal(variance._ndtr(x), ndtr(x)), panels
+        panels *= 2
+    x = np.linspace(0.0, 12.0, 1_000_001)
+    assert np.array_equal(variance._ndtr(x), ndtr(x))
+
+
+@pytest.mark.parametrize("t, bits", [
+    (2, "0x1.d17cc1b727224p-1"),
+    (4, "0x1.8b357e98d0ca0p+0"),
+    (9, "0x1.4801efffdc219p+1"),
+    (25, "0x1.07be029232cccp+2"),
+    (256, "0x1.04a2405bb2fb2p+3"),
+])
+def test_tau_max_bits_are_pinned(t, bits):
+    """tau(Max, T) as computed with scipy.special.ndtr, to the bit."""
+    assert float(variance.tau("Max", t)).hex() == bits
+
+
+def test_importing_the_cli_imports_no_scipy():
+    src = str(Path(asvinit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import asvinit.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
