@@ -148,9 +148,8 @@ def _validate(args):
         args.clamp_factor = _clamp_factor(args.clamp_factor)
     if "trials" in args:
         args.trials = _parse_trials(args.trials)
-    for name in ("tau0", "q0", "rL"):
-        if name in args:
-            _positive(f"--{name}", getattr(args, name))
+    if "tau0" in args:
+        _positive("--tau0", args.tau0)
     if "threshold" in args and not args.threshold >= 0:
         raise AsvinitError(f"--threshold must be a non-negative number, got {args.threshold}")
     if "seed" in args and args.seed < 0:
@@ -305,10 +304,7 @@ def cmd_simulate(args):
     else:
         plan = _init_plan(args.method, architecture, args)
     n_param, n_input = args.trials
-    cfg = montecarlo.McConfig(
-        n_param_draws=n_param, n_input_draws=n_input, seed=args.seed,
-        q0=args.q0, rL=args.rL,
-    )
+    cfg = montecarlo.McConfig(n_param_draws=n_param, n_input_draws=n_input, seed=args.seed)
     estimate = getattr(montecarlo, f"estimate_{args.directions}")
     trace = estimate(architecture, plan, cfg)
     report = montecarlo.compare(trace, args.threshold)
@@ -382,8 +378,6 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.2,
                    help="max tolerated relative error per layer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--rL", type=float, default=1.0)
 
     return parser
 

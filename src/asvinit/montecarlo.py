@@ -1,11 +1,17 @@
 """Monte Carlo estimation of per-layer signal variances vs. predictions.
 
-Forward: draw parameters, feed batches of iid N(0, q0) inputs, and measure
+Forward: draw parameters, feed batches of iid N(0, 1) inputs, and measure
 the variance of each layer's pre-activation signals pooled over units and
 input draws (per-unit variances differ at map borders; the recursion itself
-is an average over units).  Backward: inject iid N(0, rL) top gradients and
+is an average over units).  Backward: inject iid N(0, 1) top gradients and
 measure the variance of the backward signals dz at each layer interface
 1..L-1 (the backward chain ends at du^(1); dz^(L) is the injection itself).
+
+Predictions are the plan's own: forward row 0 is 1, forward row ell is
+layer ell's q_pred and backward row ell is layer ell+1's r_pred, the
+recursions' levels for unit input and top-gradient variance.  Recursions
+and signals of a bias-free ReLU chain are linear in those scales, so unit
+scales judge every other scale too.
 
 Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
@@ -17,12 +23,13 @@ it does not fit.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import refnet, variance as variance_mod
+from . import refnet
 from .errors import AsvinitError, BudgetExceeded
 
 _DEFAULT_BUDGET = 1_000_000
@@ -43,7 +50,7 @@ def _env_budget():
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial counts, randomness and signal scales for one estimation run.
+    """Trial counts and randomness for one estimation run.
 
     The product n_param_draws * n_input_draws must stay within the budget
     the ASV_BUDGET environment variable sets (default 1e6); check_budget
@@ -53,8 +60,6 @@ class McConfig:
     n_param_draws: int
     n_input_draws: int
     seed: int = 0
-    q0: float = 1.0
-    rL: float = 1.0
 
     def check_budget(self):
         if self.n_param_draws < 1 or self.n_input_draws < 1:
@@ -108,7 +113,7 @@ class VarianceTrace:
         head = {
             "arch": self.arch_name, "method": self.method,
             "trials": [self.config.n_param_draws, self.config.n_input_draws],
-            "seed": self.config.seed, "q0": self.config.q0, "rL": self.config.rL,
+            "seed": self.config.seed,
         }
         columns = ("direction", "layer", "predicted", "estimate", "stderr", "rel_error")
         return head, "rows", rows, columns
@@ -127,15 +132,13 @@ def _one_draw(arch, plan, cfg, seeds, want_backward):
     param_ss, input_ss, inject_ss = seeds.spawn(3)
     net = refnet.sample_parameters(arch, plan, param_ss)
     rng_in = np.random.default_rng(input_ss)
-    z0 = rng_in.normal(0.0, np.sqrt(cfg.q0), size=(arch.geo[0].m_prev, cfg.n_input_draws))
+    z0 = rng_in.normal(0.0, 1.0, size=(arch.geo[0].m_prev, cfg.n_input_draws))
     trace = refnet.forward(net, z0)
     u_vars = [_pooled_variance(u) for u in trace.u]
     dz_vars = None
     if want_backward:
         rng_top = np.random.default_rng(inject_ss)
-        delta = rng_top.normal(
-            0.0, np.sqrt(cfg.rL), size=(arch.geo[-1].m_prime, cfg.n_input_draws)
-        )
+        delta = rng_top.normal(0.0, 1.0, size=(arch.geo[-1].m_prime, cfg.n_input_draws))
         refnet.backward(net, trace, delta_uL=delta)
         dz_vars = [_pooled_variance(dz) for dz in trace.dz[1:-1]]
     return _pooled_variance(z0), u_vars, dz_vars
@@ -175,53 +178,47 @@ def _mean_stderr(per_draw):
     return est, se
 
 
-def _forward_rows(arch, plan, cfg, z0_vars, u_vars):
-    q_pred = variance_mod.predict_forward(arch.geo, plan.sigma_w, q0=cfg.q0, tau0=plan.tau0)
-    rows = []
-    est, se = _mean_stderr(z0_vars)
-    rows.append(TraceRow("forward", 0, float(q_pred[0]), est, se))
-    for i in range(arch.num_layers):
-        est, se = _mean_stderr(u_vars[:, i])
-        rows.append(TraceRow("forward", i + 1, float(q_pred[i + 1]), est, se))
+def _forward_rows(plan, z0_vars, u_vars):
+    rows = [TraceRow("forward", 0, 1.0, *_mean_stderr(z0_vars))]
+    for i, p in enumerate(plan.rows):
+        rows.append(TraceRow("forward", i + 1, p.q_pred, *_mean_stderr(u_vars[:, i])))
     return rows
 
 
-def _backward_rows(arch, plan, cfg, dz_vars):
-    r_pred = variance_mod.predict_backward(arch.geo, plan.sigma_w, rL=cfg.rL)
-    rows = []
-    for i in range(arch.num_layers - 1):
-        est, se = _mean_stderr(dz_vars[:, i])
-        rows.append(TraceRow("backward", i + 1, float(r_pred[i + 1]), est, se))
-    return rows
+def _backward_rows(plan, dz_vars):
+    return [
+        TraceRow("backward", i + 1, p.r_pred, *_mean_stderr(dz_vars[:, i]))
+        for i, p in enumerate(plan.rows[1:])
+    ]
 
 
 def estimate_forward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure forward variance levels under the plan; compare to predictions."""
     z0_vars, u_vars, _ = _run_draws(arch, plan, cfg, want_backward=False)
-    rows = _forward_rows(arch, plan, cfg, z0_vars, u_vars)
+    rows = _forward_rows(plan, z0_vars, u_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 
 def estimate_backward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure backward variance levels under iid injected top gradients."""
     _, _, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _backward_rows(arch, plan, cfg, dz_vars)
+    rows = _backward_rows(plan, dz_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 
 def estimate_both(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Forward and backward in one pass (shares the forward traces)."""
     z0_vars, u_vars, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _forward_rows(arch, plan, cfg, z0_vars, u_vars)
-    rows += _backward_rows(arch, plan, cfg, dz_vars)
+    rows = _forward_rows(plan, z0_vars, u_vars) + _backward_rows(plan, dz_vars)
     return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
 
 
 @dataclass(frozen=True)
 class CompareReport:
     """Pass/fail verdict on a trace: failures are the rows whose relative
-    error exceeds threshold, worst the row with the largest (None for an
-    empty trace).  max_rel_error and passed derive from them."""
+    error is not within threshold (a NaN one included), worst the row with
+    the largest, NaN above every number (None for an empty trace).
+    max_rel_error and passed derive from them."""
 
     threshold: float
     worst: TraceRow | None
@@ -255,10 +252,11 @@ class CompareReport:
 
 def compare(trace: VarianceTrace, threshold: float) -> CompareReport:
     """Pass/fail report: every layer's relative error must stay inside
-    threshold."""
+    threshold; a NaN one (inf against inf) does not."""
     return CompareReport(
         threshold=threshold,
-        worst=max(trace.rows, key=lambda r: r.rel_error, default=None),
-        failures=tuple(r for r in trace.rows if r.rel_error > threshold),
+        worst=max(trace.rows, key=lambda r: (math.isnan(r.rel_error), r.rel_error),
+                  default=None),
+        failures=tuple(r for r in trace.rows if not r.rel_error <= threshold),
         trace=trace,
     )

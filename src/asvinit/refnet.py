@@ -46,8 +46,8 @@ every other step is elementwise or a fixed-order loop over taps, so each
 column of a trace is bit-identical to a single-column run with the same
 weights.  For the same reason a trace does not depend on how many threads
 ran it, or which thread ran which chunk: no chunk reads another's slices,
-and weight gradients are summed per chunk, image by image, then added
-in chunk order.
+and weight gradients are summed after the pipeline, on the calling
+thread: per chunk, image by image, each chunk's sum added in chunk order.
 
 Pooling loops over window taps on strided slices.  Max pooling starts from
 -inf and takes a tap only when it is strictly greater, so the first maximum
@@ -570,15 +570,11 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     for i, (spec, g) in enumerate(zip(net.arch.layers[:-1], net.geo[:-1])):
         dv[i] = dz[i + 1] if g.pool_kind is None else np.zeros((n_img, *net.lowerings[i].out))
         du[i] = np.empty(dv[i].shape) if spec.activation == arch_mod.RELU else dv[i]
-    partials = [[None] * len(_chunks(n_img)) for _ in range(n)] if param_grads else None
 
     def block(c, b0, b1):
         _signals(du[n - 1])[:, b0:b1] = du_top[:, b0:b1]
         for i in range(n - 1, -1, -1):
             low, du_c, dz_c = net.lowerings[i], du[i][b0:b1], dz[i][b0:b1]
-            if param_grads:
-                cols = _cols(low, _images(trace.z[i][:, b0:b1], net.geo[i].in_shape))
-                partials[i][c] = _weight_grad(du_c.reshape(b1 - b0, low.out[0], low.p), cols)
             _conv_backward(low, net.weights[i], du_c, dz_c)
             if i == 0:
                 break
@@ -602,12 +598,15 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     trace.d_biases = [None] * n
     if param_grads:
         for i, low in enumerate(net.lowerings):
-            # the chunks' partial sums, added in chunk order
+            # each chunk's sum over its images, added in chunk order as soon
+            # as it is made: one chunk's partial is alive at a time
+            du_i = du[i].reshape(n_img, low.out[0], low.p)
             dw = np.zeros((low.out[0], low.k))
-            for part in partials[i]:
-                dw += part
+            for b0, b1 in _chunks(n_img):
+                z_c = _images(trace.z[i][:, b0:b1], net.geo[i].in_shape)
+                dw += _weight_grad(du_i[b0:b1], _cols(low, z_c))
             trace.d_weights[i] = dw
-            trace.d_biases[i] = du[i].reshape(n_img, low.out[0], low.p).sum(axis=(0, 2))
+            trace.d_biases[i] = du_i.sum(axis=(0, 2))
     return trace
 
 

@@ -256,8 +256,8 @@ def _taus_before(consts, tau0):
     return [tau0] + [c.tau for c in consts[:-1]]
 
 
-def _forward_levels(geo, consts, sigma_w, q0, tau0):
-    levels = [float(q0)]
+def _forward_levels(geo, consts, sigma_w, tau0):
+    levels = [1.0]
     taus = _taus_before(consts, tau0)
     for i, row in enumerate(geo):
         q = float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
@@ -265,8 +265,8 @@ def _forward_levels(geo, consts, sigma_w, q0, tau0):
     return np.array(levels)
 
 
-def _backward_levels(geo, consts, sigma_w, rL):
-    levels = [float(rL)]
+def _backward_levels(geo, consts, sigma_w):
+    levels = [1.0]
     for i in range(len(geo) - 1, -1, -1):
         row = geo[i]
         r = float(sigma_w[i]) ** 2 * levels[0] * consts[i].gamma * row.epsilon / row.m_prev
@@ -274,23 +274,25 @@ def _backward_levels(geo, consts, sigma_w, rL):
     return np.array(levels)
 
 
-def predict_forward(geo, sigma_w, q0=1.0, tau0=1.0):
-    """Forward variance levels q[0..L] under per-layer weight std devs
-    (biases are drawn as 0, so they add nothing)."""
-    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, q0, tau0)
+def predict_forward(geo, sigma_w, tau0=1.0):
+    """Forward variance levels q[0..L] for unit input variance under
+    per-layer weight std devs (biases are drawn as 0, so they add nothing).
+    The levels are linear in the input variance."""
+    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0)
 
 
-def predict_backward(geo, sigma_w, rL=1.0):
-    """Backward variance levels r[0..L] under per-layer weight std devs."""
-    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w, rL)
+def predict_backward(geo, sigma_w):
+    """Backward variance levels r[0..L] for unit top-gradient variance under
+    per-layer weight std devs.  The levels are linear in that variance."""
+    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w)
 
 
 def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
     """InitPlan of the given std devs, with the q and r levels they predict
     for unit input and top-gradient variance.  consts holds each layer's
     layer_constants, computed once by the caller."""
-    q = _forward_levels(arch.geo, consts, sigma_w, 1.0, tau0)
-    r = _backward_levels(arch.geo, consts, sigma_w, 1.0)
+    q = _forward_levels(arch.geo, consts, sigma_w, tau0)
+    r = _backward_levels(arch.geo, consts, sigma_w)
     rows = []
     for i, (row, c) in enumerate(zip(arch.geo, consts)):
         rows.append(PlanRow(

@@ -269,6 +269,61 @@ def test_simulate_sigma_override_explodes(capsys, tiny_arch_file, tmp_path):
     assert fwd[2] > 100 * fwd[1]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_simulate_nan_rel_error_fails(capsys, tmp_path):
+    """sigma 1e154 on layer 1 makes the layer-1 prediction and estimate
+    overflow: inf - inf is a NaN relative error, which is no pass."""
+    override = tmp_path / "s.json"
+    override.write_text("[1e154, 1, 1, 1]")
+    code, out, err = run(
+        capsys, "simulate", "--arch", TOY_FILE, "--sigma-override", str(override),
+        "--trials", "1x4", "--directions", "forward",
+    )
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert [f["layer"] for f in report["failures"]] == [1, 2, 3, 4]
+    assert "rel error nan" in err
+
+
+def simulate_predictions(capsys, *argv):
+    code, out, err = run(capsys, "simulate", "--arch", TOY_FILE, "--trials", "1x2",
+                         "--directions", "both", *argv)
+    assert code in (0, 1), err
+    rows = json.loads(out)["trace"]["rows"]
+    return ([r["predicted"] for r in rows if r["direction"] == "forward"],
+            [r["predicted"] for r in rows if r["direction"] == "backward"])
+
+
+def assert_predictions_are_the_plans(predictions, plan_rows):
+    """Forward row 0 is the unit input; forward row l is layer l's q_pred,
+    backward row l is layer l+1's r_pred."""
+    forward, backward = predictions
+    assert forward == [1.0] + [r["q_pred"] for r in plan_rows]
+    assert backward == [r["r_pred"] for r in plan_rows[1:]]
+
+
+@pytest.mark.parametrize("method", asvinit.METHODS)
+def test_simulate_predicts_what_init_prints(capsys, method):
+    code, out, _ = run(capsys, "init", "--arch", TOY_FILE, "--method", method)
+    assert code == 0
+    assert_predictions_are_the_plans(
+        simulate_predictions(capsys, "--method", method), json.loads(out)["layers"]
+    )
+
+
+def test_simulate_override_predicts_what_its_plan_prints(capsys, tmp_path):
+    sigmas = [0.3, 0.07, 0.05, 0.4]
+    override = tmp_path / "s.json"
+    override.write_text(json.dumps(sigmas))
+    plan = asvinit.plan_from_sigmas(asvinit.parse_architecture(Path(TOY_FILE).read_text()),
+                                    sigmas)
+    assert_predictions_are_the_plans(
+        simulate_predictions(capsys, "--sigma-override", str(override)),
+        json.loads(cli.render(plan.table(), "json"))["layers"],
+    )
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze", "--builtin", "arch34",
@@ -341,7 +396,7 @@ def test_option_surface():
         "init": sorted(common + plan + ["--emit-weights", "--method", "--seed"]),
         "compare-methods": sorted(common + plan),
         "simulate": sorted(common + plan + [
-            "--directions", "--method", "--q0", "--rL", "--seed",
+            "--directions", "--method", "--seed",
             "--sigma-override", "--threshold", "--trials",
         ]),
     }
@@ -364,8 +419,6 @@ BAD_INPUTS = [
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "abc"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "0"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "-5"}),
-    (["simulate", "--arch", "@arch", "--q0", "-1"], {}),
-    (["simulate", "--arch", "@arch", "--rL", "nan"], {}),
     (["simulate", "--arch", "@arch", "--threshold", "nan"], {}),
     (["simulate", "--arch", "@arch", "--seed", "-1"], {}),
     (["init", "--arch", "@arch", "--clamp-factor", "nan"], {}),

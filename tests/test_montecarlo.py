@@ -22,15 +22,15 @@ def test_reproducible_bit_for_bit():
     assert t1.rows == t2.rows
 
 
-def test_input_row_matches_q0():
+def test_input_row_is_unit_variance():
     toy = tiny()
     plan = variance.init_plan(variance.ASV_FORWARD, toy)
-    cfg = montecarlo.McConfig(2, 400, seed=1, q0=2.5)
+    cfg = montecarlo.McConfig(2, 400, seed=1)
     trace = montecarlo.estimate_forward(toy, plan, cfg)
     row0 = trace.rows_for("forward")[0]
     assert row0.ell == 0
-    assert row0.predicted == 2.5
-    assert abs(row0.estimate - 2.5) / 2.5 < 0.05
+    assert row0.predicted == 1.0
+    assert abs(row0.estimate - 1.0) < 0.05
 
 
 def test_stderr_shrinks_with_draw_count():

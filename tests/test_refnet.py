@@ -559,6 +559,28 @@ def test_weight_gradients_form_no_per_image_stack():
     assert peak < stack
 
 
+def test_weight_gradients_keep_one_chunk_partial_at_a_time(monkeypatch):
+    """Over 4 chunks, dW costs about one copy of the net's weights (the
+    sums themselves), not one more copy per chunk: the peak with
+    param_grads exceeds the peak without by less than 1.5x the weights."""
+    a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
+    monkeypatch.setattr(refnet, "CHUNK", 2)
+    net = sampled(a, seed=89)
+    z = np.random.default_rng(97).normal(size=(net.geo[0].m_prev, 4 * refnet.CHUNK))
+    peaks = []
+    for param_grads in (False, True):
+        trace = refnet.forward(net, z)
+        tracemalloc.start()
+        try:
+            refnet.backward(net, trace, param_grads=param_grads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del trace
+    weights = sum(w.nbytes for w in net.weights)
+    assert peaks[1] - peaks[0] < 1.5 * weights
+
+
 def test_one_chunk_runs_inline_and_creates_no_pool(monkeypatch):
     with_cpus(monkeypatch, 4)
     net = sampled(asvinit.toy_net(), seed=61)
