@@ -56,17 +56,33 @@ def _resolve_arch(args):
     return arch_mod.parse_architecture(_read_text(args.arch))
 
 
+def _finite(value):
+    """value with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def render(table, fmt):
     """Text of a (head, key, rows, columns) table, fmt "json" or "csv".
 
     JSON is one object: the head fields, then the row dicts under key.  CSV
     has one line per row with the given columns; a column may name a head
     field (repeated on every line) or a key of a dict cell (the cell spreads
-    into columns).  Float cells are written as repr.
+    into columns).  Float cells are written as repr, except that JSON, which
+    has no NaN or Infinity (RFC 8259), writes a non-finite float as null.
     """
     head, key, rows, columns = table
     if fmt == "json":
-        return json.dumps({**head, key: rows}, indent=2)
+        obj = {**head, key: rows}
+        try:
+            return json.dumps(obj, indent=2, allow_nan=False)
+        except ValueError:   # a non-finite float; only such a table pays the walk
+            return json.dumps(_finite(obj), indent=2)
     buf = io.StringIO()
     # rows carry exactly the columns, so skip DictWriter's per-row key check
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",

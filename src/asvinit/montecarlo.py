@@ -120,9 +120,11 @@ class VarianceTrace:
 
 
 def _pooled_variance(x):
-    """Variance over all entries (units x batch) of one draw."""
-    m = float(np.mean(x))
-    return float(np.mean(x * x)) - m * m
+    """Variance over all entries (units x batch) of one draw.  A signal that
+    overflows gives inf or NaN without a warning; compare fails its row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(np.mean(x))
+        return float(np.mean(x * x)) - m * m
 
 
 def _one_draw(arch, plan, cfg, seeds, want_backward):

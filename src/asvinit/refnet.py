@@ -23,11 +23,11 @@ allocates the trace's arrays once, then takes each chunk of CHUNK images
 through every layer, writing straight into that chunk's slices: conv,
 activation and pooling going forward; conv^T, unpooling and the ReLU mask
 going backward.  Chunks run on min(CPUs in the process's affinity mask,
-chunks) threads at once: the calling thread and a module-level thread pool
-created on first use.  A one-chunk batch runs inline.  numpy releases the
-interpreter lock inside its products and array loops, so the threads
-overlap.  A helper thread that cannot start leaves its chunks to the
-others.
+chunks) threads at once: the calling thread and threads started for that
+call, all joined before it returns, so none is kept between calls and a
+one-chunk batch starts none.  numpy releases the interpreter lock inside
+its products and array loops, so the threads overlap.  A thread that
+cannot start leaves its chunks to the others.
 
 Conv layers are lowered to matrix products (im2col): for a chunk of
 n <= CHUNK images the padded, strided live taps are gathered into a
@@ -76,7 +76,6 @@ import os
 import queue
 import resource
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,20 +322,6 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _helpers():
-    """The module's thread pool, created on first use: _cpus() - 1 threads
-    at most, since the calling thread works too."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="refnet")
-        return _pool
-
-
 def _workers(n_img):
     """Chunks of a batch of n_img images that run at once."""
     return min(_cpus(), len(_chunks(n_img)))
@@ -345,23 +330,16 @@ def _workers(n_img):
 def _each_chunk(n_img, block):
     """Call block(c, b0, b1) for every chunk c, images [b0, b1), of a batch.
 
-    Up to _workers(n_img) chunks run at once, one on the calling thread and
-    the rest on _helpers(); a one-chunk batch runs inline and creates no
-    pool.  A helper that cannot start (a thread needs address space for
-    its stack) leaves its share to the threads that did.  Returns once
-    every chunk has ended, then raises the exception of the first chunk
-    that failed, if any."""
+    The calling thread and _workers(n_img) - 1 threads started for this
+    call take chunks from one queue; a one-chunk batch starts no thread.  A
+    thread that cannot start (it needs address space for its stack) leaves
+    its share to the others.  Returns once every started thread is joined,
+    then raises the exception of the first chunk that failed, if any."""
     chunks = _chunks(n_img)
-    workers = _workers(n_img)
-    if workers == 1:
-        for c, (b0, b1) in enumerate(chunks):
-            block(c, b0, b1)
-        return
     todo = queue.SimpleQueue()
     for item in enumerate(chunks):
         todo.put(item)
     errors = [None] * len(chunks)
-    ended = threading.Semaphore(0)
 
     def drain():
         while True:
@@ -373,19 +351,18 @@ def _each_chunk(n_img, block):
                 block(c, b0, b1)
             except Exception as exc:  # re-raised by the calling thread
                 errors[c] = exc
-            finally:
-                ended.release()
 
-    for _ in range(workers - 1):
+    started = []
+    for _ in range(_workers(n_img) - 1):
+        thread = threading.Thread(target=drain, name="refnet")
         try:
-            _helpers().submit(drain)
+            thread.start()
         except RuntimeError:   # can't start new thread
             break
+        started.append(thread)
     drain()
-    # count ended chunks, not finished helpers: a helper whose thread
-    # failed to start may still run drain later, and then finds no chunk
-    for _ in chunks:
-        ended.acquire()
+    for thread in started:
+        thread.join()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -52,8 +52,6 @@ _GAMMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PoolConstants:
-    kind: str
-    t: int
     tau: float
     gamma: float
 
@@ -192,9 +190,9 @@ def layer_constants(geo: shapes_mod.LayerShape) -> PoolConstants:
     Identity activation drops the ReLU factor entirely: tau = gamma = 1.
     """
     if geo.activation == arch_mod.IDENTITY:
-        return PoolConstants(kind=geo.pool_kind or NO_POOL, t=geo.t, tau=1.0, gamma=1.0)
+        return PoolConstants(tau=1.0, gamma=1.0)
     kind = geo.pool_kind or NO_POOL
-    return PoolConstants(kind=kind, t=geo.t, tau=tau(kind, geo.t), gamma=gamma(kind, geo.t))
+    return PoolConstants(tau=tau(kind, geo.t), gamma=gamma(kind, geo.t))
 
 
 # ---------------------------------------------------------------------------

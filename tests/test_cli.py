@@ -269,10 +269,11 @@ def test_simulate_sigma_override_explodes(capsys, tiny_arch_file, tmp_path):
     assert fwd[2] > 100 * fwd[1]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_simulate_nan_rel_error_fails(capsys, tmp_path):
     """sigma 1e154 on layer 1 makes the layer-1 prediction and estimate
-    overflow: inf - inf is a NaN relative error, which is no pass."""
+    overflow: inf - inf is a NaN relative error, which is no pass.  The
+    report is strict JSON, with null for each non-finite number, and stderr
+    holds only the FAIL line."""
     override = tmp_path / "s.json"
     override.write_text("[1e154, 1, 1, 1]")
     code, out, err = run(
@@ -280,10 +281,18 @@ def test_simulate_nan_rel_error_fails(capsys, tmp_path):
         "--trials", "1x4", "--directions", "forward",
     )
     assert code == 1, err
-    report = json.loads(out)
+
+    def not_json(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out, parse_constant=not_json)
     assert report["passed"] is False
+    assert report["max_rel_error"] is None
     assert [f["layer"] for f in report["failures"]] == [1, 2, 3, 4]
-    assert "rel error nan" in err
+    assert [f["rel_error"] for f in report["failures"]] == [None] * 4
+    assert err.splitlines() == [
+        "FAIL: 4 layer(s) beyond threshold 0.2; worst forward layer 1 rel error nan"
+    ]
 
 
 def simulate_predictions(capsys, *argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -482,9 +483,8 @@ TRACE_FIELDS = ("u", "z", "winners", "du", "dv", "dz", "d_weights", "d_biases")
 
 
 def with_cpus(monkeypatch, n):
-    """Run the engine as if the process could use n CPUs, on a fresh pool."""
+    """Run the engine as if the process could use n CPUs."""
     monkeypatch.setattr(refnet, "_cpus", lambda: n)
-    monkeypatch.setattr(refnet, "_pool", None)
 
 
 def full_trace(net, cols, seed):
@@ -581,11 +581,18 @@ def test_weight_gradients_keep_one_chunk_partial_at_a_time(monkeypatch):
     assert peaks[1] - peaks[0] < 1.5 * weights
 
 
-def test_one_chunk_runs_inline_and_creates_no_pool(monkeypatch):
+def refuse_thread_starts(monkeypatch):
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
     with_cpus(monkeypatch, 4)
     net = sampled(asvinit.toy_net(), seed=61)
+    refuse_thread_starts(monkeypatch)
     full_trace(net, refnet.CHUNK, seed=67)
-    assert refnet._pool is None
 
 
 def test_a_helper_that_cannot_start_leaves_its_chunks_to_the_caller(monkeypatch):
@@ -594,14 +601,38 @@ def test_a_helper_that_cannot_start_leaves_its_chunks_to_the_caller(monkeypatch)
     net = sampled(asvinit.toy_net(), seed=71)
     with_cpus(monkeypatch, 1)
     alone = full_trace(net, 2 * refnet.CHUNK + 1, seed=73)
-
-    class NoThreads:
-        def submit(self, fn, *args):
-            raise RuntimeError("can't start new thread")
-
     with_cpus(monkeypatch, 3)
-    monkeypatch.setattr(refnet, "_helpers", NoThreads)
+    refuse_thread_starts(monkeypatch)
     assert_same_traces(alone, full_trace(net, 2 * refnet.CHUNK + 1, seed=73))
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    with_cpus(monkeypatch, 3)
+    net = sampled(asvinit.toy_net(), seed=101)
+    before = threading.active_count()
+    full_trace(net, 3 * refnet.CHUNK + 5, seed=103)
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_get_the_serial_bits(monkeypatch):
+    """Four threads running forward and backward on one net at once, each
+    starting its own chunk threads, give the traces of a serial run."""
+    with_cpus(monkeypatch, 3)
+    net = sampled(asvinit.toy_net(), seed=107)
+    cols = 3 * refnet.CHUNK + 5
+    serial = [full_trace(net, cols, seed=109 + k) for k in range(4)]
+    traces = [None] * 4
+
+    def call(k):
+        traces[k] = full_trace(net, cols, seed=109 + k)
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+    for alone, concurrent in zip(serial, traces, strict=True):
+        assert_same_traces(alone, concurrent)
 
 
 def test_every_chunk_runs_once_before_the_first_failure_is_raised(monkeypatch):
