@@ -13,12 +13,20 @@ recursions' levels for unit input and top-gradient variance.  Recursions
 and signals of a bias-free ReLU chain are linear in those scales, so unit
 scales judge every other scale too.
 
+A draw keeps no trace of its batch: refnet.signal_moments streams the
+batch chunk by chunk, forward and straight back down, and returns per
+layer the (sum x, sum x^2) of every u and dz, which a draw turns into
+mean(x^2) - mean(x)^2.  For a batch of at most refnet.CHUNK inputs these
+are the bits of that formula over the whole signal; past that, the
+chunks' partial sums are added in chunk order, a few ulp away from a
+whole-array mean.  z0's variance is taken over the drawn array itself.
+
 Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
-bit for bit for a fixed seed and trial count.  Before the first draw, a run
-holds refnet.memory_need (what one draw holds at once) against the memory
-this process may use (refnet.check_memory), and raises BudgetExceeded when
-it does not fit.
+bit for bit for a fixed seed and trial count, whatever the number of
+threads.  Before the first draw, a run holds refnet.memory_need (what one
+draw holds at once) against the memory this process may use
+(refnet.check_memory), and raises BudgetExceeded when it does not fit.
 """
 
 from __future__ import annotations
@@ -127,22 +135,33 @@ def _pooled_variance(x):
         return float(np.mean(x * x)) - m * m
 
 
+def _variance(sums, count):
+    """_pooled_variance from a signal's (sum x, sum x^2) over count entries, in
+    Python floats: inf or NaN, never a warning, when a sum overflowed."""
+    total, squares = float(sums[0]), float(sums[1])
+    m = total / count
+    return squares / count - m * m
+
+
 def _one_draw(arch, plan, cfg, seeds, want_backward):
     """Pooled variances of z0, every u and (when asked) every inner dz for
-    one parameter draw.  Its trace is freed on return, before the next
-    draw allocates its own."""
+    one parameter draw, from the engine's per-layer sums: no trace of the
+    batch is kept."""
     param_ss, input_ss, inject_ss = seeds.spawn(3)
     net = refnet.sample_parameters(arch, plan, param_ss)
+    batch = cfg.n_input_draws
     rng_in = np.random.default_rng(input_ss)
-    z0 = rng_in.normal(0.0, 1.0, size=(arch.geo[0].m_prev, cfg.n_input_draws))
-    trace = refnet.forward(net, z0)
-    u_vars = [_pooled_variance(u) for u in trace.u]
-    dz_vars = None
+    z0 = rng_in.normal(0.0, 1.0, size=(arch.geo[0].m_prev, batch))
+    delta = None
     if want_backward:
         rng_top = np.random.default_rng(inject_ss)
-        delta = rng_top.normal(0.0, 1.0, size=(arch.geo[-1].m_prime, cfg.n_input_draws))
-        refnet.backward(net, trace, delta_uL=delta)
-        dz_vars = [_pooled_variance(dz) for dz in trace.dz[1:-1]]
+        delta = rng_top.normal(0.0, 1.0, size=(arch.geo[-1].m_prime, batch))
+    u_sums, dz_sums = refnet.signal_moments(net, z0, delta)
+    u_vars = [_variance(s, g.m_prime * batch) for s, g in zip(u_sums, arch.geo)]
+    dz_vars = None
+    if want_backward:
+        # dz[0] is the input's gradient, outside the backward rows
+        dz_vars = [_variance(s, g.m_prev * batch) for s, g in zip(dz_sums[1:], arch.geo[1:])]
     return _pooled_variance(z0), u_vars, dz_vars
 
 

@@ -2,7 +2,7 @@
 
 Each conv or FC layer is the paper's linear map over flattened index sets,
 u = W * z + b.  The engine applies it without materializing those sets.
-Inside forward() and backward() signals are (B, D, H, W) arrays, images
+Inside the engine signals are (B, D, H, W) arrays, images
 outermost, so one image is one C-contiguous (D, H, W) block and its
 flattening is the paper's first-axis-fastest order (w fastest, then h,
 then d).  The public signals in a SignalTrace are (M, B) arrays in that
@@ -18,16 +18,22 @@ full (C, S) matrix whenever every tap is live (FC and 1x1 layers always,
 the built-ins at 224x224).  dense_weights gives the full matrix back,
 zero at the dropped taps, for the naive oracle.
 
-forward() and backward() run a batch as a pipeline of chunks.  Each call
-allocates the trace's arrays once, then takes each chunk of CHUNK images
-through every layer, writing straight into that chunk's slices: conv,
-activation and pooling going forward; conv^T, unpooling and the ReLU mask
-going backward.  Chunks run on min(CPUs in the process's affinity mask,
-chunks) threads at once: the calling thread and threads started for that
-call, all joined before it returns, so none is kept between calls and a
-one-chunk batch starts none.  numpy releases the interpreter lock inside
-its products and array loops, so the threads overlap.  A thread that
-cannot start leaves its chunks to the others.
+The engine runs a batch as a pipeline of chunks of CHUNK images, and the
+layer loop exists once: _forward_chunk takes a chunk through every layer
+(conv, activation, pooling) and _backward_chunk takes it back down (conv^T,
+unpooling, the ReLU mask), each writing into per-layer arrays of the
+chunk's images.  forward() and backward() allocate the trace's arrays once
+and hand each chunk its slices.  signal_moments(), which simulate runs,
+keeps no trace: each chunk runs forward and straight back down in arrays
+of its own size, keeping between the passes only what backward reads (u
+and the max-pool winners), and leaves per layer the (sum x, sum x^2) of every u
+and dz, np.add.reduce over the chunk's block; the calling thread adds the
+chunks' sums in chunk order.  Chunks run on min(CPUs in the process's
+affinity mask, chunks) threads at once: the calling thread and threads
+started for that call, all joined before it returns, so none is kept
+between calls and a one-chunk batch starts none.  numpy releases the
+interpreter lock inside its products and array loops, so the threads
+overlap.  A thread that cannot start leaves its chunks to the others.
 
 Conv layers are lowered to matrix products (im2col): for a chunk of
 n <= CHUNK images the padded, strided live taps are gathered into a
@@ -48,6 +54,8 @@ weights.  For the same reason a trace does not depend on how many threads
 ran it, or which thread ran which chunk: no chunk reads another's slices,
 and weight gradients are summed after the pipeline, on the calling
 thread: per chunk, image by image, each chunk's sum added in chunk order.
+signal_moments' sums are added the same way, so they do not depend on the
+threads either.
 
 Pooling loops over window taps on strided slices.  Max pooling starts from
 -inf and takes a tap only when it is strictly greater, so the first maximum
@@ -59,12 +67,16 @@ that is the whole map (GlobalAverage) is one running sum over the map and
 one broadcast back.
 
 A SignalTrace keeps only the signals something reads; a pooled layer's
-activations are a per-chunk temporary.  memory_need bounds, from the
-shapes alone, the bytes one draw of sample_parameters, forward and
-backward holds at once, one set of chunk temporaries per thread
-included.  check_memory holds a need against the memory this process may use;
-simulate (through montecarlo) and init --emit-weights call it before they
-allocate.
+activations are a per-chunk temporary.  The Monte Carlo estimates need no
+trace: they read signal_moments' sums, whose bits are those of one
+reduction over the whole signal when the batch is one chunk (B <= CHUNK)
+and, past that, a few ulp away, since the chunks' partial sums are added
+in chunk order.  memory_need bounds, from the shapes alone, the bytes one
+simulate draw (sample_parameters and signal_moments) holds at once: the
+weights and the drawn batch, and one chunk's signals and temporaries per
+thread.  check_memory holds a need against the memory this process may
+use; simulate (through montecarlo) and init --emit-weights call it before
+they allocate.
 
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
@@ -193,11 +205,12 @@ class SignalTrace:
 
     Lists are indexed by layer (0-based); z[0] is the input.  Signals are
     (M, B) arrays, M in first-axis-fastest order.  A trace keeps what
-    backward() and the Monte Carlo estimates read: u (the ReLU masks), z
-    and, per max-pooled layer, the winning window tap of every (image,
-    channel, window) as a (B, C, H, W) integer array in winners (else
-    None).  Backward fields are filled by backward(); gradients for
-    weights/biases appear in d_weights/d_biases when requested.
+    backward() and its callers read: u (the ReLU masks), z and, per
+    max-pooled layer, the winning window tap of every (image, channel,
+    window) as a (B, C, H, W) integer array in winners (else None).
+    Backward fields are filled by backward(); gradients for
+    weights/biases appear in d_weights/d_biases when requested.  The Monte
+    Carlo estimates build no trace: they read signal_moments' sums.
     """
 
     u: list = field(default_factory=list)
@@ -467,11 +480,11 @@ def _average_unpool(dz, g, dv):
         dv[i] += share[o]
 
 
-def forward(net: VectorNet, z0) -> SignalTrace:
-    """Run the forward chain; z0 is (M0,) or (M0, batch)."""
-    g0 = net.geo[0]
-    z = _as_batch(z0, g0.m_prev, "input")
-    n_img = z.shape[1]
+def _forward_arrays(net, n_img):
+    """Per layer, the arrays a forward pass of n_img images writes: u, the
+    layer's output (u itself without activation and pooling; zeroed when
+    pooled, since average pooling adds into it) and, for a max-pooled
+    layer, the zeroed winners (else None)."""
     us, zs, winners = [], [], []
     for spec, g, low in zip(net.arch.layers, net.geo, net.lowerings):
         u = np.empty((n_img, *low.out))
@@ -489,28 +502,99 @@ def forward(net: VectorNet, z0) -> SignalTrace:
             winners.append(np.zeros(pooled, np.min_scalar_type(tw * th - 1)))
         else:
             winners.append(None)
+    return us, zs, winners
+
+
+def _forward_chunk(net, x, us, zs, winners):
+    """Take a chunk of images x, (n, D, H, W), through every layer: layer
+    i's u, output and max-pool winners go into us[i], zs[i] and winners[i],
+    arrays of n images as _forward_arrays makes them."""
+    for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
+        u, out = us[i], zs[i]
+        _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x, u)
+        relu = spec.activation == arch_mod.RELU
+        if g.pool_kind is None:
+            if relu:
+                np.maximum(u, 0.0, out=out)
+        else:
+            v = np.maximum(u, 0.0) if relu else u
+            if g.pool_kind == arch_mod.MAX:
+                _max_pool(v, g, out, winners[i])
+            else:
+                _average_pool(v, g, out)
+        x = out
+
+
+def _backward_arrays(net, n_img):
+    """Per layer, the arrays a backward pass of n_img images writes: dz[i]
+    is W^T du[i] (zeroed when taps add into it); dv[i] is dz[i + 1] through
+    layer i's pooling (the same array when it has none; None at the top);
+    du[i] is dv[i] through its activation (at the top, the injected
+    gradient)."""
+    n = net.num_layers
+    dz = [
+        np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
+        for low in net.lowerings
+    ]
+    du = [None] * n
+    dv = [None] * n
+    du[n - 1] = np.empty((n_img, *net.lowerings[-1].out))
+    for i, (spec, g) in enumerate(zip(net.arch.layers[:-1], net.geo[:-1])):
+        dv[i] = dz[i + 1] if g.pool_kind is None else np.zeros((n_img, *net.lowerings[i].out))
+        du[i] = np.empty(dv[i].shape) if spec.activation == arch_mod.RELU else dv[i]
+    return du, dv, dz
+
+
+def _backward_chunk(net, top, us, winners, du, dv, dz):
+    """Take a chunk's top gradient, (M_L, n) signals, down through every
+    layer into du, dv and dz, arrays of n images as _backward_arrays makes
+    them.  us[i] and winners[i] are the chunk's forward u, (n, C, H', W'),
+    and max-pool winners of layer i."""
+    n = net.num_layers
+    _signals(du[n - 1])[...] = top
+    for i in range(n - 1, -1, -1):
+        _conv_backward(net.lowerings[i], net.weights[i], du[i], dz[i])
+        if i == 0:
+            break
+        # through layer i-1's pooling and activation
+        below = net.geo[i - 1]
+        if below.pool_kind == arch_mod.MAX:
+            _max_unpool(dz[i], winners[i - 1], below, dv[i - 1])
+        elif below.pool_kind is not None:
+            _average_unpool(dz[i], below, dv[i - 1])
+        if net.arch.layers[i - 1].activation == arch_mod.RELU:
+            np.multiply(dv[i - 1], us[i - 1] >= 0.0, out=du[i - 1])
+
+
+def _rows(arrays, b0, b1):
+    """Images [b0, b1) of each per-layer array (None stays None)."""
+    return [None if x is None else x[b0:b1] for x in arrays]
+
+
+def forward(net: VectorNet, z0) -> SignalTrace:
+    """Run the forward chain; z0 is (M0,) or (M0, batch)."""
+    g0 = net.geo[0]
+    z = _as_batch(z0, g0.m_prev, "input")
+    n_img = z.shape[1]
+    us, zs, winners = _forward_arrays(net, n_img)
 
     def block(c, b0, b1):
         x = _images(z[:, b0:b1], g0.in_shape)
-        for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
-            u, out = us[i][b0:b1], zs[i][b0:b1]
-            _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x, u)
-            relu = spec.activation == arch_mod.RELU
-            if g.pool_kind is None:
-                if relu:
-                    np.maximum(u, 0.0, out=out)
-            else:
-                v = np.maximum(u, 0.0) if relu else u
-                if g.pool_kind == arch_mod.MAX:
-                    _max_pool(v, g, out, winners[i][b0:b1])
-                else:
-                    _average_pool(v, g, out)
-            x = out
+        _forward_chunk(net, x, _rows(us, b0, b1), _rows(zs, b0, b1), _rows(winners, b0, b1))
 
     _each_chunk(n_img, block)
     return SignalTrace(
         u=[_signals(u) for u in us], z=[z] + [_signals(x) for x in zs], winners=winners,
     )
+
+
+def _top_gradient(net, delta_uL, n_img):
+    du_top = _as_batch(delta_uL, net.geo[-1].m_prime, "delta_uL")
+    if du_top.shape[1] != n_img:
+        raise ShapeMismatch(
+            f"delta_uL batch {du_top.shape[1]} != trace batch {n_img}"
+        )
+    return du_top
 
 
 def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=False):
@@ -523,48 +607,19 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     if not trace.u:
         raise MissingForwardTrace("run forward() before backward()")
     n = net.num_layers
-    if delta_uL is None:
-        delta_uL = trace.u[-1]
-    du_top = _as_batch(delta_uL, net.geo[-1].m_prime, "delta_uL")
     n_img = trace.batch
-    if du_top.shape[1] != n_img:
-        raise ShapeMismatch(
-            f"delta_uL batch {du_top.shape[1]} != trace batch {n_img}"
-        )
+    du_top = _top_gradient(net, trace.u[-1] if delta_uL is None else delta_uL, n_img)
     if any(g.pool_kind == arch_mod.MAX and w is None
            for g, w in zip(net.geo[:-1], trace.winners)):
         raise MissingForwardTrace("forward trace lacks max-pool winners")
-
-    # dz[i] is W^T du[i]; dv[i] is dz[i + 1] through layer i's pooling (the
-    # same array when it has none), du[i] is dv[i] through its activation
-    dz = [
-        np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
-        for low in net.lowerings
-    ]
-    du = [None] * n
-    dv = [None] * n
-    du[n - 1] = np.empty((n_img, *net.lowerings[-1].out))
-    for i, (spec, g) in enumerate(zip(net.arch.layers[:-1], net.geo[:-1])):
-        dv[i] = dz[i + 1] if g.pool_kind is None else np.zeros((n_img, *net.lowerings[i].out))
-        du[i] = np.empty(dv[i].shape) if spec.activation == arch_mod.RELU else dv[i]
+    du, dv, dz = _backward_arrays(net, n_img)
 
     def block(c, b0, b1):
-        _signals(du[n - 1])[:, b0:b1] = du_top[:, b0:b1]
-        for i in range(n - 1, -1, -1):
-            low, du_c, dz_c = net.lowerings[i], du[i][b0:b1], dz[i][b0:b1]
-            _conv_backward(low, net.weights[i], du_c, dz_c)
-            if i == 0:
-                break
-            # through layer i-1's pooling and activation
-            below = net.geo[i - 1]
-            dv_c = dv[i - 1][b0:b1]
-            if below.pool_kind == arch_mod.MAX:
-                _max_unpool(dz_c, trace.winners[i - 1][b0:b1], below, dv_c)
-            elif below.pool_kind is not None:
-                _average_unpool(dz_c, below, dv_c)
-            if net.arch.layers[i - 1].activation == arch_mod.RELU:
-                u = _images(trace.u[i - 1][:, b0:b1], below.conv_shape)
-                np.multiply(dv_c, u >= 0.0, out=du[i - 1][b0:b1])
+        us = [_images(u[:, b0:b1], g.conv_shape) for u, g in zip(trace.u[:-1], net.geo)]
+        _backward_chunk(
+            net, du_top[:, b0:b1], us, _rows(trace.winners, b0, b1),
+            _rows(du, b0, b1), _rows(dv, b0, b1), _rows(dz, b0, b1),
+        )
 
     _each_chunk(n_img, block)
     trace.du = [_signals(x) for x in du]
@@ -587,19 +642,75 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     return trace
 
 
+def _sums(x):
+    """(sum x, sum x^2) of a C-contiguous array: np.add.reduce over its
+    block."""
+    flat = x.reshape(-1)
+    return np.add.reduce(flat), np.add.reduce(flat * flat)
+
+
+def _chunk_moments(net, z, du_top, b0, b1):
+    """(sum x, sum x^2) rows of images [b0, b1): every u, then (given du_top)
+    every dz.  The chunk runs forward and back in arrays of its own size
+    and keeps, between the passes, what backward reads: u and the winners.
+    A signal that overflows gives inf or NaN without a warning."""
+    # errstate is per thread: set here, on whichever thread runs the chunk
+    with np.errstate(over="ignore", invalid="ignore"):
+        us, zs, winners = _forward_arrays(net, b1 - b0)
+        _forward_chunk(net, _images(z[:, b0:b1], net.geo[0].in_shape), us, zs, winners)
+        del zs
+        signals = us
+        if du_top is not None:
+            du, dv, dz = _backward_arrays(net, b1 - b0)
+            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz)
+            signals = us + dz
+        return np.array([_sums(x) for x in signals])
+
+
+def signal_moments(net: VectorNet, z0, delta_uL=None):
+    """Per-layer (sum x, sum x^2) over every entry of the signals forward (and,
+    given the top gradient delta_uL, backward) would trace, without
+    keeping a trace.
+
+    Returns (u, dz): (L, 2) arrays, row i the sums of u^(i+1) (trace.u[i])
+    and of dz[i] (trace.dz[i], the gradient at layer i+1's input); dz is
+    None without delta_uL.  Each chunk's sums are np.add.reduce over its
+    block of the signal, and the calling thread adds them in chunk order,
+    so a one-chunk batch gives the whole-array reduction's bits."""
+    g0 = net.geo[0]
+    z = _as_batch(z0, g0.m_prev, "input")
+    n_img = z.shape[1]
+    du_top = None if delta_uL is None else _top_gradient(net, delta_uL, n_img)
+    parts = [None] * len(_chunks(n_img))
+
+    def block(c, b0, b1):
+        parts[c] = _chunk_moments(net, z, du_top, b0, b1)
+
+    _each_chunk(n_img, block)
+    total = parts[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in parts[1:]:
+            total = total + part
+    n = net.num_layers
+    return total[:n], None if du_top is None else total[n:]
+
+
 def memory_need(architecture, batch, want_backward):
-    """Upper bound on the bytes one draw of batch images holds at once: the
-    VectorNet's float64 live-tap weights and biases plus one layer's full
-    draw in flight, the signals its trace keeps (u, z, max-pool winners
-    and, for backward, du, dv, dz), the drawn input, one signal-sized
-    temporary (the square a variance estimate takes), and, for each chunk
-    that runs at once (_workers), one chunk's temporaries: its input images,
-    one layer's im2col buffer, a pooled layer's activations and the
-    pooling's or the ReLU mask's scratch of the same size."""
+    """Upper bound on the bytes one simulate draw of batch images holds at
+    once (signal_moments streams it chunk by chunk): the VectorNet's
+    float64 live-tap weights and biases plus one layer's full draw in
+    flight; the drawn input, its square (z0's variance) and, for backward,
+    the injected top gradient; and, for each chunk that runs at once
+    (_workers), one chunk's signals (u, z, max-pool winners and, for
+    backward, du, dv, dz) and temporaries: its input images, one layer's
+    im2col buffer, a pooled layer's activations and the pooling's or the
+    ReLU mask's scratch of the same size, and a signal's square.  So the
+    signals grow with min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
     weights = sum(low.out[0] * (low.k + 1) for low in lows)
     weights += max(g.channels * g.s_len for g in geo)
+    draw = 2 * geo[0].m_prev + (geo[-1].m_prime if want_backward else 0)
     per_image = geo[0].m_prev
     for g in geo:
         per_image += g.m_prime + g.m                       # u, z
@@ -608,11 +719,9 @@ def memory_need(architecture, batch, want_backward):
         if want_backward:
             per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
-    chunk_image = geo[0].m_prev + max(
-        low.k * low.p + 2 * g.m_prime for low, g in zip(lows, geo)
-    )
-    chunks = _workers(batch) * min(CHUNK, batch) * chunk_image
-    return 8 * (weights + batch * per_image + chunks)
+    per_image += max(low.k * low.p + 2 * g.m_prime for low, g in zip(lows, geo))
+    chunks = _workers(batch) * min(CHUNK, batch) * per_image
+    return 8 * (weights + batch * draw + chunks)
 
 
 def check_memory(need, what):

@@ -4,8 +4,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import asvinit
-from asvinit import cli
+from asvinit import cli, refnet, variance
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TOY_FILE = str(Path(asvinit.__file__).parent / "data" / "toy.json")
@@ -37,12 +39,18 @@ def test_every_traced_target_resolves(monkeypatch):
 def test_traced_commands_run(monkeypatch, capsys, tmp_path):
     """The traced mode's counters read the program's objects at run time
     (VectorNet.maps, the written file), so a simulate and an emit run under
-    the tracer end as they do untraced and record their spans."""
+    the tracer end as they do untraced and record their spans, and so do
+    the engine's public passes.  simulate streams its chunks through
+    refnet.signal_moments, so forward and backward are called here."""
     spans = load_spans(monkeypatch)
     weights = tmp_path / "w.bin"
+    toy = asvinit.toy_net()
+    net = refnet.sample_parameters(toy, variance.init_plan(variance.ASV_FORWARD, toy), 0)
+    z0 = np.random.default_rng(1).normal(size=(toy.geo[0].m_prev, 2))
     with spans.Tracer().installed() as tracer:
         simulate = cli.main(["simulate", "--arch", TOY_FILE, "--trials", "1x2"])
         emit = cli.main(["init", "--arch", TOY_FILE, "--emit-weights", str(weights)])
+        refnet.backward(net, refnet.forward(net, z0))
     err = capsys.readouterr().err
     assert (simulate, emit) == (1, 0), err
     names = {span[0] for span in tracer.spans}

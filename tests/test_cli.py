@@ -8,6 +8,8 @@ import random
 import resource
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import asvinit
-from asvinit import cli, shapes
+from asvinit import cli, refnet, shapes
 from asvinit.arch import serialize
 from conftest import small_chains
 
@@ -293,6 +295,33 @@ def test_simulate_nan_rel_error_fails(capsys, tmp_path):
     assert err.splitlines() == [
         "FAIL: 4 layer(s) beyond threshold 0.2; worst forward layer 1 rel error nan"
     ]
+
+
+def test_simulate_overflow_on_chunk_threads_warns_nothing(capsys, monkeypatch, tmp_path):
+    """The same overflow over two chunks run on two threads, forward and
+    backward: numpy's errstate is per thread, so each chunk sets its own,
+    and stderr is still the one FAIL line, with no RuntimeWarning."""
+    override = tmp_path / "s.json"
+    override.write_text("[1e154, 1, 1, 1]")
+    monkeypatch.setattr(refnet, "_cpus", lambda: 2)
+    ran_on = set()
+    chunk_moments = refnet._chunk_moments
+
+    def chunk(*args):
+        ran_on.add(threading.current_thread().name)
+        return chunk_moments(*args)
+
+    monkeypatch.setattr(refnet, "_chunk_moments", chunk)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "simulate", "--arch", TOY_FILE, "--sigma-override", str(override),
+            "--trials", "1x40", "--directions", "both",
+        )
+    assert code == 1, err
+    assert "refnet" in ran_on
+    assert [w.category for w in caught] == []
+    assert len(err.splitlines()) == 1 and err.startswith("FAIL: "), err
 
 
 def simulate_predictions(capsys, *argv):

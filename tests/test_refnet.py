@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -656,6 +657,36 @@ def test_every_chunk_runs_once_before_the_first_failure_is_raised(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == [(c, b0, b1) for c, (b0, b1) in enumerate(refnet._chunks(n_img))]
+
+
+# ---------------------------------------------------------------------------
+# signal_moments: per-layer sums of the streamed chunks
+# ---------------------------------------------------------------------------
+
+@given(a=small_chains(), seed=st.integers(0, 2**16), cols=st.sampled_from([37, 70]))
+def test_signal_moments_are_the_trace_sums_chunk_by_chunk(a, seed, cols):
+    """Each chunk's (sum x, sum x^2) of every u and dz is np.add.reduce
+    over that chunk's slice of the public trace, to the bit, and
+    signal_moments adds them in chunk order on one thread or two."""
+    net = sampled(a, seed=seed)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(net.geo[0].m_prev, cols))
+    delta = rng.normal(size=(net.geo[-1].m_prime, cols))
+    trace = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    total = None
+    for b0, b1 in refnet._chunks(cols):
+        slices = [x[:, b0:b1] for x in (*trace.u, *trace.dz[:-1])]
+        sums = np.array([(np.add.reduce(x, axis=None), np.add.reduce(x * x, axis=None))
+                         for x in slices])
+        assert np.array_equal(refnet._chunk_moments(net, z, delta, b0, b1), sums)
+        total = sums if total is None else total + sums
+    n = net.num_layers
+    for cpus in (1, 2):
+        with mock.patch.object(refnet, "_cpus", lambda: cpus):
+            u, dz = refnet.signal_moments(net, z, delta)
+            u_only, none = refnet.signal_moments(net, z)
+        assert np.array_equal(u, total[:n]) and np.array_equal(dz, total[n:])
+        assert np.array_equal(u_only, total[:n]) and none is None
 
 
 # ---------------------------------------------------------------------------
