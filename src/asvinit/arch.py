@@ -170,8 +170,12 @@ def validate(arch: Architecture) -> None:
 # ---------------------------------------------------------------------------
 
 def _as_int(value, what):
+    """An integer of the file, within the 2**53 that a float holds exactly:
+    the calculator turns these into floats."""
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
+    if abs(value) > 2**53:
+        raise SchemaError(f"{what} must be at most 2**53 in magnitude")
     return value
 
 

@@ -13,13 +13,17 @@ recursions' levels for unit input and top-gradient variance.  Recursions
 and signals of a bias-free ReLU chain are linear in those scales, so unit
 scales judge every other scale too.
 
-A draw keeps no trace of its batch: refnet.signal_moments streams the
-batch chunk by chunk, forward and straight back down, and returns per
-layer the (sum x, sum x^2) of every u and dz, which a draw turns into
-mean(x^2) - mean(x)^2.  For a batch of at most refnet.CHUNK inputs these
-are the bits of that formula over the whole signal; past that, the
-chunks' partial sums are added in chunk order, a few ulp away from a
-whole-array mean.  z0's variance is taken over the drawn array itself.
+One estimator body serves all three directions and computes only the
+rows it reports.  Per parameter draw it samples the net, draws z0 (and,
+for backward, the top gradient) and makes one refnet.signal_moments call,
+which streams the batch chunk by chunk, forward and back down to
+interface 1, keeping no trace, and returns per layer the (sum x, sum x^2)
+of every u and of dz at interfaces 1..L-1.  Every row's variance is
+mean(x^2) - mean(x)^2 from such sums (_variance); z0's sums are
+np.add.reduce over the drawn array itself.  For a batch of at most
+refnet.CHUNK inputs these are the bits of that formula over the whole
+signal; past that, the chunks' partial sums are added in chunk order, a
+few ulp away from a whole-array mean.
 
 Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
@@ -127,67 +131,13 @@ class VarianceTrace:
         return head, "rows", rows, columns
 
 
-def _pooled_variance(x):
-    """Variance over all entries (units x batch) of one draw.  A signal that
-    overflows gives inf or NaN without a warning; compare fails its row."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = float(np.mean(x))
-        return float(np.mean(x * x)) - m * m
-
-
 def _variance(sums, count):
-    """_pooled_variance from a signal's (sum x, sum x^2) over count entries, in
-    Python floats: inf or NaN, never a warning, when a sum overflowed."""
+    """mean(x^2) - mean(x)^2 of a signal from its (sum x, sum x^2) over
+    count entries, in Python floats: inf or NaN, never a warning, when a
+    sum overflowed."""
     total, squares = float(sums[0]), float(sums[1])
     m = total / count
     return squares / count - m * m
-
-
-def _one_draw(arch, plan, cfg, seeds, want_backward):
-    """Pooled variances of z0, every u and (when asked) every inner dz for
-    one parameter draw, from the engine's per-layer sums: no trace of the
-    batch is kept."""
-    param_ss, input_ss, inject_ss = seeds.spawn(3)
-    net = refnet.sample_parameters(arch, plan, param_ss)
-    batch = cfg.n_input_draws
-    rng_in = np.random.default_rng(input_ss)
-    z0 = rng_in.normal(0.0, 1.0, size=(arch.geo[0].m_prev, batch))
-    delta = None
-    if want_backward:
-        rng_top = np.random.default_rng(inject_ss)
-        delta = rng_top.normal(0.0, 1.0, size=(arch.geo[-1].m_prime, batch))
-    u_sums, dz_sums = refnet.signal_moments(net, z0, delta)
-    u_vars = [_variance(s, g.m_prime * batch) for s, g in zip(u_sums, arch.geo)]
-    dz_vars = None
-    if want_backward:
-        # dz[0] is the input's gradient, outside the backward rows
-        dz_vars = [_variance(s, g.m_prev * batch) for s, g in zip(dz_sums[1:], arch.geo[1:])]
-    return _pooled_variance(z0), u_vars, dz_vars
-
-
-def _run_draws(arch, plan, cfg, want_backward):
-    """Per-draw pooled variances of u (and dz when requested)."""
-    cfg.check_budget()
-    refnet.check_memory(
-        refnet.memory_need(arch, cfg.n_input_draws, want_backward),
-        f"{arch.name}: weights and signals of {cfg.n_input_draws} inputs",
-    )
-    n_layers = arch.num_layers
-
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.n_param_draws)
-
-    u_vars = np.empty((cfg.n_param_draws, n_layers))
-    z0_vars = np.empty(cfg.n_param_draws)
-    dz_vars = np.empty((cfg.n_param_draws, n_layers - 1)) if want_backward else None
-
-    for a in range(cfg.n_param_draws):
-        z0_vars[a], u_vars[a], dz_row = _one_draw(
-            arch, plan, cfg, children[a], want_backward
-        )
-        if want_backward:
-            dz_vars[a] = dz_row
-    return z0_vars, u_vars, dz_vars
 
 
 def _mean_stderr(per_draw):
@@ -199,39 +149,59 @@ def _mean_stderr(per_draw):
     return est, se
 
 
-def _forward_rows(plan, z0_vars, u_vars):
-    rows = [TraceRow("forward", 0, 1.0, *_mean_stderr(z0_vars))]
-    for i, p in enumerate(plan.rows):
-        rows.append(TraceRow("forward", i + 1, p.q_pred, *_mean_stderr(u_vars[:, i])))
-    return rows
-
-
-def _backward_rows(plan, dz_vars):
-    return [
-        TraceRow("backward", i + 1, p.r_pred, *_mean_stderr(dz_vars[:, i]))
-        for i, p in enumerate(plan.rows[1:])
-    ]
+def _estimate(arch, plan, cfg, forward, backward):
+    """The rows of the asked directions, forward 0..L then backward 1..L-1,
+    each a per-draw variance averaged over the parameter draws."""
+    cfg.check_budget()
+    batch = cfg.n_input_draws
+    refnet.check_memory(
+        refnet.memory_need(arch, batch, backward),
+        f"{arch.name}: weights and signals of {batch} inputs",
+    )
+    geo = arch.geo
+    # (direction, layer, predicted, entries per input) of each row
+    rows = []
+    if forward:
+        rows.append(("forward", 0, 1.0, geo[0].m_prev))
+        rows += [("forward", i, p.q_pred, g.m_prime)
+                 for i, (p, g) in enumerate(zip(plan.rows, geo), 1)]
+    if backward:
+        rows += [("backward", i, p.r_pred, g.m_prev)
+                 for i, (p, g) in enumerate(zip(plan.rows[1:], geo[1:]), 1)]
+    per_draw = np.empty((cfg.n_param_draws, len(rows)))
+    for a, seeds in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_param_draws)):
+        param_ss, input_ss, inject_ss = seeds.spawn(3)
+        net = refnet.sample_parameters(arch, plan, param_ss)
+        z0 = np.random.default_rng(input_ss).normal(0.0, 1.0, size=(geo[0].m_prev, batch))
+        delta = None
+        if backward:
+            delta = np.random.default_rng(inject_ss).normal(0.0, 1.0, size=(geo[-1].m_prime, batch))
+        u_sums, dz_sums = refnet.signal_moments(net, z0, delta)
+        sums = [refnet._sums(z0), *u_sums] if forward else []
+        if backward:
+            sums.extend(dz_sums)
+        per_draw[a] = [_variance(s, m * batch) for s, (*_, m) in zip(sums, rows)]
+        # before the next draw samples its own: memory_need counts one net
+        del net, z0, delta
+    return VarianceTrace(arch.name, plan.method, cfg, tuple(
+        TraceRow(direction, ell, predicted, *_mean_stderr(per_draw[:, j]))
+        for j, (direction, ell, predicted, _) in enumerate(rows)
+    ))
 
 
 def estimate_forward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure forward variance levels under the plan; compare to predictions."""
-    z0_vars, u_vars, _ = _run_draws(arch, plan, cfg, want_backward=False)
-    rows = _forward_rows(plan, z0_vars, u_vars)
-    return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
+    return _estimate(arch, plan, cfg, forward=True, backward=False)
 
 
 def estimate_backward(arch, plan, cfg: McConfig) -> VarianceTrace:
     """Measure backward variance levels under iid injected top gradients."""
-    _, _, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _backward_rows(plan, dz_vars)
-    return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
+    return _estimate(arch, plan, cfg, forward=False, backward=True)
 
 
 def estimate_both(arch, plan, cfg: McConfig) -> VarianceTrace:
-    """Forward and backward in one pass (shares the forward traces)."""
-    z0_vars, u_vars, dz_vars = _run_draws(arch, plan, cfg, want_backward=True)
-    rows = _forward_rows(plan, z0_vars, u_vars) + _backward_rows(plan, dz_vars)
-    return VarianceTrace(arch.name, plan.method, cfg, tuple(rows))
+    """Forward and backward in one pass (shares the forward signals)."""
+    return _estimate(arch, plan, cfg, forward=True, backward=True)
 
 
 @dataclass(frozen=True)

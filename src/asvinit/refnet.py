@@ -21,17 +21,19 @@ zero at the dropped taps, for the naive oracle.
 The engine runs a batch as a pipeline of chunks of CHUNK images, and the
 layer loop exists once: _forward_chunk takes a chunk through every layer
 (conv, activation, pooling) and _backward_chunk takes it back down (conv^T,
-unpooling, the ReLU mask), each writing into per-layer arrays of the
-chunk's images.  forward() and backward() allocate the trace's arrays once
-and hand each chunk its slices.  signal_moments(), which simulate runs,
-keeps no trace: each chunk runs forward and straight back down in arrays
-of its own size, keeping between the passes only what backward reads (u
-and the max-pool winners), and leaves per layer the (sum x, sum x^2) of every u
-and dz, np.add.reduce over the chunk's block; the calling thread adds the
-chunks' sums in chunk order.  Chunks run on min(CPUs in the process's
-affinity mask, chunks) threads at once: the calling thread and threads
-started for that call, all joined before it returns, so none is kept
-between calls and a one-chunk batch starts none.  numpy releases the
+unpooling, the ReLU mask) to a given interface, each writing into
+per-layer arrays of the chunk's images.  forward() and backward() allocate
+the trace's arrays once and hand each chunk its slices; backward() goes
+down to interface 0, the input's gradient.  signal_moments(), which
+simulate runs, keeps no trace: each chunk runs forward and back down to
+interface 1 (no estimate reads dz[0]) in arrays of its own size, keeping
+between the passes only what backward reads (u and the max-pool
+winners), and leaves the (sum x, sum x^2) of every u and of dz at
+interfaces 1..L-1, np.add.reduce over the chunk's block; the calling
+thread adds the chunks' sums in chunk order.  Chunks run on min(CPUs in
+the process's affinity mask, chunks) threads at once: the calling thread
+and threads started for that call, all joined before it returns, so none
+is kept between calls and a one-chunk batch starts none.  numpy releases the
 interpreter lock inside its products and array loops, so the threads
 overlap.  A thread that cannot start leaves its chunks to the others.
 
@@ -525,45 +527,45 @@ def _forward_chunk(net, x, us, zs, winners):
         x = out
 
 
-def _backward_arrays(net, n_img):
-    """Per layer, the arrays a backward pass of n_img images writes: dz[i]
-    is W^T du[i] (zeroed when taps add into it); dv[i] is dz[i + 1] through
-    layer i's pooling (the same array when it has none; None at the top);
-    du[i] is dv[i] through its activation (at the top, the injected
-    gradient)."""
+def _backward_arrays(net, n_img, lowest):
+    """Per layer i >= lowest, the arrays a backward pass of n_img images
+    down to interface lowest writes: dz[i] is W^T du[i] (zeroed when taps
+    add into it); dv[i] is dz[i + 1] through layer i's pooling (the same
+    array when it has none; None at the top); du[i] is dv[i] through its
+    activation (at the top, the injected gradient).  None below lowest."""
     n = net.num_layers
-    dz = [
-        np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
-        for low in net.lowerings
-    ]
-    du = [None] * n
-    dv = [None] * n
-    du[n - 1] = np.empty((n_img, *net.lowerings[-1].out))
-    for i, (spec, g) in enumerate(zip(net.arch.layers[:-1], net.geo[:-1])):
-        dv[i] = dz[i + 1] if g.pool_kind is None else np.zeros((n_img, *net.lowerings[i].out))
-        du[i] = np.empty(dv[i].shape) if spec.activation == arch_mod.RELU else dv[i]
+    du, dv, dz = [None] * n, [None] * n, [None] * n
+    for i in range(n - 1, lowest - 1, -1):
+        low = net.lowerings[i]
+        dz[i] = np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
+        if i == n - 1:
+            du[i] = np.empty((n_img, *low.out))
+            continue
+        dv[i] = dz[i + 1] if net.geo[i].pool_kind is None else np.zeros((n_img, *low.out))
+        du[i] = np.empty(dv[i].shape) if net.arch.layers[i].activation == arch_mod.RELU else dv[i]
     return du, dv, dz
 
 
-def _backward_chunk(net, top, us, winners, du, dv, dz):
+def _backward_chunk(net, top, us, winners, du, dv, dz, lowest):
     """Take a chunk's top gradient, (M_L, n) signals, down through every
-    layer into du, dv and dz, arrays of n images as _backward_arrays makes
-    them.  us[i] and winners[i] are the chunk's forward u, (n, C, H', W'),
-    and max-pool winners of layer i."""
+    layer i >= lowest into du, dv and dz, arrays of n images as
+    _backward_arrays makes them: the last is dz[lowest], the gradient at
+    interface lowest.  us[i] and winners[i] are the chunk's forward u,
+    (n, C, H', W'), and max-pool winners of layer i."""
     n = net.num_layers
-    _signals(du[n - 1])[...] = top
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, lowest - 1, -1):
+        if i == n - 1:
+            _signals(du[i])[...] = top
+        else:
+            # dz[i + 1] back through layer i's pooling and activation
+            g = net.geo[i]
+            if g.pool_kind == arch_mod.MAX:
+                _max_unpool(dz[i + 1], winners[i], g, dv[i])
+            elif g.pool_kind is not None:
+                _average_unpool(dz[i + 1], g, dv[i])
+            if net.arch.layers[i].activation == arch_mod.RELU:
+                np.multiply(dv[i], us[i] >= 0.0, out=du[i])
         _conv_backward(net.lowerings[i], net.weights[i], du[i], dz[i])
-        if i == 0:
-            break
-        # through layer i-1's pooling and activation
-        below = net.geo[i - 1]
-        if below.pool_kind == arch_mod.MAX:
-            _max_unpool(dz[i], winners[i - 1], below, dv[i - 1])
-        elif below.pool_kind is not None:
-            _average_unpool(dz[i], below, dv[i - 1])
-        if net.arch.layers[i - 1].activation == arch_mod.RELU:
-            np.multiply(dv[i - 1], us[i - 1] >= 0.0, out=du[i - 1])
 
 
 def _rows(arrays, b0, b1):
@@ -612,13 +614,13 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     if any(g.pool_kind == arch_mod.MAX and w is None
            for g, w in zip(net.geo[:-1], trace.winners)):
         raise MissingForwardTrace("forward trace lacks max-pool winners")
-    du, dv, dz = _backward_arrays(net, n_img)
+    du, dv, dz = _backward_arrays(net, n_img, lowest=0)
 
     def block(c, b0, b1):
         us = [_images(u[:, b0:b1], g.conv_shape) for u, g in zip(trace.u[:-1], net.geo)]
         _backward_chunk(
             net, du_top[:, b0:b1], us, _rows(trace.winners, b0, b1),
-            _rows(du, b0, b1), _rows(dv, b0, b1), _rows(dz, b0, b1),
+            _rows(du, b0, b1), _rows(dv, b0, b1), _rows(dz, b0, b1), lowest=0,
         )
 
     _each_chunk(n_img, block)
@@ -651,9 +653,10 @@ def _sums(x):
 
 def _chunk_moments(net, z, du_top, b0, b1):
     """(sum x, sum x^2) rows of images [b0, b1): every u, then (given du_top)
-    every dz.  The chunk runs forward and back in arrays of its own size
-    and keeps, between the passes, what backward reads: u and the winners.
-    A signal that overflows gives inf or NaN without a warning."""
+    dz at interfaces 1..L-1.  The chunk runs forward and back down to
+    interface 1 in arrays of its own size and keeps, between the passes,
+    what backward reads: u and the winners.  A signal that overflows gives
+    inf or NaN without a warning."""
     # errstate is per thread: set here, on whichever thread runs the chunk
     with np.errstate(over="ignore", invalid="ignore"):
         us, zs, winners = _forward_arrays(net, b1 - b0)
@@ -661,9 +664,9 @@ def _chunk_moments(net, z, du_top, b0, b1):
         del zs
         signals = us
         if du_top is not None:
-            du, dv, dz = _backward_arrays(net, b1 - b0)
-            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz)
-            signals = us + dz
+            du, dv, dz = _backward_arrays(net, b1 - b0, lowest=1)
+            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz, lowest=1)
+            signals = us + dz[1:]
         return np.array([_sums(x) for x in signals])
 
 
@@ -672,11 +675,14 @@ def signal_moments(net: VectorNet, z0, delta_uL=None):
     given the top gradient delta_uL, backward) would trace, without
     keeping a trace.
 
-    Returns (u, dz): (L, 2) arrays, row i the sums of u^(i+1) (trace.u[i])
-    and of dz[i] (trace.dz[i], the gradient at layer i+1's input); dz is
-    None without delta_uL.  Each chunk's sums are np.add.reduce over its
-    block of the signal, and the calling thread adds them in chunk order,
-    so a one-chunk batch gives the whole-array reduction's bits."""
+    Returns (u, dz): u is (L, 2), row i the sums of u^(i+1) (trace.u[i]);
+    dz is (L-1, 2), row i the sums of dz at interface i+1 (trace.dz[i+1],
+    the gradient at layer i+2's input), or None without delta_uL.  The
+    backward pass stops at interface 1: layer 1's conv^T, and the unpooling
+    and ReLU mask into it, never run.  Each chunk's sums are np.add.reduce
+    over its block of the signal, and the calling thread adds them in
+    chunk order, so a one-chunk batch gives the whole-array reduction's
+    bits."""
     g0 = net.geo[0]
     z = _as_batch(z0, g0.m_prev, "input")
     n_img = z.shape[1]
@@ -702,9 +708,10 @@ def memory_need(architecture, batch, want_backward):
     flight; the drawn input, its square (z0's variance) and, for backward,
     the injected top gradient; and, for each chunk that runs at once
     (_workers), one chunk's signals (u, z, max-pool winners and, for
-    backward, du, dv, dz) and temporaries: its input images, one layer's
-    im2col buffer, a pooled layer's activations and the pooling's or the
-    ReLU mask's scratch of the same size, and a signal's square.  So the
+    backward, du, dv, dz of layers 2..L) and temporaries: its input
+    images, one layer's im2col buffer, a pooled layer's activations and
+    the pooling's or the ReLU mask's scratch of the same size, and a
+    signal's square.  So the
     signals grow with min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
@@ -716,8 +723,9 @@ def memory_need(architecture, batch, want_backward):
         per_image += g.m_prime + g.m                       # u, z
         if g.pool_kind == arch_mod.MAX:
             per_image += g.m                               # winners (<= 8 bytes)
-        if want_backward:
-            per_image += 2 * g.m_prime + g.m_prev          # du, dv, dz
+    if want_backward:
+        # du, dv, dz: the stream stops at interface 1
+        per_image += sum(2 * g.m_prime + g.m_prev for g in geo[1:])
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
     per_image += max(low.k * low.p + 2 * g.m_prime for low, g in zip(lows, geo))
     chunks = _workers(batch) * min(CHUNK, batch) * per_image

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import asvinit
 from asvinit import cli, refnet, shapes
 from asvinit.arch import serialize
-from conftest import small_chains
+from conftest import small_chains, small_net
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "golden_simulate.json"
@@ -217,7 +218,7 @@ def test_simulate_on_toy_runs_chunks_in_3_gib():
 
 
 def test_simulate_on_builtin_over_memory_limit_exits_3():
-    """64 images of arch34's signals (~155 MB each) exceed 3 GiB: simulate
+    """64 images of arch34's signals (~150 MB each) exceed 3 GiB: simulate
     refuses before it allocates them, with one error line."""
     proc = run_in_3_gib("simulate", "--builtin", "arch34", "--trials", "1x64")
     err = proc.stderr.decode()
@@ -362,6 +363,25 @@ def test_simulate_override_predicts_what_its_plan_prints(capsys, tmp_path):
     )
 
 
+def test_simulate_on_a_single_layer_chain(capsys, tmp_path):
+    """A lone FC layer has forward rows 0..1 and no backward interface:
+    backward reports no row and passes, and both reports forward's rows."""
+    path = tmp_path / "fc.json"
+    path.write_text(serialize(small_net((4, 4, 2), [], head=16)))
+    reports = {}
+    for directions in ("forward", "backward", "both"):
+        code, out, err = run(capsys, "simulate", "--arch", str(path), "--trials", "2x64",
+                             "--directions", directions)
+        assert (code, err) == (0, ""), err
+        reports[directions] = out
+    assert reports["both"] == reports["forward"]
+    rows = json.loads(reports["both"])["trace"]["rows"]
+    assert [(r["direction"], r["layer"], r["estimate"]) for r in rows] == [
+        ("forward", 0, 1.0110560025366206), ("forward", 1, 1.0091472447307268),
+    ]
+    assert json.loads(reports["backward"])["trace"]["rows"] == []
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze", "--builtin", "arch34",
@@ -369,6 +389,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["name"] == "arch34"
+
+
+def readme_commands():
+    """Every asvinit command of the README's CLI block, as argv: lines
+    joined at a trailing backslash, # comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("asvinit ")]
+
+
+def test_readme_commands_parse():
+    """A flag or choice the README shows and the parser lost fails here."""
+    commands = readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"asvinit {shlex.join(argv)}: {err.getvalue().strip()}")
 
 
 def toy_argv(command):
@@ -440,6 +482,14 @@ def test_option_surface():
     }
 
 
+# an architecture file with an integer past 2**53, which no float holds
+HUGE_INTS = {
+    "channels": lambda a: a["layers"][0].update(out_channels=10**400),
+    "input": lambda a: a.update(input=[10**200, 10**200, 3]),
+    "average-t": lambda a: a["layers"][1]["pool"].update(t_override=10**309),
+    "max-t": lambda a: a["layers"][0]["pool"].update(t_override=10**400),
+}
+
 BAD_INPUTS = [
     (["analyze", "--builtin", ""], {}),
     (["analyze", "--builtin", "toy"], {}),
@@ -473,6 +523,12 @@ BAD_INPUTS = [
     (["init", "--arch", "@arch", "--emit-weights", "@tmp"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp/missing/r.json"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp"], {}),
+    *[
+        (argv + ["--arch", f"@tmp/huge-{name}.json"], {})
+        for name in HUGE_INTS
+        for argv in (["analyze"], ["init"], ["simulate", "--trials", "1x4"],
+                     ["init", "--emit-weights", "@tmp/w.bin"])
+    ],
 ]
 
 
@@ -490,6 +546,10 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
     (tmp_path / "huge.json").write_text(f"[{10**400}, 1.0, 1.0, 1.0]")
     (tmp_path / "latin1.json").write_bytes(b'["\xe9"]')  # not UTF-8
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    for name, edit in HUGE_INTS.items():
+        doc = json.loads(Path(tiny_arch_file).read_text())
+        edit(doc)
+        (tmp_path / f"huge-{name}.json").write_text(json.dumps(doc))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     argv = [a.replace("@arch", tiny_arch_file).replace("@tmp", str(tmp_path)) for a in argv]

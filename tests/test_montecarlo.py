@@ -84,6 +84,7 @@ def test_budget_guard():
     ("toy", (2, 64), False),
     ("toy", (2, 64), True),
     ("arch34-32", (1, 64), True),
+    ("arch34-32", (2, 8), False),
 ])
 def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
     """The preflight bound is at least what one run really allocates,
@@ -94,9 +95,10 @@ def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
         a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(32, 32, 3))
     plan = variance.init_plan(variance.ASV_FORWARD, a)
     cfg = montecarlo.McConfig(*trials, seed=3)
+    estimate = montecarlo.estimate_both if want_backward else montecarlo.estimate_forward
     tracemalloc.start()
     try:
-        montecarlo._run_draws(a, plan, cfg, want_backward)
+        estimate(a, plan, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

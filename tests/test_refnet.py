@@ -665,9 +665,10 @@ def test_every_chunk_runs_once_before_the_first_failure_is_raised(monkeypatch):
 
 @given(a=small_chains(), seed=st.integers(0, 2**16), cols=st.sampled_from([37, 70]))
 def test_signal_moments_are_the_trace_sums_chunk_by_chunk(a, seed, cols):
-    """Each chunk's (sum x, sum x^2) of every u and dz is np.add.reduce
-    over that chunk's slice of the public trace, to the bit, and
-    signal_moments adds them in chunk order on one thread or two."""
+    """Each chunk's (sum x, sum x^2) of every u and of dz at interfaces
+    1..L-1 is np.add.reduce over that chunk's slice of the public trace,
+    to the bit, and signal_moments adds them in chunk order on one thread
+    or two."""
     net = sampled(a, seed=seed)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(net.geo[0].m_prev, cols))
@@ -675,7 +676,7 @@ def test_signal_moments_are_the_trace_sums_chunk_by_chunk(a, seed, cols):
     trace = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
     total = None
     for b0, b1 in refnet._chunks(cols):
-        slices = [x[:, b0:b1] for x in (*trace.u, *trace.dz[:-1])]
+        slices = [x[:, b0:b1] for x in (*trace.u, *trace.dz[1:-1])]
         sums = np.array([(np.add.reduce(x, axis=None), np.add.reduce(x * x, axis=None))
                          for x in slices])
         assert np.array_equal(refnet._chunk_moments(net, z, delta, b0, b1), sums)
@@ -687,6 +688,39 @@ def test_signal_moments_are_the_trace_sums_chunk_by_chunk(a, seed, cols):
             u_only, none = refnet.signal_moments(net, z)
         assert np.array_equal(u, total[:n]) and np.array_equal(dz, total[n:])
         assert np.array_equal(u_only, total[:n]) and none is None
+
+
+def test_the_stream_stops_at_interface_1(monkeypatch):
+    """A streamed chunk runs conv^T for layers L..2 and never for layer 1,
+    whose dz[0] no row reads; backward() still runs it and fills dz[0]."""
+    net = sampled(asvinit.toy_net(3, 4, 4))
+    ran = []
+    conv_backward = refnet._conv_backward
+
+    def spy(low, *args):
+        ran.append(low)
+        conv_backward(low, *args)
+
+    monkeypatch.setattr(refnet, "_conv_backward", spy)
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(net.geo[0].m_prev, 5))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 5))
+    refnet.signal_moments(net, z, delta)
+    assert [id(low) for low in ran] == [id(low) for low in net.lowerings[:0:-1]]
+    ran.clear()
+    trace = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    assert [id(low) for low in ran] == [id(low) for low in net.lowerings[::-1]]
+    assert trace.dz[0].shape == z.shape and np.all(np.isfinite(trace.dz[0]))
+    assert np.any(trace.dz[0] != 0.0)
+
+
+def test_a_single_layer_chain_streams_no_backward_sums():
+    net = sampled(small_net((4, 4, 2), [], head=16))
+    rng = np.random.default_rng(2)
+    z = rng.normal(size=(32, 40))
+    u, dz = refnet.signal_moments(net, z, rng.normal(size=(16, 40)))
+    assert u.shape == (1, 2) and dz.shape == (0, 2)
+    assert np.array_equal(u, refnet.signal_moments(net, z)[0])
 
 
 # ---------------------------------------------------------------------------
