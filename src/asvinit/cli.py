@@ -208,8 +208,8 @@ def write_weights(path, architecture, plan, seed):
     """Binary weight file: one JSON header line, then little-endian float64
     weights and biases per layer (W row-major (C, S), then b).  Every weight
     of the full kernels is written, dead taps included, one layer at a time
-    from refnet.layer_draws: the numbers sample_parameters draws for the
-    same seed before it keeps each layer's live taps."""
+    from the stream sample_parameters draws for the same seed: a net's
+    weights are the live columns of the file's."""
     header = {
         "format": _WEIGHTS_FORMAT,
         "version": 1,
@@ -225,10 +225,14 @@ def write_weights(path, architecture, plan, seed):
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
-            for w, b in refnet.layer_draws(plan, seed):
+            rng = np.random.default_rng(seed)
+            for row in plan.rows:
+                g = row.shape
+                w = np.empty((g.channels, g.s_len))
+                refnet._draw_normal(rng, row.sigma_w, w)
                 fh.write(w.astype("<f8", copy=False))
-                fh.write(b.astype("<f8", copy=False))
-                del w, b   # one layer at a time
+                fh.write(np.zeros(g.channels, "<f8"))
+                del w   # one layer at a time
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 

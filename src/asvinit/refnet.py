@@ -18,6 +18,16 @@ full (C, S) matrix whenever every tap is live (FC and 1x1 layers always,
 the built-ins at 224x224).  dense_weights gives the full matrix back,
 zero at the dropped taps, for the naive oracle.
 
+The weights are one seeded stream of normals, drawn layer by layer as
+rng.normal(0.0, sigma, (C, S)) would draw them, to the bit (_draw_normal),
+dead taps included.  A layer whose taps are all live is drawn straight
+into its weights.  A dead-tap layer is drawn in blocks of whole rows, at
+most DRAW_BLOCK normals each (never less than one row), into one scratch
+buffer, and each block's live columns are copied into its rows of the
+weights.  So sampling holds the live weights and that one buffer, never a
+layer's full draw.  The weight-file writer (cli.write_weights) draws full
+layers from the same stream, one layer at a time.
+
 The engine runs a batch as a pipeline of chunks of CHUNK images, and the
 layer loop exists once: _forward_chunk takes a chunk through every layer
 (conv, activation, pooling) and _backward_chunk takes it back down (conv^T,
@@ -100,6 +110,9 @@ from .errors import BudgetExceeded, MissingForwardTrace, ShapeMismatch
 
 # images per im2col buffer: bounds the buffer, not a tuning option
 CHUNK = 32
+# normals per block of a dead-tap layer's draw: bounds the scratch buffer,
+# not a tuning option
+DRAW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -148,25 +161,38 @@ def build_maps(architecture):
     return maps, pools
 
 
-def layer_draws(plan, seed):
-    """Each layer's full (C, S) weights, iid zero-mean normal with the
-    plan's std dev and drawn from one stream layer by layer, with its (C,)
-    biases, which are zero.  A zero std dev draws nothing.  sample_parameters
-    and the weight-file writer both read this stream, so a file and a net
-    of the same seed hold the same numbers.  Nothing here keeps a layer
-    once it is yielded."""
-    rng = np.random.default_rng(seed)
+def _draw_normal(rng, sigma, out):
+    """Fill out, a C-contiguous float64 array, with the bits
+    rng.normal(0.0, sigma, out.shape) returns.  numpy's normal is
+    loc + scale * z over the same standard normals z, and adding 0.0 turns
+    a -0.0 into +0.0 as it does.  Consecutive fills continue rng's stream,
+    so an array can be drawn in pieces.  A zero std dev draws nothing and
+    fills zeros."""
+    if sigma == 0.0:
+        out.fill(0.0)
+        return
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += 0.0
 
-    def normal(sigma, shape):
-        return np.zeros(shape) if sigma == 0.0 else rng.normal(0.0, sigma, size=shape)
 
-    for row in plan.rows:
-        g = row.shape
-        yield normal(row.sigma_w, (g.channels, g.s_len)), np.zeros(g.channels)
+def _block_rows(low):
+    """Rows of a dead-tap layer's full (C, S) draw per block: at most
+    DRAW_BLOCK normals, never less than one row."""
+    return min(low.out[0], max(1, DRAW_BLOCK // low.s_len))
+
+
+def _draw_scratch(lows):
+    """Floats of the buffer dead-tap layers are drawn through: one block of
+    the largest, none when every tap is live."""
+    return max(
+        (_block_rows(low) * low.s_len for low in lows if low.kernel != low.full), default=0,
+    )
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
-    """Draw the plan's weights and keep each conv layer's live-tap block."""
+    """Draw the plan's weights, keeping each conv layer's live-tap block,
+    and its biases, which are zero."""
     geo = architecture.geo
     if tuple(row.shape for row in plan.rows) != geo:
         raise ValueError(
@@ -174,18 +200,25 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
             f"the shapes of {architecture.name} ({len(geo)} layers)"
         )
     lowerings = tuple(_lowering(spec, g) for spec, g in zip(architecture.layers, geo))
-    weights, biases = [], []
-    draws = layer_draws(plan, seed)
-    for low in lowerings:
-        # not zip: its reused result tuple would keep this full draw alive
-        # while the next one is drawn
-        w, b = next(draws)
-        weights.append(low.live(w))
-        biases.append(b)
-        del w
+    rng = np.random.default_rng(seed)
+    scratch = np.empty(_draw_scratch(lowerings))
+    weights = []
+    for low, row in zip(lowerings, plan.rows):
+        c = low.out[0]
+        w = np.empty((c, low.k))
+        if low.kernel == low.full:
+            _draw_normal(rng, row.sigma_w, w)
+        else:
+            live = w.reshape(c, low.image[0], *low.kernel)
+            step = _block_rows(low)
+            for r0 in range(0, c, step):
+                block = scratch[:min(step, c - r0) * low.s_len]
+                _draw_normal(rng, row.sigma_w, block)
+                live[r0:r0 + step] = low.live(block)
+        weights.append(w)
     return VectorNet(
-        arch=architecture, weights=tuple(weights), biases=tuple(biases),
-        lowerings=lowerings,
+        arch=architecture, weights=tuple(weights),
+        biases=tuple(np.zeros(g.channels) for g in geo), lowerings=lowerings,
     )
 
 
@@ -299,15 +332,16 @@ class _Lowering:
         (y0, x0), (kh, kw) = self.origin, self.kernel
         return slice(y0, y0 + kh), slice(x0, x0 + kw)
 
+    @property
+    def s_len(self):
+        """The full kernel length S."""
+        return self.image[0] * self.full[0] * self.full[1]
+
     def live(self, w):
-        """The live block of a full (C, S) weight matrix: w itself, no copy,
-        when every tap is live."""
-        if self.kernel == self.full:
-            return w
+        """The live taps of any number of full weight rows, n * S floats in
+        row order, as an (n, D, kh', kw') view."""
         rows, cols = self.window
-        block = w.reshape(self.out[0], self.image[0], *self.full)[:, :, rows, cols]
-        # a copy: a view, even a reshaped one, would keep all of w alive
-        return np.ascontiguousarray(block).reshape(self.out[0], -1)
+        return w.reshape(-1, self.image[0], *self.full)[:, :, rows, cols]
 
 
 def _lowering(spec, g):
@@ -704,19 +738,19 @@ def signal_moments(net: VectorNet, z0, delta_uL=None):
 def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one simulate draw of batch images holds at
     once (signal_moments streams it chunk by chunk): the VectorNet's
-    float64 live-tap weights and biases plus one layer's full draw in
-    flight; the drawn input, its square (z0's variance) and, for backward,
-    the injected top gradient; and, for each chunk that runs at once
-    (_workers), one chunk's signals (u, z, max-pool winners and, for
-    backward, du, dv, dz of layers 2..L) and temporaries: its input
-    images, one layer's im2col buffer, a pooled layer's activations and
-    the pooling's or the ReLU mask's scratch of the same size, and a
-    signal's square.  So the
-    signals grow with min(batch, _workers(batch) * CHUNK) images, not batch."""
+    float64 live-tap weights and biases plus the buffer dead-tap layers are
+    drawn through (none when every tap is live); the drawn input, its
+    square (z0's variance) and, for backward, the injected top gradient;
+    and, for each chunk that runs at once (_workers), one chunk's signals
+    (u, z, max-pool winners and, for backward, du, dv, dz of layers 2..L)
+    and temporaries: its input images, one layer's im2col buffer, a pooled
+    layer's activations and the pooling's or the ReLU mask's scratch of the
+    same size, and a signal's square.  So the signals grow with
+    min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
     weights = sum(low.out[0] * (low.k + 1) for low in lows)
-    weights += max(g.channels * g.s_len for g in geo)
+    weights += _draw_scratch(lows)
     draw = 2 * geo[0].m_prev + (geo[-1].m_prime if want_backward else 0)
     per_image = geo[0].m_prev
     for g in geo:

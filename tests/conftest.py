@@ -37,6 +37,13 @@ OVERLAPPING_AVERAGE = asvinit.Pool(kind="Average", size=(3, 3), stride=(2, 2), p
 OVERLAPPING_MAX = asvinit.Pool(kind="Max", size=(3, 3), stride=(1, 1))
 
 
+def dead_tap_chain(pool):
+    """A 5x5 pad-2 stride-2 conv on a 2x2 map (live taps 2..3 per axis) and
+    a 3x3 pad-1 conv on a 1x1 map (live tap 1 per axis), after a pooled
+    layer whose taps are all live."""
+    return small_net((4, 4, 2), [(3, 3, 1, 1, pool), (4, 5, 2, 2, None), (3, 3, 1, 1, POOLS[3])])
+
+
 @st.composite
 def small_chains(draw):
     """Valid chains of one or two small conv layers (every pool kind,

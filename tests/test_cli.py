@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import asvinit
 from asvinit import cli, refnet, shapes
 from asvinit.arch import serialize
-from conftest import small_chains, small_net
+from conftest import POOLS, dead_tap_chain, small_chains, small_net
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "golden_simulate.json"
@@ -142,6 +142,26 @@ def test_emit_weights_deterministic_and_readable(capsys, tiny_arch_file, tmp_pat
         assert np.array_equal(w_file, w_mem)
     for b_file in biases:
         assert np.all(b_file == 0.0)
+
+
+@pytest.mark.parametrize("name, argv, digest", [
+    ("toy", [], "371696c1b536866654454cd730e5c65a4c90a793e7759add8a515080a053a625"),
+    ("dead-tap", ["--method", "asv-forward", "--seed", "44"],
+     "1452debfd254f126f97838db509cd560c921628956d9c0631ca2bed1e4625b23"),
+])
+def test_weight_files_keep_their_bytes(capsys, tmp_path, name, argv, digest):
+    """A weight file's bytes are pinned by sha256, on toy (every tap live)
+    and on a chain with dead taps: they do not depend on how the stream is
+    drawn in memory."""
+    if name == "toy":
+        arch_file = TOY_FILE
+    else:
+        arch_file = tmp_path / "dead.json"
+        arch_file.write_text(serialize(dead_tap_chain(POOLS[1])))
+    out = tmp_path / "w.bin"
+    code, _, _ = run(capsys, "init", "--arch", str(arch_file), *argv, "--emit-weights", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def run_in_3_gib(*argv):

@@ -105,7 +105,7 @@ def test_memory_bound_covers_the_traced_peak(name, trials, want_backward):
     assert refnet.memory_need(a, trials[1], want_backward) >= peak
 
 
-def test_memory_bound_counts_live_weights_and_one_draw_in_flight():
+def test_memory_bound_counts_live_weights_and_the_draw_block():
     """arch34 at 16x16x3 keeps 3.6M of its 21.1M weights: the bound drops
     below the 176,107,088 bytes it was when every weight was counted, and
     still covers the net's arrays plus one full trace."""

@@ -12,7 +12,9 @@ import asvinit
 from asvinit import cli, refnet, shapes, variance
 from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
-from conftest import OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, small_chains, small_net
+from conftest import (
+    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, small_chains, small_net,
+)
 
 
 def sampled(a, seed=0, method=variance.KAIMING_FORWARD):
@@ -727,13 +729,6 @@ def test_a_single_layer_chain_streams_no_backward_sums():
 # live kernel taps: a net keeps only the weights that can reach the input
 # ---------------------------------------------------------------------------
 
-def dead_tap_chain(pool):
-    """A 5x5 pad-2 stride-2 conv on a 2x2 map (live taps 2..3 per axis) and
-    a 3x3 pad-1 conv on a 1x1 map (live tap 1 per axis), after a pooled
-    layer whose taps are all live."""
-    return small_net((4, 4, 2), [(3, 3, 1, 1, pool), (4, 5, 2, 2, None), (3, 3, 1, 1, POOLS[3])])
-
-
 # per layer, the live rectangle's (rows, columns) within the full kernel
 DEAD_TAP_WINDOWS = [
     (slice(0, 3), slice(0, 3)), (slice(2, 4), slice(2, 4)), (slice(1, 2), slice(1, 2)), None,
@@ -806,6 +801,49 @@ def test_dense_weights_put_zeros_at_dead_taps():
     dense[:, :, rows, cols] = 0.0
     assert not dense.any()
     assert refnet.dense_weights(net, 0) is net.weights[0]
+
+
+@pytest.mark.parametrize("block", [1, 225, refnet.DRAW_BLOCK])
+def test_draws_are_the_normal_stream_in_blocks(monkeypatch, block):
+    """The live weights carry the bits of rng.normal(0.0, sigma, (C, S)),
+    drawn layer by layer from one stream: layer 2 (4 rows of 75) is drawn
+    in 4 blocks of 1 row, in blocks of 3 rows and 1 row, or in one block,
+    and layer 3, a dead-tap layer of zero std dev, draws nothing."""
+    monkeypatch.setattr(refnet, "DRAW_BLOCK", block)
+    a = dead_tap_chain(POOLS[1])
+    plan = variance.plan_from_sigmas(a, [0.7, 1.3, 0.0, 0.5])
+    net = refnet.sample_parameters(a, plan, seed=49)
+    rng = np.random.default_rng(49)
+    for w, b, row, g, window in zip(net.weights, net.biases, plan.rows, net.geo, DEAD_TAP_WINDOWS):
+        shape = (g.channels, g.s_len)
+        full = np.zeros(shape) if row.sigma_w == 0.0 else rng.normal(0.0, row.sigma_w, shape)
+        if window is not None:
+            k = a.layers[g.ell - 1].kernel[0]
+            full = full.reshape(g.channels, g.in_shape[2], k, k)[:, :, window[0], window[1]]
+        expected = np.ascontiguousarray(full).reshape(w.shape)
+        assert np.array_equal(w.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(b, np.zeros(g.channels))
+    assert not net.weights[2].any() and net.weights[1].all()
+
+
+def test_sampling_holds_the_live_weights_and_one_draw_block():
+    """arch34 at 16x16x3 keeps 27.7 MiB of live weights; sampling them
+    peaks within 2 MiB of that, as it holds no layer's full (C, S) draw
+    (18.9 MiB for the largest)."""
+    a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
+    plan = variance.init_plan(variance.ASV_BACKWARD, a)
+    tracemalloc.start()
+    try:
+        net = refnet.sample_parameters(a, plan, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    live = sum(w.nbytes for w in net.weights)
+    assert live > 27 * 2**20
+    assert peak < live + 2 * 2**20
+    # the scratch is one block, and an all-live net needs none
+    assert refnet._draw_scratch(net.lowerings) <= refnet.DRAW_BLOCK
+    assert refnet._draw_scratch(sampled(asvinit.toy_net()).lowerings) == 0
 
 
 @pytest.mark.parametrize("name, input_shape, kept", [
