@@ -318,8 +318,17 @@ _BUILTINS = ("arch34", "arch50")
 
 def builtin(name: str) -> Architecture:
     """Return a built-in architecture ("arch34" or "arch50"): the parsed
-    data/<name>.json shipped with the package."""
+    data/<name>.json shipped with the package.
+
+    Each name is read, parsed and shape-inferred once per process, and every
+    call returns that one object: an Architecture is frozen and its geo is
+    read-only, and dataclasses.replace of it infers its own geo."""
     if name not in _BUILTINS:
         raise UnknownName(f"unknown architecture {name!r}; available: {list(_BUILTINS)}")
+    return _parsed_builtin(name)
+
+
+@functools.cache
+def _parsed_builtin(name):
     path = importlib.resources.files("asvinit") / "data" / f"{name}.json"
     return parse_architecture(path.read_text(encoding="utf-8"))

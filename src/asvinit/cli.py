@@ -113,9 +113,28 @@ def _emit(text, out_path):
         except OSError as exc:
             raise _cannot_write(out_path, exc) from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            _drop_stdout()
+            raise _cannot_write("stdout", exc) from exc
+
+
+def _drop_stdout():
+    """Point a failed standard output's descriptor at os.devnull, so that
+    the interpreter's flush at exit has nothing left to fail on (the
+    SIGPIPE note in Python's signal docs).  A stdout without a descriptor
+    (a caller's replacement) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError, AttributeError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _positive(option, value):
@@ -195,9 +214,11 @@ def _init_plan(method, architecture, args):
 
 def _method_table(architecture, args):
     """sigma_w of every method, one row per layer."""
-    plans = [_init_plan(m, architecture, args) for m in variance_mod.METHODS]
+    sigmas = variance_mod.method_sigmas(
+        architecture, clamp_factor=args.clamp_factor, tau0=args.tau0,
+    )
     rows = [
-        {"layer": i + 1, "sigma_w": {p.method: p.rows[i].sigma_w for p in plans}}
+        {"layer": i + 1, "sigma_w": {m: s[i] for m, s in sigmas.items()}}
         for i in range(architecture.num_layers)
     ]
     head = {"arch": architecture.name, "methods": list(variance_mod.METHODS)}

@@ -301,22 +301,14 @@ def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
                     clamp_factor=clamp_factor, rows=tuple(rows))
 
 
-def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
-    """Compute the per-layer weight variances for one initialization method.
-
-    clamp_factor applies to asv-backward only: the variance is capped at
-    clamp_factor times the value derived with the pooling factor replaced by
-    the plain-ReLU 1/2, so a factor F**2 caps the std dev at F times its
-    no-pool value.  Pass clamp_factor=None to disable.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    consts = [layer_constants(g) for g in arch.geo]
+def _sigmas(method, geo, consts, tau0, clamp_factor):
+    """(sigma_w, clamped) of one method: the per-layer weight std devs and
+    whether asv-backward's cap bound each one.  consts holds each layer's
+    layer_constants, computed once by the caller."""
     taus = _taus_before(consts, tau0)
-
     variances = []
     clamped_flags = []
-    for i, row in enumerate(arch.geo):
+    for i, row in enumerate(geo):
         clamped = False
         if method == ASV_FORWARD:
             if taus[i] < _GAMMA_FLOOR:
@@ -340,11 +332,33 @@ def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
             var = 2.0 / (row.s_len + row.j_len)
         variances.append(var)
         clamped_flags.append(clamped)
+    return np.sqrt(variances), clamped_flags
 
+
+def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
+    """Compute the per-layer weight variances for one initialization method.
+
+    clamp_factor applies to asv-backward only: the variance is capped at
+    clamp_factor times the value derived with the pooling factor replaced by
+    the plain-ReLU 1/2, so a factor F**2 caps the std dev at F times its
+    no-pool value.  Pass clamp_factor=None to disable.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    consts = [layer_constants(g) for g in arch.geo]
+    sigma_w, clamped = _sigmas(method, arch.geo, consts, tau0, clamp_factor)
     return _plan(
-        method, arch, consts, np.sqrt(variances), clamped_flags, tau0=tau0,
+        method, arch, consts, sigma_w, clamped, tau0=tau0,
         clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
     )
+
+
+def method_sigmas(arch, clamp_factor=3.0, tau0=1.0):
+    """{method: per-layer sigma_w} for every method of METHODS, in that
+    order: init_plan(method, ...)'s sigma_w, without the plans' levels and
+    rows, and with the layer constants computed once."""
+    consts = [layer_constants(g) for g in arch.geo]
+    return {m: _sigmas(m, arch.geo, consts, tau0, clamp_factor)[0].tolist() for m in METHODS}
 
 
 def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:

@@ -258,6 +258,28 @@ def test_builtin_unknown_name():
             arch.builtin(name)
 
 
+def test_builtin_is_parsed_once_per_process(monkeypatch):
+    """Every call returns the one parsed object, and only the first parses
+    the file.  A bad name still raises UnknownName on every call, an
+    unhashable one included, and a replaced built-in infers its own geo."""
+    parses = []
+    parse = arch.parse_architecture
+    monkeypatch.setattr(arch, "parse_architecture", lambda text: parses.append(1) or parse(text))
+    arch._parsed_builtin.cache_clear()
+    a34 = arch.builtin("arch34")
+    assert arch.builtin("arch34") is a34
+    assert arch.builtin("arch50") is arch.builtin("arch50") is not a34
+    assert len(parses) == 2
+    assert a34 == parse(shipped("arch34"))
+    for name in ("arch101", "arch101", "toy", ["arch34"], {"arch34": 1}, None):
+        with pytest.raises(UnknownName):
+            arch.builtin(name)
+    small = dataclasses.replace(arch.builtin("arch34"), input_shape=(16, 16, 3))
+    assert small.geo == tuple(shapes.infer_shapes(small))
+    assert small.geo != a34.geo
+    assert a34.geo == tuple(shapes.infer_shapes(a34))
+
+
 def test_arch34_shapes_match_reference_table():
     report = asvinit.ShapeReport.build(arch.builtin("arch34"))
     conv_shapes = [r.conv_shape for r in report.rows]

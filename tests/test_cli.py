@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -637,6 +638,53 @@ def test_failed_write_is_one_error_line_and_exit_2(capsys, tiny_arch_file, optio
     code, _, err = run(capsys, "init", "--arch", tiny_arch_file, option, "/dev/full")
     assert code == 2
     assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+BROKEN_PIPE_ARGV = [["init", "--builtin", "arch34"], ["simulate", "--arch", TOY_FILE, "--trials", "1x4"]]
+
+
+@pytest.mark.parametrize("argv", BROKEN_PIPE_ARGV, ids=["init", "simulate"])
+def test_closed_stdout_is_one_error_line_and_exit_2(argv):
+    """`asvinit ... | head -1`: a child whose stdout is a pipe with no
+    reader prints one error line and exits 2 (simulate's 1 would read as a
+    failed threshold), with no traceback and nothing from the
+    interpreter's flush at exit."""
+    src = str(Path(asvinit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "asvinit.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose write (or only its flush) fails like a closed pipe."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def _broken(self):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def write(self, text):
+        return self._broken() if self.failing == "write" else super().write(text)
+
+    def flush(self):
+        return self._broken() if self.failing == "flush" else super().flush()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", BROKEN_PIPE_ARGV, ids=["init", "simulate"])
+def test_failed_stdout_write_in_process(capsys, monkeypatch, argv, failing):
+    monkeypatch.setattr(sys, "stdout", BrokenStdout(failing))
+    code = cli.main(argv)
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 def test_reused_parser_carries_no_state(capsys, monkeypatch):

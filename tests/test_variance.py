@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import asvinit
 from asvinit import cli, variance
+from asvinit.errors import AsvinitError
+from conftest import small_chains, small_net
 
 
 def pooled_relu_max_second_moment(t, n_samples, seed):
@@ -381,3 +385,52 @@ def test_init_plan_computes_each_layers_constants_once(monkeypatch):
         r = variance.predict_backward(geo, plan.sigma_w)
         assert [row.q_pred for row in plan.rows] == list(q[1:])
         assert [row.r_pred for row in plan.rows] == list(r[:-1])
+
+
+# (clamp_factor, tau0): the CLI defaults, then others that move asv-forward
+# and engage the clamp on every pooled layer (1.0) or on every layer (0.25),
+# and one that disables it
+PLAN_OPTIONS = [(3.0, 1.0), (1.0, 0.5), (0.25, 2.0), (None, 1.0)]
+
+
+def table_bits_and_plan_bits(a, clamp_factor, tau0):
+    """The five-method table's sigma_w cells and init_plan's, as hex."""
+    args = argparse.Namespace(clamp_factor=clamp_factor, tau0=tau0)
+    _, _, rows, _ = cli._method_table(a, args)
+    table = [[row["sigma_w"][m].hex() for m in variance.METHODS] for row in rows]
+    plans = [variance.init_plan(m, a, clamp_factor=clamp_factor, tau0=tau0)
+             for m in variance.METHODS]
+    return table, [[p.rows[i].sigma_w.hex() for p in plans] for i in range(a.num_layers)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=small_chains(), options=st.sampled_from(PLAN_OPTIONS))
+def test_method_table_is_the_plans_sigmas_on_small_chains(a, options):
+    table, plans = table_bits_and_plan_bits(a, *options)
+    assert table == plans
+
+
+@pytest.mark.parametrize("options", PLAN_OPTIONS)
+@pytest.mark.parametrize("name", ["arch34", "arch50"])
+def test_method_table_is_the_plans_sigmas_on_builtins(name, options):
+    table, plans = table_bits_and_plan_bits(asvinit.builtin(name), *options)
+    assert table == plans
+
+
+@pytest.mark.parametrize("tau0, t_override", [(1e-13, None), (1.0, 10**6), (1e-13, 10**6)])
+def test_method_table_floor_error_is_init_plans(tau0, t_override):
+    """A chain under the tau floor (asv-forward) or the gamma floor
+    (asv-backward, an average pool of 10**6 entries) fails the table with
+    the error init_plan gives first in METHODS order."""
+    pool = asvinit.Pool(kind="Average", size=(2, 2), t_override=t_override)
+    a = small_net((6, 6, 2), [(3, 3, 1, 1, None), (4, 3, 1, 1, pool)])
+    errors = []
+    for m in variance.METHODS:
+        try:
+            variance.init_plan(m, a, tau0=tau0)
+        except AsvinitError as exc:
+            errors.append(str(exc))
+    assert errors
+    with pytest.raises(AsvinitError) as table_error:
+        cli._method_table(a, argparse.Namespace(clamp_factor=3.0, tau0=tau0))
+    assert str(table_error.value) == errors[0]
