@@ -24,10 +24,6 @@ class UnknownName(AsvinitError):
     """Requested built-in architecture does not exist."""
 
 
-class OutOfBounds(AsvinitError):
-    """Multi-index outside the tensor shape it claims to index."""
-
-
 class QuadratureFailure(AsvinitError):
     """Numerical integration failed to reach the requested accuracy."""
 

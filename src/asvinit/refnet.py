@@ -1,12 +1,13 @@
 """Executable network: a map-free per-image engine, plus a naive oracle.
 
 Each conv or FC layer is the paper's linear map over flattened index sets,
-u = W * z + b.  The engine applies it without materializing those sets.
-Inside the engine signals are (B, D, H, W) arrays, images
-outermost, so one image is one C-contiguous (D, H, W) block and its
-flattening is the paper's first-axis-fastest order (w fastest, then h,
-then d).  The public signals in a SignalTrace are (M, B) arrays in that
-order: a (B, D, H, W) array's .reshape(B, -1).T, a view with no copy.
+u = W * z: every method draws zero biases, so the engine keeps none.  The
+engine applies the map without materializing those sets.  Inside the
+engine signals are (B, D, H, W) arrays, images outermost, so one image is
+one C-contiguous (D, H, W) block and its flattening is the paper's
+first-axis-fastest order (w fastest, then h, then d).  The public
+signals in a SignalTrace are (M, B) arrays in that order: a (B, D, H, W)
+array's .reshape(B, -1).T, a view with no copy.
 
 A live tap is a kernel position (ty, tx) that lands inside the input for
 at least one output position (shapes.tap_ranges); a dead tap only ever
@@ -117,7 +118,8 @@ DRAW_BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class VectorNet:
-    """Sampled parameters of one architecture.
+    """Sampled weights of one architecture; biases are zero for every
+    method, so none are kept.
 
     A conv layer keeps only the weights of its live kernel taps: the
     bounding rectangle of the taps (ty, tx) that land inside the input for
@@ -131,7 +133,6 @@ class VectorNet:
 
     arch: arch_mod.Architecture
     weights: tuple[np.ndarray, ...]   # per layer, (C, D*kh'*kw'), live taps
-    biases: tuple[np.ndarray, ...]    # per layer, (C,)
     lowerings: tuple[_Lowering, ...]
 
     @property
@@ -191,8 +192,7 @@ def _draw_scratch(lows):
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
-    """Draw the plan's weights, keeping each conv layer's live-tap block,
-    and its biases, which are zero."""
+    """Draw the plan's weights, keeping each conv layer's live-tap block."""
     geo = architecture.geo
     if tuple(row.shape for row in plan.rows) != geo:
         raise ValueError(
@@ -216,10 +216,7 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
                 _draw_normal(rng, row.sigma_w, block)
                 live[r0:r0 + step] = low.live(block)
         weights.append(w)
-    return VectorNet(
-        arch=architecture, weights=tuple(weights),
-        biases=tuple(np.zeros(g.channels) for g in geo), lowerings=lowerings,
-    )
+    return VectorNet(arch=architecture, weights=tuple(weights), lowerings=lowerings)
 
 
 def dense_weights(net, layer):
@@ -243,9 +240,9 @@ class SignalTrace:
     backward() and its callers read: u (the ReLU masks), z and, per
     max-pooled layer, the winning window tap of every (image, channel,
     window) as a (B, C, H, W) integer array in winners (else None).
-    Backward fields are filled by backward(); gradients for
-    weights/biases appear in d_weights/d_biases when requested.  The Monte
-    Carlo estimates build no trace: they read signal_moments' sums.
+    Backward fields are filled by backward(); weight gradients appear in
+    d_weights when requested.  The Monte Carlo estimates build no trace:
+    they read signal_moments' sums.
     """
 
     u: list = field(default_factory=list)
@@ -255,7 +252,6 @@ class SignalTrace:
     dv: list = field(default_factory=list)
     dz: list = field(default_factory=list)       # dz[ell], ell = 0..L
     d_weights: list = field(default_factory=list)
-    d_biases: list = field(default_factory=list)
 
     @property
     def batch(self):
@@ -268,6 +264,8 @@ def _as_batch(x, m, what):
         x = x[:, None]
     if x.shape[0] != m:
         raise ShapeMismatch(f"{what} has {x.shape[0]} entries, expected {m}")
+    if x.shape[1] == 0:
+        raise ShapeMismatch(f"{what} has no columns: a batch needs at least one")
     return x
 
 
@@ -303,7 +301,7 @@ def _taps(in_hw, out_hw, size, stride, padding):
 
 @dataclass(frozen=True)
 class _Lowering:
-    """A conv or FC layer as the per-image product u = w @ cols(z) + b, with
+    """A conv or FC layer as the per-image product u = w @ cols(z), with
     cols(z) of shape (k, p): k the live kernel length, p the output
     positions.  The live kernel is the kh' x kw' rectangle of the full
     kernel, from origin on, that holds every tap reaching the input; taps
@@ -429,10 +427,9 @@ def _cols(low, x):
     return cols.reshape(n, low.k, low.p)
 
 
-def _conv_forward(low, w, b, x, out):
-    """u = W cols(x) + b of a chunk of images x into out, (n, C, H', W')."""
+def _conv_forward(low, w, x, out):
+    """u = W cols(x) of a chunk of images x into out, (n, C, H', W')."""
     np.matmul(w, _cols(low, x), out=out.reshape(x.shape[0], low.out[0], low.p))
-    out += b[:, None, None]
 
 
 def _conv_backward(low, w, du, out):
@@ -547,7 +544,7 @@ def _forward_chunk(net, x, us, zs, winners):
     arrays of n images as _forward_arrays makes them."""
     for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
         u, out = us[i], zs[i]
-        _conv_forward(net.lowerings[i], net.weights[i], net.biases[i], x, u)
+        _conv_forward(net.lowerings[i], net.weights[i], x, u)
         relu = spec.activation == arch_mod.RELU
         if g.pool_kind is None:
             if relu:
@@ -638,7 +635,8 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
 
     delta_uL defaults to u^(L), i.e. the gradient of E = 0.5 * ||u^(L)||^2.
     Max pooling routes each window's gradient to its winner unit; average
-    pooling spreads it as 1/T; the ReLU subgradient at 0 is 1.
+    pooling spreads it as 1/T; the ReLU subgradient at 0 is 1.  With
+    param_grads, d_weights[i] is dE/dW of layer i in its live shape.
     """
     if not trace.u:
         raise MissingForwardTrace("run forward() before backward()")
@@ -663,7 +661,6 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     # dz[L] is the injected gradient itself (z^(L) := v^(L) := u^(L))
     trace.dz = [_signals(x) for x in dz] + [du_top]
     trace.d_weights = [None] * n
-    trace.d_biases = [None] * n
     if param_grads:
         for i, low in enumerate(net.lowerings):
             # each chunk's sum over its images, added in chunk order as soon
@@ -674,7 +671,6 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
                 z_c = _images(trace.z[i][:, b0:b1], net.geo[i].in_shape)
                 dw += _weight_grad(du_i[b0:b1], _cols(low, z_c))
             trace.d_weights[i] = dw
-            trace.d_biases[i] = du_i.sum(axis=(0, 2))
     return trace
 
 
@@ -738,8 +734,8 @@ def signal_moments(net: VectorNet, z0, delta_uL=None):
 def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one simulate draw of batch images holds at
     once (signal_moments streams it chunk by chunk): the VectorNet's
-    float64 live-tap weights and biases plus the buffer dead-tap layers are
-    drawn through (none when every tap is live); the drawn input, its
+    float64 live-tap weights plus the buffer dead-tap layers are drawn
+    through (none when every tap is live); the drawn input, its
     square (z0's variance) and, for backward, the injected top gradient;
     and, for each chunk that runs at once (_workers), one chunk's signals
     (u, z, max-pool winners and, for backward, du, dv, dz of layers 2..L)
@@ -749,7 +745,7 @@ def memory_need(architecture, batch, want_backward):
     min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
     lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
-    weights = sum(low.out[0] * (low.k + 1) for low in lows)
+    weights = sum(low.out[0] * low.k for low in lows)
     weights += _draw_scratch(lows)
     draw = 2 * geo[0].m_prev + (geo[-1].m_prime if want_backward else 0)
     per_image = geo[0].m_prev
@@ -798,7 +794,7 @@ def _from_tensor(t):
     return t.reshape(-1, order="F")
 
 
-def naive_conv(z_tensor, w_rows, bias, kernel, stride, padding):
+def naive_conv(z_tensor, w_rows, kernel, stride, padding):
     """Plain nested-loop 2D convolution with zero padding."""
     w, h, d = z_tensor.shape
     kw, kh = kernel
@@ -814,7 +810,7 @@ def naive_conv(z_tensor, w_rows, bias, kernel, stride, padding):
     for k in range(dp):
         for j in range(hp):
             for i in range(wp):
-                acc = bias[k]
+                acc = 0.0
                 for x2 in range(kh):
                     for x1 in range(kw):
                         for x3 in range(d):
@@ -860,20 +856,12 @@ def naive_forward(net: VectorNet, z0):
         spec = net.arch.layers[i]
         w = dense_weights(net, i)
         if spec.kind == arch_mod.FULLY_CONNECTED:
-            u = w @ z + net.biases[i]
-            u_t = None
+            u = w @ z
         else:
             z_t = _to_tensor(z, g.in_shape)
-            u_t = naive_conv(
-                z_t, w, net.biases[i],
-                spec.kernel, spec.stride, spec.padding,
-            )
-            u = _from_tensor(u_t)
+            u = _from_tensor(naive_conv(z_t, w, spec.kernel, spec.stride, spec.padding))
         us.append(u)
-        if spec.activation == arch_mod.RELU:
-            v = np.maximum(u, 0.0)
-        else:
-            v = u
+        v = np.maximum(u, 0.0) if spec.activation == arch_mod.RELU else u
         if g.pool_kind is None:
             z = v
         else:

@@ -1,4 +1,4 @@
-"""Shape inference, vectorization bijection, index sets, connection counts.
+"""Shape inference, index sets, connection counts.
 
 All indices are 0-based internally; reports print 1-based layer numbers.
 Tensors of shape (n1, ..., nd) are flattened first-axis-fastest:
@@ -23,39 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arch as arch_mod
-from .errors import OutOfBounds, ValidationError
-
-
-# ---------------------------------------------------------------------------
-# Vectorization bijection
-# ---------------------------------------------------------------------------
-
-def vec_index(shape, multi_index):
-    """Flatten a multi-index (first axis fastest).  0-based."""
-    if len(shape) != len(multi_index):
-        raise OutOfBounds(f"index {multi_index} has wrong rank for shape {shape}")
-    linear = 0
-    stride = 1
-    for i, n in zip(multi_index, shape):
-        if not 0 <= i < n:
-            raise OutOfBounds(f"index {multi_index} out of bounds for shape {shape}")
-        linear += i * stride
-        stride *= n
-    return linear
-
-
-def unvec_index(shape, linear):
-    """Inverse of vec_index."""
-    total = 1
-    for n in shape:
-        total *= n
-    if not 0 <= linear < total:
-        raise OutOfBounds(f"linear index {linear} out of bounds for shape {shape}")
-    out = []
-    for n in shape:
-        out.append(linear % n)
-        linear //= n
-    return tuple(out)
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .errors import AsvinitError, QuadratureFailure
 
 MAX = arch_mod.MAX
 AVERAGE = arch_mod.AVERAGE
-NO_POOL = "NoPool"
 
 XAVIER = "xavier"
 KAIMING_FORWARD = "kaiming-forward"
@@ -158,10 +157,10 @@ def _tau_max_integral(t):
 
 
 def tau(kind, t):
-    """Forward second-moment factor of a ReLU+pool composite."""
+    """Forward second-moment factor of a ReLU+pool composite (kind None: no pool)."""
     if t < 1:
         raise ValueError(f"pool cardinality must be >= 1, got {t}")
-    if kind in (None, NO_POOL):
+    if kind is None:
         return 0.5
     if kind == AVERAGE:
         return (1.0 / (2.0 * t)) * (1.0 + (t - 1) / math.pi)
@@ -171,10 +170,10 @@ def tau(kind, t):
 
 
 def gamma(kind, t):
-    """Backward squared-gradient factor of a ReLU+pool composite."""
+    """Backward squared-gradient factor of a ReLU+pool composite (kind None: no pool)."""
     if t < 1:
         raise ValueError(f"pool cardinality must be >= 1, got {t}")
-    if kind in (None, NO_POOL):
+    if kind is None:
         return 0.5
     if kind == AVERAGE:
         return 1.0 / (2.0 * t * t)
@@ -191,8 +190,7 @@ def layer_constants(geo: shapes_mod.LayerShape) -> PoolConstants:
     """
     if geo.activation == arch_mod.IDENTITY:
         return PoolConstants(tau=1.0, gamma=1.0)
-    kind = geo.pool_kind or NO_POOL
-    return PoolConstants(tau=tau(kind, geo.t), gamma=gamma(kind, geo.t))
+    return PoolConstants(tau=tau(geo.pool_kind, geo.t), gamma=gamma(geo.pool_kind, geo.t))
 
 
 # ---------------------------------------------------------------------------

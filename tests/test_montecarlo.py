@@ -115,7 +115,7 @@ def test_memory_bound_counts_live_weights_and_the_draw_block():
     net = refnet.sample_parameters(a, variance.init_plan(variance.ASV_BACKWARD, a), 5)
     z0 = np.random.default_rng(6).normal(size=(a.geo[0].m_prev, 8))
     trace = refnet.backward(net, refnet.forward(net, z0))
-    held = sum(x.nbytes for x in (*net.weights, *net.biases))
+    held = sum(x.nbytes for x in net.weights)
     held += sum(
         x.nbytes for signals in (trace.u, trace.z, trace.winners, trace.du, trace.dv, trace.dz)
         for x in signals if x is not None

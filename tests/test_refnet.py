@@ -65,22 +65,21 @@ def test_forward_matches_naive_on_randomized_configs():
             assert np.max(np.abs(trace.z[i + 1][:, 0] - zs[i + 1])) < 1e-10
 
 
-def test_identity_weight_1x1_conv_adds_bias():
+def test_identity_weight_1x1_conv_returns_its_input():
     a = small_net((3, 3, 1), [(1, 1, 1, 0, None)])
     net = sampled(a)
     net.weights[0][:] = 1.0
-    net.biases[0][:] = 0.25
-    z0 = np.arange(9, dtype=float)
+    z0 = np.random.default_rng(0).normal(size=9)
     trace = refnet.forward(net, z0)
-    assert np.allclose(trace.u[0][:, 0], z0 + 0.25)
+    assert np.array_equal(trace.u[0][:, 0].view(np.int64), z0.view(np.int64))
 
 
 def test_all_negative_preactivations_give_zero_pool_output():
     a = small_net((4, 4, 1), [(2, 3, 1, 1, asvinit.Pool(kind="Max", size=(2, 2)))])
     net = sampled(a)
-    net.weights[0][:] = 0.0
-    net.biases[0][:] = -1.0
-    trace = refnet.forward(net, np.random.default_rng(0).normal(size=16))
+    net.weights[0][:] = -1.0
+    trace = refnet.forward(net, np.random.default_rng(0).uniform(0.5, 1.5, size=16))
+    assert np.all(trace.u[0] < 0.0)
     assert np.all(trace.z[1] == 0.0)
 
 
@@ -93,7 +92,6 @@ def test_zero_sigma_gives_zero_weights():
     plan = variance.plan_from_sigmas(a, [0.0, 0.0])
     net = refnet.sample_parameters(a, plan, seed=5)
     assert all(np.all(w == 0.0) for w in net.weights)
-    assert all(np.all(b == 0.0) for b in net.biases)
 
 
 def test_sampling_deterministic_for_fixed_seed():
@@ -292,27 +290,6 @@ def test_gradients_match_finite_differences_everywhere():
     assert np.max(rel) < 1e-5
 
 
-def test_bias_gradients_match_finite_differences():
-    a = small_net((5, 5, 1), [(2, 3, 1, 0, None)], head=2)
-    net = sampled(a, seed=3)
-    for b in net.biases:
-        b[:] = np.random.default_rng(1).normal(size=b.shape)
-    z0 = np.random.default_rng(2).normal(size=25)
-    trace = refnet.forward(net, z0)
-    refnet.backward(net, trace, param_grads=True)
-    h = 1e-5
-    for li, b in enumerate(net.biases):
-        for i in range(b.size):
-            orig = b[i]
-            b[i] = orig + h
-            ep = refnet.loss_half_square(net, z0)
-            b[i] = orig - h
-            em = refnet.loss_half_square(net, z0)
-            b[i] = orig
-            fd = (ep - em) / (2 * h)
-            assert trace.d_biases[li][i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
 def test_average_pool_backward_spreads_one_over_t():
     pool = asvinit.Pool(kind="Average", size=(2, 2))
     a = small_net((4, 4, 1), [(1, 1, 1, 0, pool)], head=2)
@@ -389,6 +366,18 @@ def test_injected_gradient_mode_and_errors():
         refnet.backward(net, empty)
     with pytest.raises(ShapeMismatch):
         refnet.forward(net, np.zeros(7))
+
+
+def test_empty_batch_is_a_shape_mismatch():
+    """A batch of zero columns is refused before any array is made."""
+    a = small_net((4, 4, 1), [(2, 3, 1, 1, None)], head=3)
+    net = sampled(a, seed=2)
+    with pytest.raises(ShapeMismatch, match="no columns"):
+        refnet.forward(net, np.zeros((16, 0)))
+    with pytest.raises(ShapeMismatch, match="no columns"):
+        refnet.signal_moments(net, np.zeros((16, 0)))
+    with pytest.raises(ShapeMismatch, match="no columns"):
+        refnet.signal_moments(net, np.zeros((16, 0)), np.zeros((3, 0)))
 
 
 def test_forward_batch_columns_independent():
@@ -482,7 +471,7 @@ def test_batch_columns_independent_on_random_chains(a, seed):
 # the chunk pipeline: results do not depend on how many threads run it
 # ---------------------------------------------------------------------------
 
-TRACE_FIELDS = ("u", "z", "winners", "du", "dv", "dz", "d_weights", "d_biases")
+TRACE_FIELDS = ("u", "z", "winners", "du", "dv", "dz", "d_weights")
 
 
 def with_cpus(monkeypatch, n):
@@ -814,7 +803,7 @@ def test_draws_are_the_normal_stream_in_blocks(monkeypatch, block):
     plan = variance.plan_from_sigmas(a, [0.7, 1.3, 0.0, 0.5])
     net = refnet.sample_parameters(a, plan, seed=49)
     rng = np.random.default_rng(49)
-    for w, b, row, g, window in zip(net.weights, net.biases, plan.rows, net.geo, DEAD_TAP_WINDOWS):
+    for w, row, g, window in zip(net.weights, plan.rows, net.geo, DEAD_TAP_WINDOWS):
         shape = (g.channels, g.s_len)
         full = np.zeros(shape) if row.sigma_w == 0.0 else rng.normal(0.0, row.sigma_w, shape)
         if window is not None:
@@ -822,7 +811,6 @@ def test_draws_are_the_normal_stream_in_blocks(monkeypatch, block):
             full = full.reshape(g.channels, g.in_shape[2], k, k)[:, :, window[0], window[1]]
         expected = np.ascontiguousarray(full).reshape(w.shape)
         assert np.array_equal(w.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(b, np.zeros(g.channels))
     assert not net.weights[2].any() and net.weights[1].all()
 
 

@@ -2,12 +2,10 @@ import json
 import time
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, strategies as st
 
 import asvinit
 from asvinit import arch, cli, shapes
-from asvinit.errors import OutOfBounds
 
 
 def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
@@ -43,36 +41,6 @@ def brute_force_eps(in_shape, kernel, stride, padding, out_channels):
                     if 0 <= lx < w and 0 <= ly < h:
                         total += 1
     return total * d * out_channels
-
-
-# ---------------------------------------------------------------------------
-# vectorization bijection
-# ---------------------------------------------------------------------------
-
-def test_vec_index_first_axis_fastest():
-    assert shapes.vec_index((2, 2), (0, 0)) == 0
-    # second linear position is the second entry of the first axis
-    assert shapes.vec_index((2, 3), (1, 0)) == 1
-    assert shapes.vec_index((2, 3), (0, 1)) == 2
-
-
-def test_vec_index_roundtrip():
-    shape = (3, 4, 5)
-    seen = set()
-    for i in range(3):
-        for j in range(4):
-            for k in range(5):
-                lin = shapes.vec_index(shape, (i, j, k))
-                assert shapes.unvec_index(shape, lin) == (i, j, k)
-                seen.add(lin)
-    assert seen == set(range(60))
-
-
-def test_vec_index_out_of_bounds():
-    with pytest.raises(OutOfBounds):
-        shapes.vec_index((2, 2), (2, 0))
-    with pytest.raises(OutOfBounds):
-        shapes.unvec_index((2, 2), 4)
 
 
 # ---------------------------------------------------------------------------
