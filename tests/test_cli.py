@@ -145,6 +145,22 @@ def test_emit_weights_deterministic_and_readable(capsys, tiny_arch_file, tmp_pat
         assert np.all(b_file == 0.0)
 
 
+def test_weight_file_keeps_a_zero_bias_vector_per_layer(tmp_path):
+    """The engine draws no biases, but the file still ends every layer's
+    (C, S) weights with C zero biases."""
+    a = dead_tap_chain(POOLS[1])
+    path = tmp_path / "w.bin"
+    cli.write_weights(str(path), a, asvinit.init_plan("asv-backward", a), 3)
+    header, weights, biases = cli.read_weights(str(path))
+    assert len(weights) == len(biases) == len(a.geo)
+    for g, w, b in zip(a.geo, weights, biases):
+        assert w.shape == (g.channels, g.s_len)
+        assert b.shape == (g.channels,) and not b.any()
+    head_len = len(path.read_bytes().split(b"\n", 1)[0]) + 1
+    floats = sum(g.channels * (g.s_len + 1) for g in a.geo)
+    assert path.stat().st_size == head_len + 8 * floats
+
+
 @pytest.mark.parametrize("name, argv, digest", [
     ("toy", [], "371696c1b536866654454cd730e5c65a4c90a793e7759add8a515080a053a625"),
     ("dead-tap", ["--method", "asv-forward", "--seed", "44"],

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 import asvinit
-from asvinit import arch, cli, shapes
+from asvinit import arch, cli, refnet, shapes
 
 
 def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
@@ -41,6 +41,42 @@ def brute_force_eps(in_shape, kernel, stride, padding, out_channels):
                     if 0 <= lx < w and 0 <= ly < h:
                         total += 1
     return total * d * out_channels
+
+
+# ---------------------------------------------------------------------------
+# vectorization order: unit (x, y, c) of a (w, h, d) map is x + w*(y + h*c)
+# ---------------------------------------------------------------------------
+
+def test_vec_index_first_axis_fastest():
+    # a 2x1 kernel on a 2x3 map: output row y reads inputs (0, y) and (1, y)
+    a = conv_chain((2, 3, 1), (2, 1), (1, 1), (0, 0), 1)
+    maps = shapes.build_forward_maps(a, 0)
+    taps = [list(maps.fwd_s[maps.fwd_indptr[i]:maps.fwd_indptr[i + 1]]) for i in range(3)]
+    assert taps == [[0, 1], [2, 3], [4, 5]]
+    # the engine's image view and the oracle's tensor read the same order
+    lin = np.arange(12, dtype=float)
+    images = refnet._images(lin[:, None], (2, 3, 2))
+    tensor = refnet._to_tensor(lin, (2, 3, 2))
+    assert images[0, 0, 0, 1] == tensor[1, 0, 0] == 1
+    assert images[0, 0, 1, 0] == tensor[0, 1, 0] == 2
+    assert images[0, 1, 0, 0] == tensor[0, 0, 1] == 6
+
+
+def test_vec_index_roundtrip():
+    shape = (3, 4, 5)
+    lin = np.arange(60, dtype=float)
+    tensor = refnet._to_tensor(lin, shape)
+    images = refnet._images(lin[:, None], shape)
+    seen = set()
+    for i in range(3):
+        for j in range(4):
+            for k in range(5):
+                assert tensor[i, j, k] == images[0, k, j, i] == i + 3 * (j + 4 * k)
+                seen.add(int(tensor[i, j, k]))
+    assert seen == set(range(60))
+    assert np.array_equal(refnet._from_tensor(tensor), lin)
+    x = np.random.default_rng(0).normal(size=(60, 4))
+    assert np.array_equal(refnet._signals(refnet._images(x, shape)), x)
 
 
 # ---------------------------------------------------------------------------
