@@ -19,7 +19,7 @@ from .errors import (
 )
 from .montecarlo import McConfig, VarianceTrace, compare, estimate_backward, estimate_both, estimate_forward
 from .refnet import VectorNet, backward, forward, naive_forward, sample_parameters
-from .shapes import ShapeReport, connection_counts, infer_shapes
+from .shapes import ShapeReport, infer_shapes
 from .variance import (
     InitPlan,
     METHODS,

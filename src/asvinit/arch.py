@@ -32,15 +32,14 @@ class Pool:
     ``size`` is None exactly for GlobalAverage; it is resolved to the full
     spatial extent of the convolution output at shape-inference time.
     ``stride`` defaults to ``size`` (exclusive partition), ``padding`` to 0.
-    ``t_override`` replaces the nominal window cardinality used by the
-    variance constants, without affecting shape inference.
+    The variance constants' window cardinality T is the window's area
+    (shapes.LayerShape.t), the count the engine's average pool divides by.
     """
 
     kind: str
     size: tuple[int, int] | None = None
     stride: tuple[int, int] | None = None
     padding: tuple[int, int] = (0, 0)
-    t_override: int | None = None
 
     def effective_stride(self):
         return self.stride if self.stride is not None else self.size
@@ -151,8 +150,6 @@ def validate(arch: Architecture) -> None:
                     raise ValidationError(
                         f"pool padding {pool.padding} must be < pool size {pool.size}", layer=ell
                     )
-            if pool.t_override is not None and pool.t_override < 1:
-                raise ValidationError(f"t_override must be >= 1, got {pool.t_override}", layer=ell)
 
     last = arch.layers[-1]
     if last.kind != FULLY_CONNECTED or last.activation != IDENTITY or last.pool is not None:
@@ -194,7 +191,7 @@ def _check_keys(obj, allowed, where):
 
 
 def _parse_pool(obj, where):
-    _check_keys(obj, ("kind", "size", "stride", "padding", "t_override"), where)
+    _check_keys(obj, ("kind", "size", "stride", "padding"), where)
     if "kind" not in obj:
         raise SchemaError(f"{where}: pool needs a kind")
     kind = obj["kind"]
@@ -203,8 +200,7 @@ def _parse_pool(obj, where):
     size = _as_pair(obj["size"], f"{where} size") if "size" in obj else None
     stride = _as_pair(obj["stride"], f"{where} stride") if "stride" in obj else None
     padding = _as_pair(obj["padding"], f"{where} padding") if "padding" in obj else (0, 0)
-    t_override = _as_int(obj["t_override"], f"{where} t_override") if "t_override" in obj else None
-    return Pool(kind=kind, size=size, stride=stride, padding=padding, t_override=t_override)
+    return Pool(kind=kind, size=size, stride=stride, padding=padding)
 
 
 def _parse_layer(obj, index):
@@ -281,8 +277,6 @@ def serialize(arch: Architecture) -> str:
                 pool["stride"] = list(layer.pool.stride)
             if layer.pool.padding != (0, 0):
                 pool["padding"] = list(layer.pool.padding)
-            if layer.pool.t_override is not None:
-                pool["t_override"] = layer.pool.t_override
             obj["pool"] = pool
         layers.append(obj)
     doc = {"name": arch.name, "input": list(arch.input_shape), "layers": layers}

@@ -490,22 +490,21 @@ def _whole_map(g):
 
 def _average_pool(v, g, z):
     """Window means into z, zero on entry."""
-    area = g.pool_size[0] * g.pool_size[1]
     if _whole_map(g):
         # cumsum adds left to right, in the tap loop's order, so the sum is
         # the same to the bit; np.sum would add pairwise
         n, c = v.shape[:2]
         total = np.cumsum(v.reshape(n, c, -1), axis=-1)[..., -1]
-        np.divide(total, area, out=z.reshape(n, c))
+        np.divide(total, g.t, out=z.reshape(n, c))
         return
     for _, _, o, i in _pool_taps(g):
         z[o] += v[i]
-    z /= area
+    z /= g.t
 
 
 def _average_unpool(dz, g, dv):
     """dz / T spread over each window's members into dv, zero on entry."""
-    share = dz / (g.pool_size[0] * g.pool_size[1])
+    share = dz / g.t
     if _whole_map(g):
         dv[...] = share
         return
@@ -531,8 +530,7 @@ def _forward_arrays(net, n_img):
         us.append(u)
         zs.append(x)
         if g.pool_kind == arch_mod.MAX:
-            tw, th = g.pool_size
-            winners.append(np.zeros(pooled, np.min_scalar_type(tw * th - 1)))
+            winners.append(np.zeros(pooled, np.min_scalar_type(g.t - 1)))
         else:
             winners.append(None)
     return us, zs, winners

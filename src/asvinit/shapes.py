@@ -5,15 +5,18 @@ Tensors of shape (n1, ..., nd) are flattened first-axis-fastest:
 linear = i1 + n1*(i2 + n2*(i3 + ...)).  Feature maps use (w, h, d) order,
 convolution kernels (kw, kh, d), backward kernels (kw, kh, d_out).
 
+infer_shapes resolves each layer once into a LayerShape, and every reader
+after it takes the shapes from Architecture.geo.  Its two counts have one
+definition each: the window cardinality T is LayerShape.t, the pooling
+window's area (the count the engine's average divides by), and the
+padding-aware connection count is LayerShape.epsilon, a closed-form census
+of in-bounds kernel taps that costs O(1) per axis.
+
 The index maps (build_*_maps) materialize the paper's forward and backward
 index sets.  The reference engine in refnet does not use them; they stay
 because they are the paper's formulation, the tests' oracles for the
 engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
-Every array they hold is int64.  Connection counts are LayerShape.epsilon,
-computed once in infer_shapes from a closed-form census over kernel taps
-(tap_ranges), not from the maps; connection_counts reports them per layer.
-Every reader after infer_shapes takes the shapes from Architecture.geo,
-which runs it once per architecture.
+Every array they hold is int64.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class LayerShape:
     m: int                         # units after pooling
     s_len: int                     # kernel length (fan-in per unit when unpadded)
     j_len: int                     # backward kernel length
-    t: int                         # pooling window cardinality for variance use
+    t: int                         # pooling window area T (1 without a pool)
     channels: int
     pool_kind: str | None          # Max | Average | None (GlobalAverage -> Average)
     pool_size: tuple[int, int] | None
@@ -69,19 +72,20 @@ def tap_ranges(n, k, p, s, n_out):
     ]
 
 
+def _padding_taps(e, s, n_out):
+    """Taps that land in one side's padding: e at the edge output, s fewer
+    at each next output, over at most n_out outputs."""
+    m = min(n_out, max(0, -(-e // s)))
+    return m * e - s * m * (m - 1) // 2
+
+
 def _axis_forward_census(n, k, p, s, n_out):
     """Number of (output position, in-bounds kernel tap) pairs along one
-    axis, summed over the k taps in closed form.  The same pairs, counted
-    from the input side, give the backward census."""
-    return sum(max(0, hi - lo) for lo, hi in tap_ranges(n, k, p, s, n_out))
-
-
-def connection_counts(arch: arch_mod.Architecture):
-    """Per-layer (eps_fwd, eps_bwd) weight-connection counts, padding-aware:
-    the census infer_shapes records as epsilon.  Every forward tap (output
-    i, input s) is the backward tap (input s, output i), so the two counts
-    are equal."""
-    return [(g.epsilon, g.epsilon) for g in arch.geo]
+    axis: all k * n_out pairs less the arithmetic series of taps in the low
+    and the high padding.  The same pairs, counted from the input side,
+    give the backward census."""
+    high = (n_out - 1) * s + k - n - p
+    return k * n_out - _padding_taps(p, s, n_out) - _padding_taps(high, s, n_out)
 
 
 def infer_shapes(arch: arch_mod.Architecture) -> list[LayerShape]:
@@ -147,7 +151,7 @@ def infer_shapes(arch: arch_mod.Architecture) -> list[LayerShape]:
                     f"pooling collapses {wp}x{hp} to {ww}x{hh}", layer=ell
                 )
             pool_shape = (ww, hh, dp)
-            t = pool.t_override if pool.t_override is not None else pool_size[0] * pool_size[1]
+            t = pool_size[0] * pool_size[1]
         m = pool_shape[0] * pool_shape[1] * dp
 
         s_len = kw * kh * d

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import asvinit
-from asvinit import montecarlo, refnet, shapes, variance
+from asvinit import montecarlo, refnet, variance
 from asvinit.arch import validate
 
 from conftest import record_criterion
@@ -142,8 +142,7 @@ def _one_conv(in_shape, kernel, stride, padding, out_channels):
 def test_criterion_3_connection_counting():
     elapsed = timed()
     base = _one_conv((4, 4, 1), (3, 3), (1, 1), (1, 1), 1)
-    fwd, bwd = shapes.connection_counts(base)[0]
-    ok = fwd == 100 and bwd == 100
+    ok = base.geo[0].epsilon == 100
 
     rng = np.random.default_rng(303)
     n_checked = 0
@@ -154,9 +153,8 @@ def test_criterion_3_connection_counting():
         d, dp = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         w, h = int(rng.integers(kw, 9)), int(rng.integers(kh, 9))
         a = _one_conv((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
-        got_f, got_b = shapes.connection_counts(a)[0]
         oracle = _brute_force_eps((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
-        ok = ok and got_f == oracle and got_f == got_b
+        ok = ok and a.geo[0].epsilon == oracle
         n_checked += 1
     record_criterion(3, "padding-aware connection counts vs brute force", ok,
                      f"200 random configs; {elapsed()}")

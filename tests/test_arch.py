@@ -161,8 +161,7 @@ def test_roundtrip_randomized_architectures():
         asvinit.Pool(kind="GlobalAverage"),
         asvinit.Pool(kind="Max", size=(2, 2)),
         asvinit.Pool(kind="Average", size=(2, 2), stride=(1, 1)),
-        asvinit.Pool(kind="Max", size=(3, 3), stride=(2, 2), padding=(1, 1),
-                     t_override=9),
+        asvinit.Pool(kind="Max", size=(3, 3), stride=(2, 2), padding=(1, 1)),
     ]
     for trial in range(40):
         layers = []

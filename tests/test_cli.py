@@ -201,6 +201,23 @@ def run_in_3_gib(*argv):
     )
 
 
+def test_analyze_of_a_kernel_of_10_9_taps_fits_in_3_gib(tmp_path):
+    """The connection census is O(1) per axis, not a list per kernel tap:
+    a 10**9-wide kernel over a 10**9-wide input is one output of 10**9
+    taps per channel pair."""
+    net = tmp_path / "wide-kernel.json"
+    net.write_text(json.dumps({
+        "name": "wide-kernel", "input": [10**9, 1, 1],
+        "layers": [
+            {"kind": "Conv", "out_channels": 3, "kernel": [10**9, 1]},
+            {"kind": "FullyConnected", "out_channels": 2},
+        ],
+    }))
+    proc = run_in_3_gib("analyze", "--arch", str(net))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["layers"][0]["epsilon"] == 10**9 * 3
+
+
 def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
     """init --emit-weights runs on arch34 under a 3 GiB address-space
     limit."""
@@ -523,8 +540,9 @@ def test_option_surface():
 HUGE_INTS = {
     "channels": lambda a: a["layers"][0].update(out_channels=10**400),
     "input": lambda a: a.update(input=[10**200, 10**200, 3]),
-    "average-t": lambda a: a["layers"][1]["pool"].update(t_override=10**309),
-    "max-t": lambda a: a["layers"][0]["pool"].update(t_override=10**400),
+    "average-size": lambda a: a["layers"][1]["pool"].update(size=[10**309, 2]),
+    "average-padding": lambda a: a["layers"][1]["pool"].update(padding=[0, 10**300]),
+    "max-stride": lambda a: a["layers"][0]["pool"].update(stride=[2, 10**400]),
 }
 
 BAD_INPUTS = [
@@ -541,6 +559,7 @@ BAD_INPUTS = [
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/deep.json"], {}),
     (["analyze", "--arch", "@tmp/latin1.json"], {}),
     (["analyze", "--arch", "@tmp/deep.json"], {}),
+    (["analyze", "--arch", "@tmp/t-override.json"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "abc"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "0"}),
     (["simulate", "--arch", "@arch", "--trials", "1x4"], {"ASV_BUDGET": "-5"}),
@@ -583,6 +602,10 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
     (tmp_path / "huge.json").write_text(f"[{10**400}, 1.0, 1.0, 1.0]")
     (tmp_path / "latin1.json").write_bytes(b'["\xe9"]')  # not UTF-8
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    # the window cardinality is the pool's area; no key overrides it
+    doc = json.loads(Path(tiny_arch_file).read_text())
+    doc["layers"][0]["pool"]["t_override"] = 4
+    (tmp_path / "t-override.json").write_text(json.dumps(doc))
     for name, edit in HUGE_INTS.items():
         doc = json.loads(Path(tiny_arch_file).read_text())
         edit(doc)

@@ -2,7 +2,7 @@ import json
 import time
 
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import arch, cli, refnet, shapes
@@ -135,14 +135,12 @@ def test_identity_topology_1x1():
 
 def test_eps_4x4_padded_is_100():
     a = conv_chain((4, 4, 1), (3, 3), (1, 1), (1, 1), 1)
-    fwd, bwd = shapes.connection_counts(a)[0]
-    assert fwd == bwd == 100
+    assert a.geo[0].epsilon == 100
 
 
 def test_eps_no_padding_equals_mprime_s():
     a = conv_chain((4, 4, 1), (3, 3), (1, 1), (0, 0), 1)
-    fwd, bwd = shapes.connection_counts(a)[0]
-    assert fwd == bwd == 4 * 9
+    assert a.geo[0].epsilon == 4 * 9
 
 
 def test_eps_random_configs_match_brute_force_and_maps():
@@ -159,10 +157,8 @@ def test_eps_random_configs_match_brute_force_and_maps():
         if (w + 2 * pw - kw) < 0 or (h + 2 * ph - kh) < 0:
             continue
         a = conv_chain((w, h, d), (int(kw), int(kh)), (int(sw), int(sh)), (pw, ph), dp)
-        fwd, bwd = shapes.connection_counts(a)[0]
         oracle = brute_force_eps((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
-        assert fwd == oracle
-        assert fwd == bwd
+        assert a.geo[0].epsilon == oracle
         maps = shapes.build_layer_maps(a, 0)
         assert len(maps.fwd_s) == oracle
         assert len(maps.bwd_j) == oracle
@@ -188,11 +184,15 @@ def loop_backward_census(n, k, p, s, n_out):
     return total
 
 
-@given(n=st.integers(1, 2000), k=st.integers(1, 12), s=st.integers(1, 6),
-       data=st.data())
+@given(n=st.integers(1, 2000), k=st.one_of(st.integers(1, 12), st.integers(13, 10**12)),
+       s=st.one_of(st.integers(1, 6), st.integers(7, 10**12)), data=st.data())
 def test_closed_form_census_matches_both_loops(n, k, s, data):
-    p = data.draw(st.integers(0, k - 1))
-    assume(n + 2 * p >= k)
+    # a kernel wider than the input needs at least half the difference in
+    # padding; past k = 12, p stays within 1000 strides of that least value,
+    # so n_out, and both loops, stay short
+    low = max(0, -(-(k - n) // 2))
+    high = k - 1 if k <= 12 else min(k - 1, (k - n) // 2 + 1000 * s)
+    p = data.draw(st.integers(low, high))
     n_out = shapes.conv_output_extent(n, k, p, s)
     census = shapes._axis_forward_census(n, k, p, s, n_out)
     assert census == loop_forward_census(n, k, p, s, n_out)
@@ -212,10 +212,8 @@ def test_analyze_on_a_huge_extent_is_fast(tmp_path, capsys):
 
 def test_eps_arch34_first_layer_matches_slow_enumeration():
     a34 = arch.builtin("arch34")
-    fwd, bwd = shapes.connection_counts(a34)[0]
     oracle = brute_force_eps((224, 224, 3), (7, 7), (2, 2), (3, 3), 64)
-    assert fwd == oracle
-    assert fwd == bwd
+    assert a34.geo[0].epsilon == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +330,6 @@ def test_global_average_resolves_to_full_extent():
     assert geo.pool_size == (6, 6)
     assert geo.t == 36
     assert geo.pool_shape == (1, 1, 4)
-
-
-def test_t_override_changes_t_only():
-    pool = asvinit.Pool(kind="Max", size=(3, 3), stride=(2, 2), padding=(1, 1),
-                        t_override=5)
-    a = conv_chain((8, 8, 1), (3, 3), (1, 1), (1, 1), 2, pool=pool)
-    geo = shapes.infer_shapes(a)[0]
-    assert geo.t == 5
-    assert geo.pool_shape[:2] == (4, 4)
 
 
 # ---------------------------------------------------------------------------

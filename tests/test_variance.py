@@ -417,13 +417,17 @@ def test_method_table_is_the_plans_sigmas_on_builtins(name, options):
     assert table == plans
 
 
-@pytest.mark.parametrize("tau0, t_override", [(1e-13, None), (1.0, 10**6), (1e-13, 10**6)])
-def test_method_table_floor_error_is_init_plans(tau0, t_override):
+@pytest.mark.parametrize("tau0, side", [(1e-13, 6), (1.0, 1000), (1e-13, 1000)])
+def test_method_table_floor_error_is_init_plans(tau0, side):
     """A chain under the tau floor (asv-forward) or the gamma floor
-    (asv-backward, an average pool of 10**6 entries) fails the table with
-    the error init_plan gives first in METHODS order."""
-    pool = asvinit.Pool(kind="Average", size=(2, 2), t_override=t_override)
-    a = small_net((6, 6, 2), [(3, 3, 1, 1, None), (4, 3, 1, 1, pool)])
+    (asv-backward, a global average over a 1000x1000 map, T = 10**6) fails
+    the table with the error init_plan gives first in METHODS order."""
+    if side == 1000:
+        pool = asvinit.Pool(kind="GlobalAverage")
+    else:
+        pool = asvinit.Pool(kind="Average", size=(2, 2))
+    a = small_net((side, side, 2), [(3, 3, 1, 1, None), (4, 3, 1, 1, pool)])
+    assert a.geo[1].t == (10**6 if side == 1000 else 4)
     errors = []
     for m in variance.METHODS:
         try:
