@@ -12,7 +12,8 @@ row dicts, and only this module knows the CSV and JSON layouts.
 main(argv) may be called any number of times in one process.  It builds the
 argument parser on its first call and reuses it.  Exit status: 0 done, 1 a
 simulate layer beyond --threshold, 2 bad input (an option, an architecture,
-a file that cannot be read or written), 3 a budget or memory limit.
+a file that cannot be read or written), 3 a budget, memory or disk limit
+(a weight file larger than the free space of its directory).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -225,12 +227,8 @@ def _method_table(architecture, args):
     return head, "layers", rows, ("layer", *variance_mod.METHODS)
 
 
-def write_weights(path, architecture, plan, seed):
-    """Binary weight file: one JSON header line, then little-endian float64
-    weights and biases per layer (W row-major (C, S), then b).  Every weight
-    of the full kernels is written, dead taps included, one layer at a time
-    from the stream sample_parameters draws for the same seed: a net's
-    weights are the live columns of the file's."""
+def _weights_header(architecture, plan, seed):
+    """A weight file's first line: the JSON header and a newline, as bytes."""
     header = {
         "format": _WEIGHTS_FORMAT,
         "version": 1,
@@ -242,20 +240,43 @@ def write_weights(path, architecture, plan, seed):
             for i, g in enumerate(architecture.geo)
         ],
     }
+    return json.dumps(header).encode("utf-8") + b"\n"
+
+
+def write_weights(path, architecture, plan, seed):
+    """Binary weight file: one JSON header line, then little-endian float64
+    weights and biases per layer (W row-major (C, S), then b, zero).  Every
+    weight of the full kernels is written, dead taps included, block by
+    block as refnet.weight_blocks draws them for the same seed, so writing
+    holds one block, and a net sampled with that seed holds the live
+    columns of the file's weights."""
     try:
         with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode("utf-8"))
-            fh.write(b"\n")
-            rng = np.random.default_rng(seed)
-            for row in plan.rows:
-                g = row.shape
-                w = np.empty((g.channels, g.s_len))
-                refnet._draw_normal(rng, row.sigma_w, w)
-                fh.write(w.astype("<f8", copy=False))
-                fh.write(np.zeros(g.channels, "<f8"))
-                del w   # one layer at a time
+            fh.write(_weights_header(architecture, plan, seed))
+            for i, r0, block in refnet.weight_blocks(plan, seed):
+                fh.write(block.astype("<f8", copy=False))
+                channels = plan.rows[i].shape.channels
+                if r0 + len(block) == channels:   # the layer's last block
+                    fh.write(bytes(8 * channels))
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
+
+
+def _check_free_space(path, architecture, plan, seed):
+    """Refuse, with BudgetExceeded, a weight file larger than the free space
+    of the directory it goes to."""
+    need = len(_weights_header(architecture, plan, seed))
+    need += 8 * sum(g.channels * (g.s_len + 1) for g in architecture.geo)
+    directory = os.path.dirname(path) or "."
+    try:
+        free = shutil.disk_usage(directory).free
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    if need > free:
+        raise BudgetExceeded(
+            f"{architecture.name}: the weight file needs {need / 2**30:.1f} GiB, "
+            f"over the {free / 2**30:.1f} GiB free in {directory}"
+        )
 
 
 def read_weights(path):
@@ -308,11 +329,7 @@ def cmd_init(args):
         return EXIT_OK
     plan = _init_plan(args.method, architecture, args)
     if args.emit_weights:
-        # write_weights holds one layer's weights and biases at a time
-        refnet.check_memory(
-            8 * max(g.channels * (g.s_len + 1) for g in architecture.geo),
-            f"{architecture.name}: the largest layer's weights",
-        )
+        _check_free_space(args.emit_weights, architecture, plan, args.seed)
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
         write_weights(args.emit_weights, architecture, plan, args.seed)

@@ -21,13 +21,12 @@ zero at the dropped taps, for the naive oracle.
 
 The weights are one seeded stream of normals, drawn layer by layer as
 rng.normal(0.0, sigma, (C, S)) would draw them, to the bit (_draw_normal),
-dead taps included.  A layer whose taps are all live is drawn straight
-into its weights.  A dead-tap layer is drawn in blocks of whole rows, at
-most DRAW_BLOCK normals each (never less than one row), into one scratch
-buffer, and each block's live columns are copied into its rows of the
-weights.  So sampling holds the live weights and that one buffer, never a
-layer's full draw.  The weight-file writer (cli.write_weights) draws full
-layers from the same stream, one layer at a time.
+dead taps included.  weight_blocks is that stream: each layer in blocks of
+whole rows, at most DRAW_BLOCK normals each (never less than one row),
+drawn into one scratch buffer.  sample_parameters copies each block's live
+columns into its rows of the weights, and the weight-file writer
+(cli.write_weights) writes each block as it comes, so neither holds a
+layer's full draw.
 
 The engine runs a batch as a pipeline of chunks of CHUNK images, and the
 layer loop exists once: _forward_chunk takes a chunk through every layer
@@ -88,8 +87,7 @@ in chunk order.  memory_need bounds, from the shapes alone, the bytes one
 simulate draw (sample_parameters and signal_moments) holds at once: the
 weights and the drawn batch, and one chunk's signals and temporaries per
 thread.  check_memory holds a need against the memory this process may
-use; simulate (through montecarlo) and init --emit-weights call it before
-they allocate.
+use; simulate (through montecarlo) calls it before it allocates.
 
 naive_forward walks the same layers with plain nested loops over tensor
 indices; it exists as an independent oracle for the vectorized path.
@@ -111,7 +109,7 @@ from .errors import BudgetExceeded, MissingForwardTrace, ShapeMismatch
 
 # images per im2col buffer: bounds the buffer, not a tuning option
 CHUNK = 32
-# normals per block of a dead-tap layer's draw: bounds the scratch buffer,
+# normals per block of a layer's draw: bounds the scratch buffer,
 # not a tuning option
 DRAW_BLOCK = 1 << 17
 
@@ -177,18 +175,33 @@ def _draw_normal(rng, sigma, out):
     out += 0.0
 
 
-def _block_rows(low):
-    """Rows of a dead-tap layer's full (C, S) draw per block: at most
+def _block_rows(g):
+    """Rows of layer shape g's full (C, S) draw per block: at most
     DRAW_BLOCK normals, never less than one row."""
-    return min(low.out[0], max(1, DRAW_BLOCK // low.s_len))
+    return min(g.channels, max(1, DRAW_BLOCK // g.s_len))
 
 
-def _draw_scratch(lows):
-    """Floats of the buffer dead-tap layers are drawn through: one block of
-    the largest, none when every tap is live."""
-    return max(
-        (_block_rows(low) * low.s_len for low in lows if low.kernel != low.full), default=0,
-    )
+def _draw_scratch(geo):
+    """Floats of the buffer every layer is drawn through: one block of the
+    largest."""
+    return max(_block_rows(g) * g.s_len for g in geo)
+
+
+def weight_blocks(plan, seed):
+    """The plan's weights, one seeded stream: yields (layer, first_row,
+    block) in stream order, layer 0-based and block a (rows, S) run of
+    whole rows of the layer's full (C, S) draw, dead taps included, with
+    the bits rng.normal(0.0, sigma, (C, S)) gives.  Every block is a view
+    of one scratch buffer, which the next block overwrites."""
+    geo = [row.shape for row in plan.rows]
+    rng = np.random.default_rng(seed)
+    scratch = np.empty(_draw_scratch(geo))
+    for i, (row, g) in enumerate(zip(plan.rows, geo)):
+        step = _block_rows(g)
+        for r0 in range(0, g.channels, step):
+            block = scratch[:min(step, g.channels - r0) * g.s_len].reshape(-1, g.s_len)
+            _draw_normal(rng, row.sigma_w, block)
+            yield i, r0, block
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
@@ -200,23 +213,12 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
             f"the shapes of {architecture.name} ({len(geo)} layers)"
         )
     lowerings = tuple(_lowering(spec, g) for spec, g in zip(architecture.layers, geo))
-    rng = np.random.default_rng(seed)
-    scratch = np.empty(_draw_scratch(lowerings))
-    weights = []
-    for low, row in zip(lowerings, plan.rows):
-        c = low.out[0]
-        w = np.empty((c, low.k))
-        if low.kernel == low.full:
-            _draw_normal(rng, row.sigma_w, w)
-        else:
-            live = w.reshape(c, low.image[0], *low.kernel)
-            step = _block_rows(low)
-            for r0 in range(0, c, step):
-                block = scratch[:min(step, c - r0) * low.s_len]
-                _draw_normal(rng, row.sigma_w, block)
-                live[r0:r0 + step] = low.live(block)
-        weights.append(w)
-    return VectorNet(arch=architecture, weights=tuple(weights), lowerings=lowerings)
+    weights = tuple(np.empty((low.out[0], low.k)) for low in lowerings)
+    for i, r0, block in weight_blocks(plan, seed):
+        low = lowerings[i]
+        live = weights[i].reshape(low.out[0], low.image[0], *low.kernel)
+        live[r0:r0 + len(block)] = low.live(block)
+    return VectorNet(arch=architecture, weights=weights, lowerings=lowerings)
 
 
 def dense_weights(net, layer):
@@ -330,11 +332,6 @@ class _Lowering:
         (y0, x0), (kh, kw) = self.origin, self.kernel
         return slice(y0, y0 + kh), slice(x0, x0 + kw)
 
-    @property
-    def s_len(self):
-        """The full kernel length S."""
-        return self.image[0] * self.full[0] * self.full[1]
-
     def live(self, w):
         """The live taps of any number of full weight rows, n * S floats in
         row order, as an (n, D, kh', kw') view."""
@@ -342,20 +339,33 @@ class _Lowering:
         return w.reshape(-1, self.image[0], *self.full)[:, :, rows, cols]
 
 
+def _live_kernel(spec, g):
+    """A conv or FC layer's kernel (kh, kw), the bounding rectangle
+    (kh', kw') of its live taps and the rectangle's first tap (ty, tx):
+    closed form per axis (shapes.live_taps), no tap list."""
+    w, h, _ = g.in_shape
+    if spec.kind == arch_mod.FULLY_CONNECTED:
+        return (h, w), (h, w), (0, 0)
+    wp, hp, _ = g.conv_shape
+    kw, kh = spec.kernel
+    (sw, sh), (pw, ph) = spec.stride, spec.padding
+    (y0, y1), (x0, x1) = (
+        shapes_mod.live_taps(*axis) for axis in ((h, kh, ph, sh, hp), (w, kw, pw, sw, wp))
+    )
+    return (kh, kw), (y1 - y0, x1 - x0), (y0, x0)
+
+
 def _lowering(spec, g):
     w, h, d = g.in_shape
     wp, hp, c = g.conv_shape
-    if spec.kind == arch_mod.FULLY_CONNECTED:
-        return _Lowering((d, h, w), (c, 1, 1), (h, w), (h, w))
-    kw, kh = spec.kernel
+    full, kernel, (y0, x0) = _live_kernel(spec, g)
+    one_by_one = (full, spec.stride, spec.padding) == ((1, 1), (1, 1), (0, 0))
+    if spec.kind == arch_mod.FULLY_CONNECTED or one_by_one:
+        return _Lowering((d, h, w), (c, hp, wp), full, kernel)
     (sw, sh), (pw, ph) = spec.stride, spec.padding
-    if (kw, kh, sw, sh, pw, ph) == (1, 1, 1, 1, 0, 0):
-        return _Lowering((d, h, w), (c, hp, wp), (1, 1), (1, 1))
-    taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
-    ys, xs = [t[0] for t in taps], [t[1] for t in taps]
-    y0, x0 = min(ys), min(xs)
+    taps = _taps((h, w), (hp, wp), full, (sh, sw), (ph, pw))
     return _Lowering(
-        (d, h, w), (c, hp, wp), (kh, kw), (max(ys) - y0 + 1, max(xs) - x0 + 1), (y0, x0),
+        (d, h, w), (c, hp, wp), full, kernel, (y0, x0),
         [(ty - y0, tx - x0, o, i) for ty, tx, o, i in taps],
     )
 
@@ -732,8 +742,9 @@ def signal_moments(net: VectorNet, z0, delta_uL=None):
 def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one simulate draw of batch images holds at
     once (signal_moments streams it chunk by chunk): the VectorNet's
-    float64 live-tap weights plus the buffer dead-tap layers are drawn
-    through (none when every tap is live); the drawn input, its
+    float64 live-tap weights (each live rectangle sized in closed form,
+    with no list of taps) plus the buffer they are drawn through; the
+    drawn input, its
     square (z0's variance) and, for backward, the injected top gradient;
     and, for each chunk that runs at once (_workers), one chunk's signals
     (u, z, max-pool winners and, for backward, du, dv, dz of layers 2..L)
@@ -742,9 +753,13 @@ def memory_need(architecture, batch, want_backward):
     same size, and a signal's square.  So the signals grow with
     min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
-    lows = [_lowering(spec, g) for spec, g in zip(architecture.layers, geo)]
-    weights = sum(low.out[0] * low.k for low in lows)
-    weights += _draw_scratch(lows)
+    weights = _draw_scratch(geo)
+    cols = 0
+    for spec, g in zip(architecture.layers, geo):
+        _, (kh, kw), _ = _live_kernel(spec, g)
+        k = g.in_shape[2] * kh * kw
+        weights += g.channels * k
+        cols = max(cols, k * g.conv_shape[0] * g.conv_shape[1] + 2 * g.m_prime)
     draw = 2 * geo[0].m_prev + (geo[-1].m_prime if want_backward else 0)
     per_image = geo[0].m_prev
     for g in geo:
@@ -755,7 +770,7 @@ def memory_need(architecture, batch, want_backward):
         # du, dv, dz: the stream stops at interface 1
         per_image += sum(2 * g.m_prime + g.m_prev for g in geo[1:])
     per_image += max(max(g.m_prime, g.m_prev) for g in geo)
-    per_image += max(low.k * low.p + 2 * g.m_prime for low, g in zip(lows, geo))
+    per_image += cols
     chunks = _workers(batch) * min(CHUNK, batch) * per_image
     return 8 * (weights + batch * draw + chunks)
 

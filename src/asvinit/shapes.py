@@ -72,6 +72,15 @@ def tap_ranges(n, k, p, s, n_out):
     ]
 
 
+def live_taps(n, k, p, s, n_out):
+    """The half-open range [first, last + 1) of the kernel taps along one
+    axis that land inside the input for some output: the bounding range of
+    tap_ranges' non-empty entries, in closed form (p < k).  The last
+    output reads the input from tap p - (n_out - 1)*s on, the first up to
+    tap n - 1 + p."""
+    return max(0, p - (n_out - 1) * s), min(k, n + p)
+
+
 def _padding_taps(e, s, n_out):
     """Taps that land in one side's padding: e at the edge output, s fewer
     at each next output, over at most n_out outputs."""

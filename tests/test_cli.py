@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -182,11 +183,14 @@ def test_weight_files_keep_their_bytes(capsys, tmp_path, name, argv, digest):
 
 
 def run_in_3_gib(*argv):
-    """The CLI as a child process under a 3 GiB address-space limit."""
+    """The CLI as a child process under a 3 GiB address-space limit and a
+    1 GiB file-size limit.  Python ignores SIGXFSZ, so a write past the
+    file cap fails (EFBIG) instead of filling the disk."""
     limit = 3 * 2**30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2**30, 2**30))
 
     src = str(Path(asvinit.__file__).parents[1])
     env = {
@@ -201,9 +205,9 @@ def run_in_3_gib(*argv):
     )
 
 
-def test_analyze_of_a_kernel_of_10_9_taps_fits_in_3_gib(tmp_path):
-    """The connection census is O(1) per axis, not a list per kernel tap:
-    a 10**9-wide kernel over a 10**9-wide input is one output of 10**9
+@pytest.fixture
+def wide_kernel_file(tmp_path):
+    """A 10**9-wide kernel over a 10**9-wide input: one output of 10**9
     taps per channel pair."""
     net = tmp_path / "wide-kernel.json"
     net.write_text(json.dumps({
@@ -213,9 +217,25 @@ def test_analyze_of_a_kernel_of_10_9_taps_fits_in_3_gib(tmp_path):
             {"kind": "FullyConnected", "out_channels": 2},
         ],
     }))
-    proc = run_in_3_gib("analyze", "--arch", str(net))
+    return str(net)
+
+
+def test_analyze_of_a_kernel_of_10_9_taps_fits_in_3_gib(wide_kernel_file):
+    """The connection census is O(1) per axis, not a list per kernel tap."""
+    proc = run_in_3_gib("analyze", "--arch", wide_kernel_file)
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout)["layers"][0]["epsilon"] == 10**9 * 3
+
+
+def test_simulate_on_a_kernel_of_10_9_taps_exits_3(wide_kernel_file):
+    """simulate sizes the live kernel in closed form, without a list per
+    kernel tap, and refuses its 3 * 10**9 live weights with one error
+    line, not a MemoryError traceback."""
+    proc = run_in_3_gib("simulate", "--arch", wide_kernel_file, "--trials", "1x1")
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert proc.stdout == b""
 
 
 def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
@@ -233,19 +253,36 @@ def test_emit_weights_on_builtin_fits_in_3_gib(tmp_path):
     assert out.stat().st_size == len(header) + 8 * sum(g.params for g in geo)
 
 
-def test_emit_weights_over_memory_limit_exits_3(capsys, tmp_path):
-    """An FC head of 10**6 outputs on a 224x224x64 input draws 25.7 TB in
-    one layer: emit refuses before it prints the plan or opens the file."""
+def test_emit_weights_over_memory_limit_exits_3(tmp_path):
+    """An FC head of 10**6 outputs on a 224x224x64 input is a 25.7 TB
+    weight file, more than the disk has free: emit refuses before it
+    prints the plan or opens the file.  The child's 1 GiB file-size cap
+    makes a lost check fail fast instead of filling the disk."""
     net = tmp_path / "wide.json"
     net.write_text(json.dumps({
         "name": "wide", "input": [224, 224, 64],
         "layers": [{"kind": "FullyConnected", "out_channels": 10**6}],
     }))
     out = tmp_path / "w.bin"
-    code, stdout, err = run(capsys, "init", "--arch", str(net), "--emit-weights", str(out))
-    assert (code, stdout) == (3, "")
+    proc = run_in_3_gib("init", "--arch", str(net), "--emit-weights", str(out))
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (3, b""), err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_weight_file_is_written_one_draw_block_at_a_time(tmp_path):
+    """Writing arch34's weights holds one draw block (about 1 MiB), not its
+    largest layer's full (C, S) draw (18.9 MB)."""
+    a = asvinit.builtin("arch34")
+    plan = asvinit.init_plan("asv-backward", a)
+    tracemalloc.start()
+    try:
+        cli.write_weights(str(tmp_path / "w.bin"), a, plan, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_simulate_on_builtin_runs_in_3_gib():

@@ -793,19 +793,27 @@ def test_dense_weights_put_zeros_at_dead_taps():
 
 
 @pytest.mark.parametrize("block", [1, 225, refnet.DRAW_BLOCK])
-def test_draws_are_the_normal_stream_in_blocks(monkeypatch, block):
-    """The live weights carry the bits of rng.normal(0.0, sigma, (C, S)),
-    drawn layer by layer from one stream: layer 2 (4 rows of 75) is drawn
-    in 4 blocks of 1 row, in blocks of 3 rows and 1 row, or in one block,
-    and layer 3, a dead-tap layer of zero std dev, draws nothing."""
+def test_draws_are_the_normal_stream_in_blocks(monkeypatch, tmp_path, block):
+    """The live weights, and the weight file's full ones, carry the bits of
+    rng.normal(0.0, sigma, (C, S)), drawn layer by layer from one stream:
+    layer 2 (4 rows of 75) is drawn in 4 blocks of 1 row, in blocks of 3
+    rows and 1 row, or in one block, and layer 3, a dead-tap layer of zero
+    std dev, draws nothing."""
     monkeypatch.setattr(refnet, "DRAW_BLOCK", block)
     a = dead_tap_chain(POOLS[1])
     plan = variance.plan_from_sigmas(a, [0.7, 1.3, 0.0, 0.5])
     net = refnet.sample_parameters(a, plan, seed=49)
+    path = tmp_path / "w.bin"
+    cli.write_weights(str(path), a, plan, 49)
+    _, file_weights, file_biases = cli.read_weights(str(path))
     rng = np.random.default_rng(49)
-    for w, row, g, window in zip(net.weights, plan.rows, net.geo, DEAD_TAP_WINDOWS):
+    for w, w_file, b_file, row, g, window in zip(
+        net.weights, file_weights, file_biases, plan.rows, net.geo, DEAD_TAP_WINDOWS,
+    ):
         shape = (g.channels, g.s_len)
         full = np.zeros(shape) if row.sigma_w == 0.0 else rng.normal(0.0, row.sigma_w, shape)
+        assert np.array_equal(w_file.view(np.int64), full.view(np.int64))
+        assert not b_file.view(np.int64).any()
         if window is not None:
             k = a.layers[g.ell - 1].kernel[0]
             full = full.reshape(g.channels, g.in_shape[2], k, k)[:, :, window[0], window[1]]
@@ -829,9 +837,9 @@ def test_sampling_holds_the_live_weights_and_one_draw_block():
     live = sum(w.nbytes for w in net.weights)
     assert live > 27 * 2**20
     assert peak < live + 2 * 2**20
-    # the scratch is one block, and an all-live net needs none
-    assert refnet._draw_scratch(net.lowerings) <= refnet.DRAW_BLOCK
-    assert refnet._draw_scratch(sampled(asvinit.toy_net()).lowerings) == 0
+    # every layer, all-live ones (toy's) too, is drawn through one block
+    assert refnet._draw_scratch(net.geo) <= refnet.DRAW_BLOCK
+    assert refnet._draw_scratch(asvinit.toy_net().geo) <= refnet.DRAW_BLOCK
 
 
 @pytest.mark.parametrize("name, input_shape, kept", [

@@ -197,6 +197,9 @@ def test_closed_form_census_matches_both_loops(n, k, s, data):
     census = shapes._axis_forward_census(n, k, p, s, n_out)
     assert census == loop_forward_census(n, k, p, s, n_out)
     assert census == loop_backward_census(n, k, p, s, n_out)
+    if k <= 12:
+        live = [a for a, (lo, hi) in enumerate(shapes.tap_ranges(n, k, p, s, n_out)) if hi > lo]
+        assert shapes.live_taps(n, k, p, s, n_out) == (live[0], live[-1] + 1)
 
 
 def test_analyze_on_a_huge_extent_is_fast(tmp_path, capsys):
