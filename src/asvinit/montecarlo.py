@@ -169,8 +169,11 @@ def _estimate(arch, plan, cfg, forward, backward):
         rows += [("backward", i, p.r_pred, g.m_prev)
                  for i, (p, g) in enumerate(zip(plan.rows[1:], geo[1:]), 1)]
     per_draw = np.empty((cfg.n_param_draws, len(rows)))
-    for a, seeds in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_param_draws)):
-        param_ss, input_ss, inject_ss = seeds.spawn(3)
+    root = np.random.SeedSequence(cfg.seed)
+    for a in range(cfg.n_param_draws):
+        # the a-th child of root, spawned as its draw starts: the child
+        # spawn(n_param_draws) would give, without holding all of them
+        param_ss, input_ss, inject_ss = root.spawn(1)[0].spawn(3)
         net = refnet.sample_parameters(arch, plan, param_ss)
         z0 = np.random.default_rng(input_ss).normal(0.0, 1.0, size=(geo[0].m_prev, batch))
         delta = None

@@ -52,8 +52,10 @@ n <= CHUNK images the padded, strided live taps are gathered into a
 (n, D*kh'*kw', H'*W') buffer whose rows run (d, ty, tx) like the columns
 of w, and u = np.matmul(w, buffer).  Only the in-bounds positions of each
 tap are copied; the buffer's other entries stay 0, which is the zero
-padding.  A 1x1 stride-1 unpadded conv and an FC layer need no gather:
-their buffer is the input itself, reshaped.  Backward is the transpose:
+padding.  Every layer is lowered through its conv view (shapes.conv_view),
+in which an FC layer is a 1x1 conv over its M_prev inputs as the channels
+of a 1x1 map.  A 1x1 stride-1 unpadded conv, FC layers included, needs no
+gather: its buffer is the input itself, reshaped.  Backward is the transpose:
 np.matmul(w.T, du), then a loop over live taps adds each tap's rows back
 into the input gradient.  That is the paper's re-indexed backward kernel,
 applied without index sets.  Weight gradients come out in the live shape.
@@ -303,15 +305,15 @@ def _taps(in_hw, out_hw, size, stride, padding):
 
 @dataclass(frozen=True)
 class _Lowering:
-    """A conv or FC layer as the per-image product u = w @ cols(z), with
-    cols(z) of shape (k, p): k the live kernel length, p the output
-    positions.  The live kernel is the kh' x kw' rectangle of the full
-    kernel, from origin on, that holds every tap reaching the input; taps
-    index it.  taps is None when cols(z) is z itself, reshaped: an FC layer
-    (its kernel is its whole input, p = 1) or a 1x1 stride-1 unpadded
-    conv."""
+    """A layer's conv view (shapes.conv_view) as the per-image product
+    u = w @ cols(z), with cols(z) of shape (k, p): k the live kernel
+    length, p the output positions.  The live kernel is the kh' x kw'
+    rectangle of the full kernel, from origin on, that holds every tap
+    reaching the input; taps index it.  taps is None when cols(z) is z
+    itself, reshaped: a 1x1 stride-1 unpadded conv, which an FC layer is
+    (its view's input is (M_prev, 1, 1), p = 1)."""
 
-    image: tuple[int, int, int]   # input (D, H, W)
+    image: tuple[int, int, int]   # the view's input (D, H, W)
     out: tuple[int, int, int]     # output (C, H', W')
     full: tuple[int, int]         # the kernel (kh, kw)
     kernel: tuple[int, int]       # the live rectangle (kh', kw')
@@ -339,33 +341,28 @@ class _Lowering:
         return w.reshape(-1, self.image[0], *self.full)[:, :, rows, cols]
 
 
-def _live_kernel(spec, g):
-    """A conv or FC layer's kernel (kh, kw), the bounding rectangle
-    (kh', kw') of its live taps and the rectangle's first tap (ty, tx):
+def _live_kernel(view, conv_shape):
+    """The bounding rectangle (kh', kw') of the live taps of a layer's
+    conv view (shapes.conv_view) and the rectangle's first tap (ty, tx):
     closed form per axis (shapes.live_taps), no tap list."""
-    w, h, _ = g.in_shape
-    if spec.kind == arch_mod.FULLY_CONNECTED:
-        return (h, w), (h, w), (0, 0)
-    wp, hp, _ = g.conv_shape
-    kw, kh = spec.kernel
-    (sw, sh), (pw, ph) = spec.stride, spec.padding
+    (w, h, _), (kw, kh), (sw, sh), (pw, ph) = view
+    wp, hp, _ = conv_shape
     (y0, y1), (x0, x1) = (
         shapes_mod.live_taps(*axis) for axis in ((h, kh, ph, sh, hp), (w, kw, pw, sw, wp))
     )
-    return (kh, kw), (y1 - y0, x1 - x0), (y0, x0)
+    return (y1 - y0, x1 - x0), (y0, x0)
 
 
 def _lowering(spec, g):
-    w, h, d = g.in_shape
+    view = shapes_mod.conv_view(spec, g.in_shape)
+    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = view
     wp, hp, c = g.conv_shape
-    full, kernel, (y0, x0) = _live_kernel(spec, g)
-    one_by_one = (full, spec.stride, spec.padding) == ((1, 1), (1, 1), (0, 0))
-    if spec.kind == arch_mod.FULLY_CONNECTED or one_by_one:
-        return _Lowering((d, h, w), (c, hp, wp), full, kernel)
-    (sw, sh), (pw, ph) = spec.stride, spec.padding
-    taps = _taps((h, w), (hp, wp), full, (sh, sw), (ph, pw))
+    kernel, (y0, x0) = _live_kernel(view, g.conv_shape)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return _Lowering((d, h, w), (c, hp, wp), (kh, kw), kernel)
+    taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
     return _Lowering(
-        (d, h, w), (c, hp, wp), full, kernel, (y0, x0),
+        (d, h, w), (c, hp, wp), (kh, kw), kernel, (y0, x0),
         [(ty - y0, tx - x0, o, i) for ty, tx, o, i in taps],
     )
 
@@ -576,7 +573,9 @@ def _backward_arrays(net, n_img, lowest):
     du, dv, dz = [None] * n, [None] * n, [None] * n
     for i in range(n - 1, lowest - 1, -1):
         low = net.lowerings[i]
-        dz[i] = np.zeros((n_img, *low.image)) if low.taps else np.empty((n_img, *low.image))
+        # the layer's real input images, which the layer below reads
+        image = (n_img, *reversed(net.geo[i].in_shape))
+        dz[i] = np.zeros(image) if low.taps else np.empty(image)
         if i == n - 1:
             du[i] = np.empty((n_img, *low.out))
             continue
@@ -756,8 +755,9 @@ def memory_need(architecture, batch, want_backward):
     weights = _draw_scratch(geo)
     cols = 0
     for spec, g in zip(architecture.layers, geo):
-        _, (kh, kw), _ = _live_kernel(spec, g)
-        k = g.in_shape[2] * kh * kw
+        view = shapes_mod.conv_view(spec, g.in_shape)
+        (kh, kw), _ = _live_kernel(view, g.conv_shape)
+        k = view[0][2] * kh * kw
         weights += g.channels * k
         cols = max(cols, k * g.conv_shape[0] * g.conv_shape[1] + 2 * g.m_prime)
     draw = 2 * geo[0].m_prev + (geo[-1].m_prime if want_backward else 0)

@@ -5,6 +5,11 @@ Tensors of shape (n1, ..., nd) are flattened first-axis-fastest:
 linear = i1 + n1*(i2 + n2*(i3 + ...)).  Feature maps use (w, h, d) order,
 convolution kernels (kw, kh, d), backward kernels (kw, kh, d_out).
 
+Every layer's linear map is a convolution, read through conv_view: a fully
+connected layer is a 1x1 convolution over a 1x1 map whose channels are its
+M_prev inputs, so S = M_prev, J = C and epsilon = M_prev*C come out of the
+same formulas as a conv layer's, and so do its index maps.
+
 infer_shapes resolves each layer once into a LayerShape, and every reader
 after it takes the shapes from Architecture.geo.  Its two counts have one
 definition each: the window cardinality T is LayerShape.t, the pooling
@@ -97,36 +102,26 @@ def _axis_forward_census(n, k, p, s, n_out):
     return k * n_out - _padding_taps(p, s, n_out) - _padding_taps(high, s, n_out)
 
 
+def conv_view(spec, in_shape):
+    """A layer's linear map as a convolution: (input (w, h, d), kernel,
+    stride, padding).  A fully connected layer is a 1x1 convolution over a
+    1x1 map whose channels are its M_prev inputs, in their flattening
+    order."""
+    if spec.kind == arch_mod.FULLY_CONNECTED:
+        w, h, d = in_shape
+        return (1, 1, w * h * d), (1, 1), (1, 1), (0, 0)
+    return in_shape, spec.kernel, spec.stride, spec.padding
+
+
 def infer_shapes(arch: arch_mod.Architecture) -> list[LayerShape]:
-    """Resolve every layer's geometry; raises ValidationError on collapse."""
+    """Resolve every layer's geometry, each through its conv_view; raises
+    ValidationError on collapse."""
     rows = []
     current = arch.input_shape
     for idx, layer in enumerate(arch.layers):
         ell = idx + 1
-        w, h, d = current
+        (w, h, d), (kw, kh), (sw, sh), (pw, ph) = conv_view(layer, current)
         m_prev = w * h * d
-        if layer.kind == arch_mod.FULLY_CONNECTED:
-            m_prime = layer.out_channels
-            conv_shape = (1, 1, m_prime)
-            rows.append(
-                LayerShape(
-                    ell=ell, kind=layer.kind, in_shape=current,
-                    conv_shape=conv_shape, pool_shape=conv_shape,
-                    m_prev=m_prev, m_prime=m_prime, m=m_prime,
-                    s_len=m_prev, j_len=m_prime, t=1,
-                    channels=m_prime, pool_kind=None, pool_size=None,
-                    pool_stride=None, pool_padding=None,
-                    activation=layer.activation,
-                    params=m_prime * m_prev + m_prime,
-                    epsilon=m_prev * m_prime,
-                )
-            )
-            current = conv_shape
-            continue
-
-        kw, kh = layer.kernel
-        sw, sh = layer.stride
-        pw, ph = layer.padding
         wp = conv_output_extent(w, kw, pw, sw)
         hp = conv_output_extent(h, kh, ph, sh)
         dp = layer.out_channels
@@ -302,22 +297,8 @@ def build_forward_maps(architecture, layer):
     """Explicit forward sets {a, s, c} for one layer (0-based index)."""
     spec = architecture.layers[layer]
     geo = architecture.geo[layer]
-    if spec.kind == arch_mod.FULLY_CONNECTED:
-        m_prev, m_prime = geo.m_prev, geo.m_prime
-        a = np.tile(np.arange(m_prev, dtype=np.int64), m_prime)
-        indptr = np.arange(m_prime + 1, dtype=np.int64) * m_prev
-        c = np.arange(m_prime, dtype=np.int64)
-        return ConvMaps(
-            m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
-            c=c, fwd_indptr=indptr, fwd_a=a, fwd_s=a.copy(),
-            ctil=None, bwd_indptr=None, bwd_h=None, bwd_j=None,
-        )
-
-    w, h, d = geo.in_shape
+    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = conv_view(spec, geo.in_shape)
     wp, hp, dp = geo.conv_shape
-    kw, kh = spec.kernel
-    sw, sh = spec.stride
-    pw, ph = spec.padding
 
     x_taps = _axis_taps(w, kw, pw, sw, wp)
     y_taps = _axis_taps(h, kh, ph, sh, hp)
@@ -369,22 +350,8 @@ def build_backward_maps(architecture, layer):
     """Explicit backward sets {j, h, ctil} for one layer (0-based index)."""
     spec = architecture.layers[layer]
     geo = architecture.geo[layer]
-    if spec.kind == arch_mod.FULLY_CONNECTED:
-        m_prev, m_prime = geo.m_prev, geo.m_prime
-        j = np.tile(np.arange(m_prime, dtype=np.int64), m_prev)
-        indptr = np.arange(m_prev + 1, dtype=np.int64) * m_prime
-        return ConvMaps(
-            m_prev=m_prev, m_prime=m_prime, s_len=geo.s_len, j_len=geo.j_len,
-            c=None, fwd_indptr=None, fwd_a=None, fwd_s=None,
-            ctil=np.arange(m_prev, dtype=np.int64),
-            bwd_indptr=indptr, bwd_h=j.copy(), bwd_j=j,
-        )
-
-    w, h, d = geo.in_shape
+    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = conv_view(spec, geo.in_shape)
     wp, hp, dp = geo.conv_shape
-    kw, kh = spec.kernel
-    sw, sh = spec.stride
-    pw, ph = spec.padding
 
     x_cover = _axis_cover(w, kw, pw, sw, wp)
     y_cover = _axis_cover(h, kh, ph, sh, hp)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 from hypothesis import assume, settings, strategies as st
 
 import asvinit
@@ -11,20 +14,80 @@ settings.register_profile(
 settings.load_profile("tier1")
 
 
-def small_net(in_shape, conv_layers, head=3):
-    """conv_layers: list of (channels, kernel, stride, padding, pool)."""
+def small_net(in_shape, conv_layers, head=3, hidden=()):
+    """conv_layers: list of (channels, kernel, stride, padding, pool);
+    hidden: widths of the ReLU FC layers between the convs and the head."""
     layers = []
     for ch, k, s, p, pool in conv_layers:
         layers.append(asvinit.LayerSpec(
             kind="Conv", out_channels=ch, kernel=(k, k), stride=(s, s),
             padding=(p, p), pool=pool,
         ))
+    for width in hidden:
+        layers.append(asvinit.LayerSpec(kind="FullyConnected", out_channels=width))
     layers.append(asvinit.LayerSpec(kind="FullyConnected", out_channels=head,
                                     activation="Identity"))
     a = asvinit.Architecture(name="small", input_shape=in_shape,
                              layers=tuple(layers))
     validate(a)
     return a
+
+
+def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
+    """One conv layer plus the mandatory head, for map-level tests."""
+    a = asvinit.Architecture(
+        name="conv", input_shape=in_shape,
+        layers=(
+            asvinit.LayerSpec(
+                kind="Conv", out_channels=out_channels, kernel=kernel,
+                stride=stride, padding=padding, pool=pool,
+            ),
+            asvinit.LayerSpec(kind="FullyConnected", out_channels=2,
+                              activation="Identity"),
+        ),
+    )
+    validate(a)
+    return a
+
+
+def brute_force_eps(in_shape, kernel, stride, padding, out_channels):
+    """Slow oracle: walk every output spatial unit and kernel tap."""
+    w, h, d = in_shape
+    kw, kh = kernel
+    sw, sh = stride
+    pw, ph = padding
+    wp = (w + 2 * pw - kw) // sw + 1
+    hp = (h + 2 * ph - kh) // sh + 1
+    total = 0
+    for x in range(wp):
+        for y in range(hp):
+            for xi in range(kw):
+                for eta in range(kh):
+                    lx = x * sw - pw + xi
+                    ly = y * sh - ph + eta
+                    if 0 <= lx < w and 0 <= ly < h:
+                        total += 1
+    return total * d * out_channels
+
+
+def pooled_relu_max_second_moment(t, n_samples, seed):
+    """Monte Carlo oracle: E[max(0, max of t iid standard normals)^2] and
+    its standard error."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    n_done = 0
+    chunk = 200_000
+    while n_done < n_samples:
+        n = min(chunk, n_samples - n_done)
+        x = rng.standard_normal((n, t)).max(axis=1)
+        y = np.maximum(x, 0.0) ** 2
+        total += float(y.sum())
+        total_sq += float((y * y).sum())
+        n_done += n
+    mean = total / n_samples
+    var = total_sq / n_samples - mean * mean
+    return mean, math.sqrt(var / n_samples)
 
 
 POOLS = [
@@ -46,12 +109,13 @@ def dead_tap_chain(pool):
 
 @st.composite
 def small_chains(draw):
-    """Valid chains of one or two small conv layers (every pool kind,
-    overlapping windows included) and an FC head."""
+    """Valid chains of up to two small conv layers (every pool kind,
+    overlapping windows included), up to one hidden ReLU FC layer and an
+    FC head: FC-only and FC->FC chains among them."""
     width = draw(st.integers(4, 9))
     depth = draw(st.integers(1, 3))
     layers = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(1, 3))
         layers.append((
             draw(st.integers(1, 3)), k, draw(st.integers(1, 2)),
@@ -59,7 +123,8 @@ def small_chains(draw):
             draw(st.sampled_from(POOLS + [OVERLAPPING_AVERAGE, OVERLAPPING_MAX])),
         ))
     try:
-        return small_net((width, width, depth), layers, head=draw(st.integers(1, 3)))
+        return small_net((width, width, depth), layers, head=draw(st.integers(1, 3)),
+                         hidden=draw(st.lists(st.integers(1, 5), max_size=1)))
     except asvinit.ValidationError:
         assume(False)
 

@@ -13,7 +13,7 @@ import asvinit
 from asvinit import montecarlo, refnet, variance
 from asvinit.arch import validate
 
-from conftest import record_criterion
+from conftest import brute_force_eps, conv_chain, pooled_relu_max_second_moment, record_criterion
 
 
 def timed():
@@ -70,22 +70,6 @@ def test_criterion_1_kaiming_reduction():
 # 2. Constants
 # ---------------------------------------------------------------------------
 
-def _mc_relu_max_second_moment(t, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        n = min(200_000, n_samples - done)
-        y = np.maximum(rng.standard_normal((n, t)).max(axis=1), 0.0) ** 2
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        done += n
-    mean = total / n_samples
-    stderr = math.sqrt((total_sq / n_samples - mean * mean) / n_samples)
-    return mean, stderr
-
-
 def test_criterion_2_constants():
     elapsed = timed()
     checks = []
@@ -95,7 +79,7 @@ def test_criterion_2_constants():
     checks.append(abs(variance.gamma("Average", 1) - 0.5) < 1e-9)
     details = []
     for t in (2, 3, 4, 9):
-        est, se = _mc_relu_max_second_moment(t, 1_000_000, seed=1000 + t)
+        est, se = pooled_relu_max_second_moment(t, 1_000_000, seed=1000 + t)
         within = abs(variance.tau("Max", t) - est) < 3 * se
         checks.append(within)
         details.append(f"T={t}: |{variance.tau('Max', t):.5f}-{est:.5f}|<3*{se:.2g}")
@@ -108,40 +92,9 @@ def test_criterion_2_constants():
 # 3. Connection counting
 # ---------------------------------------------------------------------------
 
-def _brute_force_eps(in_shape, kernel, stride, padding, out_channels):
-    w, h, d = in_shape
-    kw, kh = kernel
-    sw, sh = stride
-    pw, ph = padding
-    wp = (w + 2 * pw - kw) // sw + 1
-    hp = (h + 2 * ph - kh) // sh + 1
-    total = 0
-    for x in range(wp):
-        for y in range(hp):
-            for xi in range(kw):
-                for eta in range(kh):
-                    if 0 <= x * sw - pw + xi < w and 0 <= y * sh - ph + eta < h:
-                        total += 1
-    return total * d * out_channels
-
-
-def _one_conv(in_shape, kernel, stride, padding, out_channels):
-    a = asvinit.Architecture(
-        name="cfg", input_shape=in_shape,
-        layers=(
-            asvinit.LayerSpec(kind="Conv", out_channels=out_channels,
-                              kernel=kernel, stride=stride, padding=padding),
-            asvinit.LayerSpec(kind="FullyConnected", out_channels=2,
-                              activation="Identity"),
-        ),
-    )
-    validate(a)
-    return a
-
-
 def test_criterion_3_connection_counting():
     elapsed = timed()
-    base = _one_conv((4, 4, 1), (3, 3), (1, 1), (1, 1), 1)
+    base = conv_chain((4, 4, 1), (3, 3), (1, 1), (1, 1), 1)
     ok = base.geo[0].epsilon == 100
 
     rng = np.random.default_rng(303)
@@ -152,8 +105,8 @@ def test_criterion_3_connection_counting():
         pw, ph = int(rng.integers(0, kw)), int(rng.integers(0, kh))
         d, dp = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         w, h = int(rng.integers(kw, 9)), int(rng.integers(kh, 9))
-        a = _one_conv((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
-        oracle = _brute_force_eps((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
+        a = conv_chain((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
+        oracle = brute_force_eps((w, h, d), (kw, kh), (sw, sh), (pw, ph), dp)
         ok = ok and a.geo[0].epsilon == oracle
         n_checked += 1
     record_criterion(3, "padding-aware connection counts vs brute force", ok,

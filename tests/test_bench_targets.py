@@ -9,23 +9,25 @@ import numpy as np
 import asvinit
 from asvinit import cli, refnet, variance
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TOY_FILE = str(Path(asvinit.__file__).parent / "data" / "toy.json")
 
 
-def load_spans(monkeypatch):
-    """perfbench/spans.py as a module, leaving no bytecode beside it."""
+def load_bench(monkeypatch, name):
+    """perfbench/<name>.py as a module, leaving no bytecode beside it; it
+    sits in sys.modules for the test (a dataclass looks its module up)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_target_resolves(monkeypatch):
     """The benchmark's traced mode wraps asvinit functions by name
     (perfbench/spans.py TARGETS); a rename fails here first."""
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     missing = []
     for mod_name, attr in spans.TARGETS:
         owner = importlib.import_module(f"asvinit.{mod_name}")
@@ -42,7 +44,7 @@ def test_traced_commands_run(monkeypatch, capsys, tmp_path):
     the tracer end as they do untraced and record their spans, and so do
     the engine's public passes.  simulate streams its chunks through
     refnet.signal_moments, so forward and backward are called here."""
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     weights = tmp_path / "w.bin"
     toy = asvinit.toy_net()
     net = refnet.sample_parameters(toy, variance.init_plan(variance.ASV_FORWARD, toy), 0)
@@ -57,3 +59,17 @@ def test_traced_commands_run(monkeypatch, capsys, tmp_path):
     assert {"montecarlo.estimate", "refnet.forward", "refnet.backward",
             "cli.write_weights"} <= names
     assert tracer.counts["cli.write_weights.bytes"] == weights.stat().st_size
+
+
+def test_the_engine_spot_check_passes(monkeypatch):
+    """mc-toy gates every run on perfbench/worker.py's spot_check, which
+    calls refnet.sample_parameters, forward and naive_forward."""
+    assert load_bench(monkeypatch, "worker").spot_check(0) is None
+
+
+def test_every_workload_pool_builds(monkeypatch):
+    """Each workload's request pool is built through arch (and, for calc,
+    variance.METHODS) before a run starts."""
+    workloads = load_bench(monkeypatch, "workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.build_pool(name)

@@ -80,6 +80,31 @@ def test_budget_guard():
         montecarlo.estimate_forward(toy, plan, cfg)
 
 
+def test_each_draw_spawns_its_seeds_as_it_starts(monkeypatch):
+    """A million one-input draws, as many as the default budget allows,
+    reach the first draw's sampling holding little more than the per-draw
+    table (16 MB for two rows), not a million spawned seed sequences."""
+    class FirstDraw(Exception):
+        pass
+
+    def first_draw(*args):
+        raise FirstDraw
+
+    a = asvinit.Architecture(name="fc", input_shape=(4, 1, 1), layers=(
+        asvinit.LayerSpec(kind="FullyConnected", out_channels=3, activation="Identity"),
+    ))
+    plan = variance.init_plan(variance.ASV_FORWARD, a)
+    monkeypatch.setattr(refnet, "sample_parameters", first_draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            montecarlo.estimate_forward(a, plan, montecarlo.McConfig(10**6, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.parametrize("name, trials, want_backward", [
     ("toy", (2, 64), False),
     ("toy", (2, 64), True),

@@ -222,13 +222,17 @@ def test_fc_backward_kernel_is_transpose():
     assert np.array_equal(backward_kernel(net, 0), net.weights[0].T)
 
 
-@pytest.mark.parametrize("in_shape, layers", [
-    ((16, 16, 2), [(4, 3, 1, 1, POOLS[1]), (3, 3, 2, 1, POOLS[2]), (2, 1, 1, 0, POOLS[3])]),
-    ((11, 11, 3), [(3, 3, 2, 0, OVERLAPPING_AVERAGE), (4, 2, 1, 1, OVERLAPPING_MAX)]),
-    ((7, 7, 1), [(2, 3, 1, 2, None), (3, 2, 2, 1, POOLS[3])]),
-], ids=["padded-strided-every-pool", "overlapping-windows", "wide-padding"])
-def test_backward_is_the_reindexed_backward_product(in_shape, layers):
-    net = sampled(small_net(in_shape, layers), seed=40)
+@pytest.mark.parametrize("in_shape, layers, hidden", [
+    ((16, 16, 2), [(4, 3, 1, 1, POOLS[1]), (3, 3, 2, 1, POOLS[2]), (2, 1, 1, 0, POOLS[3])], ()),
+    ((11, 11, 3), [(3, 3, 2, 0, OVERLAPPING_AVERAGE), (4, 2, 1, 1, OVERLAPPING_MAX)], ()),
+    ((7, 7, 1), [(2, 3, 1, 2, None), (3, 2, 2, 1, POOLS[3])], ()),
+    ((3, 2, 2), [], ()),
+    ((3, 2, 2), [], (5,)),
+    ((6, 5, 2), [(3, 3, 1, 1, None)], (7, 4)),
+], ids=["padded-strided-every-pool", "overlapping-windows", "wide-padding",
+        "fc-only", "fc-fc", "conv-fc-fc-fc"])
+def test_backward_is_the_reindexed_backward_product(in_shape, layers, hidden):
+    net = sampled(small_net(in_shape, layers, hidden=hidden), seed=40)
     rng = np.random.default_rng(50)
     trace = refnet.forward(net, rng.normal(size=(net.geo[0].m_prev, 3)))
     delta = rng.normal(size=(net.geo[-1].m_prime, 3))

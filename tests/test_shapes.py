@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -6,41 +7,7 @@ from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import arch, cli, refnet, shapes
-
-
-def conv_chain(in_shape, kernel, stride, padding, out_channels, pool=None):
-    """One conv layer plus the mandatory head, for map-level tests."""
-    return asvinit.Architecture(
-        name="t", input_shape=in_shape,
-        layers=(
-            asvinit.LayerSpec(
-                kind="Conv", out_channels=out_channels, kernel=kernel,
-                stride=stride, padding=padding, pool=pool,
-            ),
-            asvinit.LayerSpec(kind="FullyConnected", out_channels=2,
-                              activation="Identity"),
-        ),
-    )
-
-
-def brute_force_eps(in_shape, kernel, stride, padding, out_channels):
-    """Slow oracle: walk every output spatial unit and kernel tap."""
-    w, h, d = in_shape
-    kw, kh = kernel
-    sw, sh = stride
-    pw, ph = padding
-    wp = (w + 2 * pw - kw) // sw + 1
-    hp = (h + 2 * ph - kh) // sh + 1
-    total = 0
-    for x in range(wp):
-        for y in range(hp):
-            for xi in range(kw):
-                for eta in range(kh):
-                    lx = x * sw - pw + xi
-                    ly = y * sh - ph + eta
-                    if 0 <= lx < w and 0 <= ly < h:
-                        total += 1
-    return total * d * out_channels
+from conftest import brute_force_eps, conv_chain, small_chains
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +94,28 @@ def test_identity_topology_1x1():
     assert list(maps.fwd_s) == [0]
     assert list(maps.bwd_j) == [0]
     assert list(maps.bwd_h) == [0]
+
+
+@given(a=small_chains())
+def test_a_fully_connected_layer_is_a_1x1_conv_over_its_inputs(a):
+    """Every FC layer's shape, connection count and forward and backward
+    maps are those of a 1x1 conv on a (1, 1, M_prev) input, but for its
+    kind and its real input shape (and its layer number)."""
+    for i, (spec, g) in enumerate(zip(a.layers, a.geo)):
+        if spec.kind != "FullyConnected":
+            continue
+        view = (1, 1, g.m_prev)
+        conv = asvinit.Architecture(name="view", input_shape=view, layers=(
+            dataclasses.replace(spec, kind="Conv", kernel=(1, 1)),
+        ))
+        assert conv.geo[0] == dataclasses.replace(g, ell=1, kind="Conv", in_shape=view)
+        assert g.epsilon == brute_force_eps(view, (1, 1), (1, 1), (0, 0), spec.out_channels)
+        for build in (shapes.build_forward_maps, shapes.build_backward_maps):
+            got, want = build(a, i), build(conv, 0)
+            for field in dataclasses.fields(got):
+                x, y = getattr(got, field.name), getattr(want, field.name)
+                assert type(x) is type(y) and np.array_equal(x, y)
+                assert getattr(x, "dtype", None) == getattr(y, "dtype", None)
 
 
 # ---------------------------------------------------------------------------

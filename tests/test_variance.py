@@ -12,26 +12,7 @@ from hypothesis import given, settings, strategies as st
 import asvinit
 from asvinit import cli, variance
 from asvinit.errors import AsvinitError
-from conftest import small_chains, small_net
-
-
-def pooled_relu_max_second_moment(t, n_samples, seed):
-    """Monte Carlo oracle: E[max(0, max of t iid standard normals)^2]."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    n_done = 0
-    chunk = 200_000
-    while n_done < n_samples:
-        n = min(chunk, n_samples - n_done)
-        x = rng.standard_normal((n, t)).max(axis=1)
-        y = np.maximum(x, 0.0) ** 2
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        n_done += n
-    mean = total / n_samples
-    var = total_sq / n_samples - mean * mean
-    return mean, math.sqrt(var / n_samples)
+from conftest import pooled_relu_max_second_moment, small_chains, small_net
 
 
 # ---------------------------------------------------------------------------
