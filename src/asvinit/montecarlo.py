@@ -29,8 +29,9 @@ Estimates are averaged across parameter draws in draw order; the standard
 error is the dispersion of per-draw estimates.  Everything is reproducible
 bit for bit for a fixed seed and trial count, whatever the number of
 threads.  Before the first draw, a run holds refnet.memory_need (what one
-draw holds at once) against the memory this process may use
-(refnet.check_memory), and raises BudgetExceeded when it does not fit.
+draw holds at once) plus the per-draw table of estimates (8 bytes per row
+and draw) against the memory this process may use (refnet.check_memory),
+and raises BudgetExceeded when it does not fit.
 """
 
 from __future__ import annotations
@@ -154,10 +155,6 @@ def _estimate(arch, plan, cfg, forward, backward):
     each a per-draw variance averaged over the parameter draws."""
     cfg.check_budget()
     batch = cfg.n_input_draws
-    refnet.check_memory(
-        refnet.memory_need(arch, batch, backward),
-        f"{arch.name}: weights and signals of {batch} inputs",
-    )
     geo = arch.geo
     # (direction, layer, predicted, entries per input) of each row
     rows = []
@@ -168,6 +165,12 @@ def _estimate(arch, plan, cfg, forward, backward):
     if backward:
         rows += [("backward", i, p.r_pred, g.m_prev)
                  for i, (p, g) in enumerate(zip(plan.rows[1:], geo[1:]), 1)]
+    # one draw's weights and signals, and the per-draw table beside them
+    refnet.check_memory(
+        refnet.memory_need(arch, batch, backward) + 8 * cfg.n_param_draws * len(rows),
+        f"{arch.name}: weights and signals of {batch} inputs, "
+        f"and {cfg.n_param_draws} draws' estimates",
+    )
     per_draw = np.empty((cfg.n_param_draws, len(rows)))
     root = np.random.SeedSequence(cfg.seed)
     for a in range(cfg.n_param_draws):

@@ -18,7 +18,12 @@ padding-aware connection count is LayerShape.epsilon, a closed-form census
 of in-bounds kernel taps that costs O(1) per axis.
 
 The index maps (build_*_maps) materialize the paper's forward and backward
-index sets.  The reference engine in refnet does not use them; they stay
+index sets and the pooling windows.  The three are one connection relation
+in three orders: output i reads input i*s - p + a through tap a whenever
+that input is in bounds, the relation tap_ranges states per axis.  The
+forward sets {a, s, c} group it by output unit, the backward sets
+{h, j, ctil} by input unit (the paper's re-indexing), and a pool's members
+by window.  The reference engine in refnet does not use them; they stay
 because they are the paper's formulation, the tests' oracles for the
 engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
 Every array they hold is int64.
@@ -26,7 +31,7 @@ Every array they hold is int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,12 +242,15 @@ class ShapeReport:
 
 @dataclass(frozen=True)
 class ConvMaps:
-    """Flattened connection sets of one layer's linear map.
+    """Flattened connection sets of one layer's linear map: the connection
+    relation grouped by output unit (forward) and by input unit (backward).
 
     Forward: for output unit i, taps (a, s) live in
-    fwd_a[fwd_indptr[i]:fwd_indptr[i+1]] and fwd_s[...]; c[i] is the kernel
-    row applied.  Backward: for input unit i, taps (h, j) analogously, with
-    ctil[i] the backward kernel row.
+    fwd_a[fwd_indptr[i]:fwd_indptr[i+1]] and fwd_s[...], input channel
+    outer, then tap order (x fastest); c[i] is the kernel row applied.
+    Backward, the paper's re-indexing of the same (output, tap, input)
+    entries: for input unit i, taps (h, j) analogously, output channel
+    outer, then output order; ctil[i] is the backward kernel row.
 
     Layout: output units run channel-major (c is non-decreasing) and every
     output channel repeats one spatial tap pattern, so with C channels
@@ -268,10 +276,11 @@ class ConvMaps:
 
 @dataclass(frozen=True)
 class PoolMaps:
-    """Window membership of one layer's pooling step.
+    """Window membership of one layer's pooling step: the connection
+    relation of the pooling window, grouped by window.
 
     Window of pooled unit i: members[indptr[i]:indptr[i+1]] (conv-output
-    unit ids)."""
+    unit ids, x fastest), channel outermost.  Every array is int64."""
 
     m_prime: int
     m: int
@@ -281,109 +290,79 @@ class PoolMaps:
     members: np.ndarray
 
 
-def _axis_taps(n, k, p, s, n_out):
-    """For each output position: (first valid tap, input position of it,
-    tap count)."""
-    out = []
-    for i in range(n_out):
-        lo = i * s - p
-        first = max(0, -lo)
-        last = min(k, n - lo)
-        out.append((first, lo + first, last - first))
-    return out
+def _axis_relation(n, k, p, s, n_out):
+    """The in-bounds (output i, tap a, input i*s - p + a) triples of one
+    axis, read off tap_ranges, as int64 arrays sorted by output, then tap."""
+    lo, hi = np.array(tap_ranges(n, k, p, s, n_out), dtype=np.int64).T
+    i = np.arange(n_out, dtype=np.int64)[:, None]
+    out, tap = np.nonzero((lo <= i) & (i < hi))
+    return out, tap, out * s - p + tap
+
+
+def _plane_relation(in_wh, kernel, padding, stride, out_wh):
+    """The relation over one channel's plane, the product of the two axes'
+    with units and taps flattened x fastest: (output, tap, input) arrays
+    sorted by output, then tap."""
+    (xo, xa, xl), (yo, ya, yl) = map(_axis_relation, in_wh, kernel, padding, stride, out_wh)
+    out = (xo + out_wh[0] * yo[:, None]).ravel()
+    tap = (xa + kernel[0] * ya[:, None]).ravel()
+    inp = (xl + in_wh[0] * yl[:, None]).ravel()
+    order = np.lexsort((tap, out))
+    return out[order], tap[order], inp[order]
+
+
+def _group(unit, n_units, inner, outer, *columns):
+    """Lay out a plane's entries, sorted by unit, over channels: outer
+    channel outermost, then unit, then inner channel, then the entries' own
+    order.  Each column is (values, inner channel stride, outer channel
+    stride).  Returns the int64 indptr over outer * n_units units and the
+    expanded columns."""
+    order = np.argsort(np.broadcast_to(unit, (inner, unit.size)), axis=None, kind="stable")
+    indptr = np.zeros(outer * n_units + 1, dtype=np.int64)
+    np.cumsum(np.tile(np.bincount(unit, minlength=n_units) * inner, outer), out=indptr[1:])
+    inner_ch = np.arange(inner, dtype=np.int64)[:, None]
+    outer_ch = np.arange(outer, dtype=np.int64)[:, None]
+    return indptr, [
+        ((values + step_in * inner_ch).ravel()[order] + step_out * outer_ch).ravel()
+        for values, step_in, step_out in columns
+    ]
+
+
+def _conv_relation(architecture, layer):
+    """One layer's shape, conv view and plane relation."""
+    geo = architecture.geo[layer]
+    view = conv_view(architecture.layers[layer], geo.in_shape)
+    (w, h, _), kernel, stride, padding = view
+    return geo, view, _plane_relation((w, h), kernel, padding, stride, geo.conv_shape[:2])
 
 
 def build_forward_maps(architecture, layer):
     """Explicit forward sets {a, s, c} for one layer (0-based index)."""
-    spec = architecture.layers[layer]
-    geo = architecture.geo[layer]
-    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = conv_view(spec, geo.in_shape)
+    geo, ((w, h, d), (kw, kh), _, _), (out, tap, inp) = _conv_relation(architecture, layer)
     wp, hp, dp = geo.conv_shape
-
-    x_taps = _axis_taps(w, kw, pw, sw, wp)
-    y_taps = _axis_taps(h, kh, ph, sh, hp)
-    ch_in = np.arange(d, dtype=np.int64)
-
-    a_blocks, s_blocks, counts = [], [], np.empty(wp * hp, dtype=np.int64)
-    for y in range(hp):
-        yf, yi, yn = y_taps[y]
-        for x in range(wp):
-            xf, xi, xn = x_taps[x]
-            xs_a = np.arange(xf, xf + xn, dtype=np.int64)
-            ys_a = np.arange(yf, yf + yn, dtype=np.int64)
-            xs_s = np.arange(xi, xi + xn, dtype=np.int64)
-            ys_s = np.arange(yi, yi + yn, dtype=np.int64)
-            # tap order: xi fastest, then eta, then input channel
-            a_blk = (xs_a[:, None, None] + kw * (ys_a[None, :, None] + kh * ch_in[None, None, :]))
-            s_blk = (xs_s[:, None, None] + w * (ys_s[None, :, None] + h * ch_in[None, None, :]))
-            a_blocks.append(a_blk.reshape(-1, order="F"))
-            s_blocks.append(s_blk.reshape(-1, order="F"))
-            counts[x + wp * y] = xn * yn * d
-    a_sp = np.concatenate(a_blocks)
-    s_sp = np.concatenate(s_blocks)
-
-    # replicate the spatial pattern across output channels (same a/s, c = ch)
-    fwd_a = np.tile(a_sp, dp)
-    fwd_s = np.tile(s_sp, dp)
-    indptr = np.zeros(wp * hp * dp + 1, dtype=np.int64)
-    np.cumsum(np.tile(counts, dp), out=indptr[1:])
-    c = np.repeat(np.arange(dp, dtype=np.int64), wp * hp)
+    indptr, (fwd_a, fwd_s) = _group(out, wp * hp, d, dp, (tap, kw * kh, 0), (inp, w * h, 0))
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,
-        c=c, fwd_indptr=indptr, fwd_a=fwd_a, fwd_s=fwd_s,
+        c=np.repeat(np.arange(dp, dtype=np.int64), wp * hp),
+        fwd_indptr=indptr, fwd_a=fwd_a, fwd_s=fwd_s,
         ctil=None, bwd_indptr=None, bwd_h=None, bwd_j=None,
     )
 
 
-def _axis_cover(n, k, p, s, n_out):
-    """For each input position: list of (output position, tap index)."""
-    out = []
-    for l in range(n):
-        i_lo = max(0, -(-(l + p - k + 1) // s))
-        i_hi = min(n_out - 1, (l + p) // s)
-        pairs = [(i, l + p - i * s) for i in range(i_lo, i_hi + 1)]
-        out.append(pairs)
-    return out
-
-
 def build_backward_maps(architecture, layer):
-    """Explicit backward sets {j, h, ctil} for one layer (0-based index)."""
-    spec = architecture.layers[layer]
-    geo = architecture.geo[layer]
-    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = conv_view(spec, geo.in_shape)
+    """Explicit backward sets {j, h, ctil} for one layer (0-based index):
+    the forward relation re-indexed by input unit."""
+    geo, ((w, h, d), (kw, kh), _, _), (out, tap, inp) = _conv_relation(architecture, layer)
     wp, hp, dp = geo.conv_shape
-
-    x_cover = _axis_cover(w, kw, pw, sw, wp)
-    y_cover = _axis_cover(h, kh, ph, sh, hp)
-    ch_out = np.arange(dp, dtype=np.int64)
-
-    h_blocks, j_blocks, counts = [], [], np.empty(w * h, dtype=np.int64)
-    for m in range(h):
-        ym = y_cover[m]
-        ys_i = np.array([ij[0] for ij in ym], dtype=np.int64)
-        ys_z = np.array([ij[1] for ij in ym], dtype=np.int64)
-        for l in range(w):
-            xl = x_cover[l]
-            xs_i = np.array([ij[0] for ij in xl], dtype=np.int64)
-            xs_z = np.array([ij[1] for ij in xl], dtype=np.int64)
-            # backward kernel flattened over (kw, kh, d_out)
-            h_blk = (xs_z[:, None, None] + kw * (ys_z[None, :, None] + kh * ch_out[None, None, :]))
-            j_blk = (xs_i[:, None, None] + wp * (ys_i[None, :, None] + hp * ch_out[None, None, :]))
-            h_blocks.append(h_blk.reshape(-1, order="F"))
-            j_blocks.append(j_blk.reshape(-1, order="F"))
-            counts[l + w * m] = len(xl) * len(ym) * dp
-    h_sp = np.concatenate(h_blocks)
-    j_sp = np.concatenate(j_blocks)
-
-    bwd_h = np.tile(h_sp, d)
-    bwd_j = np.tile(j_sp, d)
-    indptr = np.zeros(w * h * d + 1, dtype=np.int64)
-    np.cumsum(np.tile(counts, d), out=indptr[1:])
-    ctil = np.repeat(np.arange(d, dtype=np.int64), w * h)
+    order = np.lexsort((out, inp))
+    indptr, (bwd_h, bwd_j) = _group(
+        inp[order], w * h, dp, d, (tap[order], kw * kh, 0), (out[order], wp * hp, 0)
+    )
     return ConvMaps(
         m_prev=geo.m_prev, m_prime=geo.m_prime, s_len=geo.s_len, j_len=geo.j_len,
         c=None, fwd_indptr=None, fwd_a=None, fwd_s=None,
-        ctil=ctil, bwd_indptr=indptr, bwd_h=bwd_h, bwd_j=bwd_j,
+        ctil=np.repeat(np.arange(d, dtype=np.int64), w * h),
+        bwd_indptr=indptr, bwd_h=bwd_h, bwd_j=bwd_j,
     )
 
 
@@ -391,11 +370,7 @@ def build_layer_maps(architecture, layer):
     """Both directions merged into one ConvMaps."""
     fwd = build_forward_maps(architecture, layer)
     bwd = build_backward_maps(architecture, layer)
-    return ConvMaps(
-        m_prev=fwd.m_prev, m_prime=fwd.m_prime, s_len=fwd.s_len, j_len=fwd.j_len,
-        c=fwd.c, fwd_indptr=fwd.fwd_indptr, fwd_a=fwd.fwd_a, fwd_s=fwd.fwd_s,
-        ctil=bwd.ctil, bwd_indptr=bwd.bwd_indptr, bwd_h=bwd.bwd_h, bwd_j=bwd.bwd_j,
-    )
+    return replace(fwd, ctil=bwd.ctil, bwd_indptr=bwd.bwd_indptr, bwd_h=bwd.bwd_h, bwd_j=bwd.bwd_j)
 
 
 def build_pool_maps(architecture, layer):
@@ -405,28 +380,11 @@ def build_pool_maps(architecture, layer):
         return None
     wp, hp, dp = geo.conv_shape
     ww, hh, _ = geo.pool_shape
-    tw, th = geo.pool_size
-    sw, sh = geo.pool_stride
-    qw, qh = geo.pool_padding
-
-    members, counts = [], np.empty(ww * hh, dtype=np.int64)
-    for y in range(hh):
-        y0 = y * sh - qh
-        ys = np.arange(max(0, y0), min(hp, y0 + th), dtype=np.int64)
-        for x in range(ww):
-            x0 = x * sw - qw
-            xs = np.arange(max(0, x0), min(wp, x0 + tw), dtype=np.int64)
-            blk = xs[:, None] + wp * ys[None, :]
-            members.append(blk.reshape(-1, order="F"))
-            counts[x + ww * y] = xs.size * ys.size
-    mem_sp = np.concatenate(members)
-    # per-channel replication with channel offsets on member ids
-    offs = np.arange(dp, dtype=np.int64) * (wp * hp)
-    members_full = (mem_sp[None, :] + offs[:, None]).reshape(-1)
-    counts_full = np.tile(counts, dp)
-    indptr = np.zeros(ww * hh * dp + 1, dtype=np.int64)
-    np.cumsum(counts_full, out=indptr[1:])
+    out, _, inp = _plane_relation(
+        (wp, hp), geo.pool_size, geo.pool_padding, geo.pool_stride, (ww, hh)
+    )
+    indptr, (members,) = _group(out, ww * hh, 1, dp, (inp, 0, wp * hp))
     return PoolMaps(
-        m_prime=geo.m_prime, m=geo.m, t_nominal=geo.pool_size[0] * geo.pool_size[1],
-        kind=geo.pool_kind, indptr=indptr, members=members_full,
+        m_prime=geo.m_prime, m=geo.m, t_nominal=geo.t,
+        kind=geo.pool_kind, indptr=indptr, members=members,
     )

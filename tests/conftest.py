@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import assume, settings, strategies as st
 
 import asvinit
+from asvinit import shapes
 from asvinit.arch import validate
 
 # Tier-1 runs are reproducible: the same examples every run, none replayed
@@ -68,6 +69,69 @@ def brute_force_eps(in_shape, kernel, stride, padding, out_channels):
                     if 0 <= lx < w and 0 <= ly < h:
                         total += 1
     return total * d * out_channels
+
+
+def _csr(units):
+    """(indptr, *columns) of per-unit lists of entry tuples, all int64."""
+    indptr = np.cumsum([0] + [len(entries) for entries in units], dtype=np.int64)
+    flat = [e for entries in units for e in entries]
+    columns = np.array(flat, dtype=np.int64).reshape(len(flat), -1).T
+    return (indptr, *columns)
+
+
+def enumerate_index_sets(a, layer):
+    """Nested-loop oracle of one layer's index sets, each unit's entries in
+    their documented order.  Forward: per output unit (channel-major, x
+    fastest), (a, s) over input channel, then tap (x fastest).  Backward:
+    per input unit, (h, j) over output channel, then output unit.  Pool:
+    per window, conv-output members x fastest, channel outermost.
+    Returns (indptr, a, s, c), (indptr, h, j, ctil) and (indptr, members)
+    or None without a pool."""
+    spec, g = a.layers[layer], a.geo[layer]
+    (w, h, d), (kw, kh), (sw, sh), (pw, ph) = shapes.conv_view(spec, g.in_shape)
+    wp, hp, dp = g.conv_shape
+    fwd = []
+    for co in range(dp):
+        for y in range(hp):
+            for x in range(wp):
+                entries = []
+                for ci in range(d):
+                    for ay in range(kh):
+                        for ax in range(kw):
+                            lx, ly = x * sw - pw + ax, y * sh - ph + ay
+                            if 0 <= lx < w and 0 <= ly < h:
+                                entries.append((ax + kw * (ay + kh * ci), lx + w * (ly + h * ci)))
+                fwd.append(entries)
+    bwd = []
+    for ci in range(d):
+        for ly in range(h):
+            for lx in range(w):
+                entries = []
+                for co in range(dp):
+                    for y in range(hp):
+                        for x in range(wp):
+                            ax, ay = lx + pw - x * sw, ly + ph - y * sh
+                            if 0 <= ax < kw and 0 <= ay < kh:
+                                entries.append((ax + kw * (ay + kh * co), x + wp * (y + hp * co)))
+                bwd.append(entries)
+    forward = (*_csr(fwd), np.repeat(np.arange(dp, dtype=np.int64), wp * hp))
+    backward = (*_csr(bwd), np.repeat(np.arange(d, dtype=np.int64), w * h))
+    if g.pool_kind is None:
+        return forward, backward, None
+    ww, hh, _ = g.pool_shape
+    (tw, th), (qsw, qsh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
+    windows = []
+    for ch in range(dp):
+        for y in range(hh):
+            for x in range(ww):
+                entries = []
+                for ty in range(th):
+                    for tx in range(tw):
+                        mx, my = x * qsw - qw + tx, y * qsh - qh + ty
+                        if 0 <= mx < wp and 0 <= my < hp:
+                            entries.append((mx + wp * (my + hp * ch),))
+                windows.append(entries)
+    return forward, backward, _csr(windows)
 
 
 def pooled_relu_max_second_moment(t, n_samples, seed):

@@ -73,3 +73,18 @@ def test_every_workload_pool_builds(monkeypatch):
     workloads = load_bench(monkeypatch, "workloads")
     for name in workloads.WORKLOADS:
         assert workloads.build_pool(name)
+
+
+def test_map_counters_read_the_built_maps(monkeypatch):
+    """The tracer's map counters read each returned map's tap array
+    (fwd_a, bwd_h or members) and the nbytes of its arrays: on toy,
+    refnet.build_maps counts every forward, backward and pool map once."""
+    spans = load_bench(monkeypatch, "spans")
+    with spans.Tracer().installed() as tracer:
+        maps, pools = refnet.build_maps(asvinit.toy_net())
+    pools = [p for p in pools if p is not None]
+    arrays = [v for m in (*maps, *pools) for v in vars(m).values() if isinstance(v, np.ndarray)]
+    taps = sum(m.fwd_a.size + m.bwd_h.size for m in maps) + sum(p.members.size for p in pools)
+    assert taps == 359_840
+    assert tracer.counts["shapes.map_taps"] == taps
+    assert tracer.counts["shapes.map_bytes"] == sum(a.nbytes for a in arrays)

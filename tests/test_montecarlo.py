@@ -80,19 +80,25 @@ def test_budget_guard():
         montecarlo.estimate_forward(toy, plan, cfg)
 
 
+class FirstDraw(Exception):
+    pass
+
+
+def fc_chain():
+    """One FC layer: two forward rows."""
+    return asvinit.Architecture(name="fc", input_shape=(4, 1, 1), layers=(
+        asvinit.LayerSpec(kind="FullyConnected", out_channels=3, activation="Identity"),
+    ))
+
+
 def test_each_draw_spawns_its_seeds_as_it_starts(monkeypatch):
     """A million one-input draws, as many as the default budget allows,
     reach the first draw's sampling holding little more than the per-draw
     table (16 MB for two rows), not a million spawned seed sequences."""
-    class FirstDraw(Exception):
-        pass
-
     def first_draw(*args):
         raise FirstDraw
 
-    a = asvinit.Architecture(name="fc", input_shape=(4, 1, 1), layers=(
-        asvinit.LayerSpec(kind="FullyConnected", out_channels=3, activation="Identity"),
-    ))
+    a = fc_chain()
     plan = variance.init_plan(variance.ASV_FORWARD, a)
     monkeypatch.setattr(refnet, "sample_parameters", first_draw)
     tracemalloc.start()
@@ -103,6 +109,24 @@ def test_each_draw_spawns_its_seeds_as_it_starts(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_memory_preflight_counts_the_per_draw_table(monkeypatch):
+    """The need held against the memory limit covers the per-draw table
+    too: 10**6 draws of two rows are 16 MB beside one draw's net and
+    signals."""
+    needs = []
+
+    def record(need, what):
+        needs.append(need)
+        raise FirstDraw
+
+    a = fc_chain()
+    plan = variance.init_plan(variance.ASV_FORWARD, a)
+    monkeypatch.setattr(refnet, "check_memory", record)
+    with pytest.raises(FirstDraw):
+        montecarlo.estimate_forward(a, plan, montecarlo.McConfig(10**6, 1))
+    assert needs == [refnet.memory_need(a, 1, False) + 16_000_000]
 
 
 @pytest.mark.parametrize("name, trials, want_backward", [

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import arch, cli, refnet, shapes
-from conftest import brute_force_eps, conv_chain, small_chains
+from conftest import brute_force_eps, conv_chain, enumerate_index_sets, small_chains
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,27 @@ def test_duality_exhaustive_on_small_nets():
         bwd_set = set(zip(rep_in.tolist(), maps.bwd_h.tolist(), maps.bwd_j.tolist()))
         assert fwd_set == bwd_set
         # the backward channel of input unit s is the kernel depth of its taps
-        rep_out = np.repeat(np.arange(maps.m_prime), np.diff(maps.fwd_indptr))
         assert np.all(maps.ctil[maps.fwd_s] == xi3)
+
+
+@given(a=small_chains())
+def test_index_maps_match_the_loop_oracle_in_order(a):
+    """Every forward, backward and pool map array equals the nested-loop
+    enumeration of its documented order, dtype included."""
+    for i in range(a.num_layers):
+        maps = shapes.build_layer_maps(a, i)
+        pm = shapes.build_pool_maps(a, i)
+        forward, backward, pool = enumerate_index_sets(a, i)
+        got = [maps.fwd_indptr, maps.fwd_a, maps.fwd_s, maps.c,
+               maps.bwd_indptr, maps.bwd_h, maps.bwd_j, maps.ctil]
+        want = [*forward, *backward]
+        assert (pm is None) == (pool is None)
+        if pm is not None:
+            assert (pm.t_nominal, pm.kind) == (a.geo[i].t, a.geo[i].pool_kind)
+            got += [pm.indptr, pm.members]
+            want += pool
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
 
 
 def test_backward_tap_total_equals_forward():
