@@ -19,6 +19,7 @@ a file that cannot be read or written), 3 a budget, memory or disk limit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -253,11 +254,12 @@ def write_weights(path, architecture, plan, seed):
     try:
         with open(path, "wb") as fh:
             fh.write(_weights_header(architecture, plan, seed))
-            for i, r0, block in refnet.weight_blocks(plan, seed):
-                fh.write(block.astype("<f8", copy=False))
-                channels = plan.rows[i].shape.channels
-                if r0 + len(block) == channels:   # the layer's last block
-                    fh.write(bytes(8 * channels))
+            with contextlib.closing(refnet.weight_blocks(plan, seed)) as blocks:
+                for i, r0, block in blocks:
+                    fh.write(block.astype("<f8", copy=False))
+                    channels = plan.rows[i].shape.channels
+                    if r0 + len(block) == channels:   # the layer's last block
+                        fh.write(bytes(8 * channels))
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 

@@ -15,7 +15,10 @@ scales judge every other scale too.
 
 One estimator body serves all three directions and computes only the
 rows it reports.  Per parameter draw it samples the net, draws z0 (and,
-for backward, the top gradient) and makes one refnet.signal_moments call,
+for backward, the top gradient) with the bits of
+default_rng(seed).normal(0.0, 1.0, shape), through a refnet.NormalStream
+whose helper thread draws part of a long one, and makes one
+refnet.signal_moments call,
 which streams the batch chunk by chunk, forward and back down to
 interface 1, keeping no trace, and returns per layer the (sum x, sum x^2)
 of every u and of dz at interfaces 1..L-1.  Every row's variance is
@@ -178,10 +181,10 @@ def _estimate(arch, plan, cfg, forward, backward):
         # spawn(n_param_draws) would give, without holding all of them
         param_ss, input_ss, inject_ss = root.spawn(1)[0].spawn(3)
         net = refnet.sample_parameters(arch, plan, param_ss)
-        z0 = np.random.default_rng(input_ss).normal(0.0, 1.0, size=(geo[0].m_prev, batch))
+        z0 = refnet.seeded_normal(input_ss, (geo[0].m_prev, batch))
         delta = None
         if backward:
-            delta = np.random.default_rng(inject_ss).normal(0.0, 1.0, size=(geo[-1].m_prime, batch))
+            delta = refnet.seeded_normal(inject_ss, (geo[-1].m_prime, batch))
         u_sums, dz_sums = refnet.signal_moments(net, z0, delta)
         sums = [refnet._sums(z0), *u_sums] if forward else []
         if backward:

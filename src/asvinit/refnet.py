@@ -20,13 +20,30 @@ the built-ins at 224x224).  dense_weights gives the full matrix back,
 zero at the dropped taps, for the naive oracle.
 
 The weights are one seeded stream of normals, drawn layer by layer as
-rng.normal(0.0, sigma, (C, S)) would draw them, to the bit (_draw_normal),
-dead taps included.  weight_blocks is that stream: each layer in blocks of
-whole rows, at most DRAW_BLOCK normals each (never less than one row),
-drawn into one scratch buffer.  sample_parameters copies each block's live
+rng.normal(0.0, sigma, (C, S)) would draw them, to the bit, dead taps
+included.  weight_blocks is that stream: each layer in blocks of whole
+rows, at most DRAW_BLOCK normals each (never less than one row), drawn
+into one scratch buffer.  sample_parameters copies each block's live
 columns into its rows of the weights, and the weight-file writer
 (cli.write_weights) writes each block as it comes, so neither holds a
 layer's full draw.
+
+Every normal, weights and simulate's inputs alike, comes from a
+NormalStream, which draws a long stream on two threads to the bits of one.
+numpy's ziggurat reads one raw 64-bit draw per normal, except on its slow
+path (about 2% of normals), where it reads a few more.  So two walks over
+the same raws that start at different raws give the same normals from the
+first raw at which both begin one: from there on they read the same raws
+the same way.  A helper thread that starts LEAD raws short of where the
+calling thread's segment should end (at RAWS_PER_NORMAL raws per normal)
+soon repeats the segment's last normals.  OVERLAP of them equal in a row
+(each normal fixes 61 bits of its first raw) mark where it joined the
+stream; from there on its normals, and its end state, are the stream's.
+The calling thread checks every join, so a round that does not join costs
+time, not bits.  A stream of at most ROUND normals (toy's weights, a small
+batch), one CPU or a refused thread start draws on the calling thread
+alone, and the helper is joined when its stream closes, so none outlives
+the call that drew it.
 
 The engine runs a batch as a pipeline of chunks of CHUNK images, and the
 layer loop exists once: _forward_chunk takes a chunk through every layer
@@ -97,10 +114,12 @@ indices; it exists as an independent oracle for the vectorized path.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import resource
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +132,21 @@ from .errors import BudgetExceeded, MissingForwardTrace, ShapeMismatch
 CHUNK = 32
 # normals per block of a layer's draw: bounds the scratch buffer,
 # not a tuning option
-DRAW_BLOCK = 1 << 17
+DRAW_BLOCK = 1 << 15
+# a NormalStream's round: the calling thread draws SEGMENT normals, its
+# helper at least RUN more, from RUN + WINDOW drawn, which join the stream
+# where OVERLAP of them repeat the segment's last; not tuning options
+SEGMENT = 48_000
+RUN = 56_000
+WINDOW = 1_024
+OVERLAP = 128
+ROUND = SEGMENT + RUN + WINDOW
+# raws the helper starts short of the segment's expected end: the middle
+# of the window
+LEAD = WINDOW // 2
+# raw 64-bit draws per normal of numpy's ziggurat (one, but for its slow
+# path): 2,872 +- 54 raws over 131,072 normals, as PCG64 state distance
+RAWS_PER_NORMAL = 1.0219
 
 
 @dataclass(frozen=True)
@@ -162,19 +195,187 @@ def build_maps(architecture):
     return maps, pools
 
 
-def _draw_normal(rng, sigma, out):
-    """Fill out, a C-contiguous float64 array, with the bits
-    rng.normal(0.0, sigma, out.shape) returns.  numpy's normal is
-    loc + scale * z over the same standard normals z, and adding 0.0 turns
-    a -0.0 into +0.0 as it does.  Consecutive fills continue rng's stream,
-    so an array can be drawn in pieces.  A zero std dev draws nothing and
-    fills zeros."""
-    if sigma == 0.0:
-        out.fill(0.0)
-        return
-    rng.standard_normal(out=out)
-    out *= sigma
-    out += 0.0
+def _draw_ahead(jobs, done):
+    """The helper thread of a NormalStream: for each job (buffer, state)
+    fill the buffer with the normals that start LEAD raws short of where
+    a segment from state (from the previous job's end when state is None)
+    should end, and hand it back with its end state; stop at None.  Its
+    last word is None, which tells a waiting stream that it is gone."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    try:
+        while (job := jobs.get()) is not None:
+            buf, state = job
+            if state is not None:
+                bits.state = state
+            bits.advance(int(SEGMENT * RAWS_PER_NORMAL) - LEAD)
+            gen.standard_normal(out=buf)
+            done.put((buf, bits.state))
+    finally:
+        done.put(None)
+
+
+class NormalStream:
+    """count standard normals of one seeded stream, handed out in order by
+    fill, with the bits np.random.default_rng(seed) draws them.
+
+    Past one round (SEGMENT + RUN + WINDOW normals) and with two CPUs, a
+    helper thread draws part of the stream: in each round the calling
+    thread draws SEGMENT normals exactly, while the helper, started LEAD
+    raws short of the segment's expected end, draws RUN + WINDOW normals
+    into one of two buffers.  Where its first WINDOW normals repeat the
+    segment's last OVERLAP, the helper's walk has joined the stream: its
+    normals from there on, and its end state, are the stream's.  The helper starts each
+    round from its previous end state, so it runs up to one round ahead.
+    A round that does not join is drawn by the calling thread, which hands
+    the helper the exact state again.  One CPU, a short stream or a thread
+    that cannot start draw every normal on the calling thread.  close (or
+    leaving a with block) stops and joins the helper; joins lists each
+    round's join offset, None for a miss."""
+
+    def __init__(self, seed, count):
+        self._rng = np.random.default_rng(seed)
+        self._left = count        # normals not yet handed out
+        self._own = 0             # left in the calling thread's segment
+        self._buf, self._pos, self._end, self._state = None, 0, 0, None
+        self._tail = np.zeros(OVERLAP)
+        self._jobs = 0            # buffers with the helper
+        self._helper = None
+        self.joins = []
+        if count > ROUND and _cpus() > 1:
+            self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            # a daemon, and stopped when the stream is collected, so that a
+            # stream nobody closes holds up neither exit nor a thread
+            thread = threading.Thread(
+                target=_draw_ahead, args=(self._todo, self._done), name="refnet-normals",
+                daemon=True,
+            )
+            try:
+                thread.start()
+            except RuntimeError:   # can't start new thread
+                pass
+            else:
+                self._helper = thread
+                self._stop = weakref.finalize(self, self._todo.put, None)
+                self._free = [np.empty(RUN + WINDOW), np.empty(RUN + WINDOW)]
+        self._launch()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        if self._helper is not None:
+            self._stop()
+            self._helper.join()
+            self._helper = None
+            self._jobs = 0
+
+    def fill(self, out, sigma):
+        """Fill out, a C-contiguous float64 array, with the stream's next
+        out.size normals as rng.normal(0.0, sigma, out.shape) returns them:
+        numpy's normal is loc + scale * z, and adding 0.0 turns a -0.0 into
+        +0.0 as it does.  A zero std dev draws nothing and fills zeros."""
+        if sigma == 0.0:
+            out.fill(0.0)
+            return
+        flat = out.reshape(-1)
+        if flat.size > self._left:
+            raise ValueError(f"{flat.size} normals asked of a stream with {self._left} left")
+        i = 0
+        while i < flat.size:
+            if self._own == 0 and self._pos == self._end:
+                self._turn()
+            if self._own:
+                piece = flat[i:i + min(self._own, flat.size - i)]
+                self._rng.standard_normal(out=piece)
+                self._own -= piece.size
+                n = min(piece.size, OVERLAP)
+                self._tail[:OVERLAP - n] = self._tail[n:]
+                self._tail[OVERLAP - n:] = piece[piece.size - n:]
+            else:
+                piece = flat[i:i + min(self._end - self._pos, flat.size - i)]
+                piece[...] = self._buf[self._pos:self._pos + piece.size]
+                self._pos += piece.size
+            self._left -= piece.size
+            i += piece.size
+        flat *= sigma
+        flat += 0.0
+
+    def _launch(self):
+        """Start a segment of the calling thread from its exact state,
+        handing the helper this round (and the next, when the stream
+        reaches past it); with no helper the segment is the rest."""
+        if self._helper is not None and self._left > ROUND:
+            self._give(self._rng.bit_generator.state)
+            if self._left > SEGMENT + ROUND:
+                self._give(None)
+        self._own = SEGMENT if self._jobs else self._left
+
+    def _give(self, state):
+        """Hand the helper a free buffer, to fill from state (None: from
+        where its last buffer ended)."""
+        self._jobs += 1
+        self._todo.put((self._free.pop(), state))
+
+    def _take(self):
+        """The helper's next buffer and its end state; None once the
+        helper is gone, which leaves the rest to the calling thread."""
+        self._jobs -= 1
+        job = self._done.get()
+        if job is None:
+            self._helper.join()
+            self._helper = None
+            self._jobs = 0
+        return job
+
+    def _turn(self):
+        """Begin the next stretch of the stream once the current one is
+        used up."""
+        if self._buf is not None:
+            # the helper's normals are used up: its end state is exact
+            self._rng.bit_generator.state = self._state
+            self._free.append(self._buf)
+            self._buf, self._pos, self._end = None, 0, 0
+            if self._left > SEGMENT + ROUND:
+                self._give(None)
+            self._own = SEGMENT if self._jobs else self._left
+            return
+        job = self._take()
+        offset = None if job is None else self._join(job[0])
+        if offset is None:
+            if job is not None:
+                self.joins.append(None)
+                # what the helper drew from here on started from a
+                # state off the stream: discard it and start it again
+                self._free.append(job[0])
+                while self._jobs and (job := self._take()) is not None:
+                    self._free.append(job[0])
+            self._launch()
+            return
+        self.joins.append(offset)
+        self._buf, self._state = job
+        self._pos, self._end = offset, min(len(self._buf), offset + self._left)
+
+    def _join(self, buf):
+        """The index in buf of the first normal past the calling thread's
+        segment: the first place within WINDOW where OVERLAP normals of
+        buf equal the segment's last OVERLAP.  None when there is none."""
+        for j in np.flatnonzero(buf[:WINDOW - OVERLAP + 1] == self._tail[0]):
+            if np.array_equal(buf[j:j + OVERLAP], self._tail):
+                return j + OVERLAP
+        return None
+
+
+def seeded_normal(seed, shape):
+    """The bits np.random.default_rng(seed).normal(0.0, 1.0, shape)
+    returns, drawn through a NormalStream."""
+    out = np.empty(shape)
+    with NormalStream(seed, out.size) as stream:
+        stream.fill(out, 1.0)
+    return out
 
 
 def _block_rows(g):
@@ -194,16 +395,19 @@ def weight_blocks(plan, seed):
     block) in stream order, layer 0-based and block a (rows, S) run of
     whole rows of the layer's full (C, S) draw, dead taps included, with
     the bits rng.normal(0.0, sigma, (C, S)) gives.  Every block is a view
-    of one scratch buffer, which the next block overwrites."""
+    of one scratch buffer, which the next block overwrites.  The stream's
+    helper thread stops when the generator ends or is closed: a caller
+    that may stop early closes it (contextlib.closing)."""
     geo = [row.shape for row in plan.rows]
-    rng = np.random.default_rng(seed)
+    count = sum(g.channels * g.s_len for row, g in zip(plan.rows, geo) if row.sigma_w != 0.0)
     scratch = np.empty(_draw_scratch(geo))
-    for i, (row, g) in enumerate(zip(plan.rows, geo)):
-        step = _block_rows(g)
-        for r0 in range(0, g.channels, step):
-            block = scratch[:min(step, g.channels - r0) * g.s_len].reshape(-1, g.s_len)
-            _draw_normal(rng, row.sigma_w, block)
-            yield i, r0, block
+    with NormalStream(seed, count) as stream:
+        for i, (row, g) in enumerate(zip(plan.rows, geo)):
+            step = _block_rows(g)
+            for r0 in range(0, g.channels, step):
+                block = scratch[:min(step, g.channels - r0) * g.s_len].reshape(-1, g.s_len)
+                stream.fill(block, row.sigma_w)
+                yield i, r0, block
 
 
 def sample_parameters(architecture, plan, seed) -> VectorNet:
@@ -216,10 +420,11 @@ def sample_parameters(architecture, plan, seed) -> VectorNet:
         )
     lowerings = tuple(_lowering(spec, g) for spec, g in zip(architecture.layers, geo))
     weights = tuple(np.empty((low.out[0], low.k)) for low in lowerings)
-    for i, r0, block in weight_blocks(plan, seed):
-        low = lowerings[i]
-        live = weights[i].reshape(low.out[0], low.image[0], *low.kernel)
-        live[r0:r0 + len(block)] = low.live(block)
+    with contextlib.closing(weight_blocks(plan, seed)) as blocks:
+        for i, r0, block in blocks:
+            low = lowerings[i]
+            live = weights[i].reshape(low.out[0], low.image[0], *low.kernel)
+            live[r0:r0 + len(block)] = low.live(block)
     return VectorNet(arch=architecture, weights=weights, lowerings=lowerings)
 
 
@@ -742,8 +947,8 @@ def memory_need(architecture, batch, want_backward):
     """Upper bound on the bytes one simulate draw of batch images holds at
     once (signal_moments streams it chunk by chunk): the VectorNet's
     float64 live-tap weights (each live rectangle sized in closed form,
-    with no list of taps) plus the buffer they are drawn through; the
-    drawn input, its
+    with no list of taps) plus the buffer they are drawn through and the
+    two buffers of its NormalStream's helper; the drawn input, its
     square (z0's variance) and, for backward, the injected top gradient;
     and, for each chunk that runs at once (_workers), one chunk's signals
     (u, z, max-pool winners and, for backward, du, dv, dz of layers 2..L)
@@ -752,7 +957,7 @@ def memory_need(architecture, batch, want_backward):
     same size, and a signal's square.  So the signals grow with
     min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
-    weights = _draw_scratch(geo)
+    weights = _draw_scratch(geo) + 2 * (RUN + WINDOW)
     cols = 0
     for spec, g in zip(architecture.layers, geo):
         view = shapes_mod.conv_view(spec, g.in_shape)

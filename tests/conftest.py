@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, settings, strategies as st
 
 import asvinit
-from asvinit import shapes
+from asvinit import refnet, shapes
 from asvinit.arch import validate
 
 # Tier-1 runs are reproducible: the same examples every run, none replayed
@@ -191,6 +191,19 @@ def small_chains(draw):
                          hidden=draw(st.lists(st.integers(1, 5), max_size=1)))
     except asvinit.ValidationError:
         assume(False)
+
+
+def record_streams(monkeypatch):
+    """Every refnet.NormalStream made from now on, in the order made."""
+    made = []
+
+    class Recorded(refnet.NormalStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(refnet, "NormalStream", Recorded)
+    return made
 
 
 _criterion_lines = []

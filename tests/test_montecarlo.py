@@ -7,6 +7,7 @@ import pytest
 import asvinit
 from asvinit import cli, montecarlo, refnet, variance
 from asvinit.errors import BudgetExceeded
+from conftest import record_streams
 
 
 def tiny():
@@ -109,6 +110,34 @@ def test_each_draw_spawns_its_seeds_as_it_starts(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_inputs_are_numpys_normals_past_one_round(monkeypatch):
+    """Each draw's z0 and injected gradient carry the bits of
+    default_rng(seed).normal(0.0, 1.0, shape) for that draw's spawned
+    seeds, also where z0 (768 x 300 normals) is long enough for its stream
+    to draw on two threads."""
+    monkeypatch.setattr(refnet, "_cpus", lambda: 2)
+    streams = record_streams(monkeypatch)
+    seen = []
+    moments = refnet.signal_moments
+
+    def record(net, z0, delta_uL=None):
+        seen.append((z0, delta_uL))
+        return moments(net, z0, delta_uL)
+
+    monkeypatch.setattr(refnet, "signal_moments", record)
+    toy = asvinit.toy_net()
+    plan = variance.init_plan(variance.ASV_FORWARD, toy)
+    montecarlo.estimate_both(toy, plan, montecarlo.McConfig(2, 300, seed=9))
+    assert len(seen) == 2
+    for draw, (z0, delta) in zip(np.random.SeedSequence(9).spawn(2), seen):
+        _, input_ss, inject_ss = draw.spawn(3)
+        z_ref = np.random.default_rng(input_ss).normal(0.0, 1.0, (toy.geo[0].m_prev, 300))
+        d_ref = np.random.default_rng(inject_ss).normal(0.0, 1.0, (toy.geo[-1].m_prime, 300))
+        assert np.array_equal(z0.view(np.int64), z_ref.view(np.int64))
+        assert np.array_equal(delta.view(np.int64), d_ref.view(np.int64))
+    assert any(None not in s.joins and s.joins for s in streams)
 
 
 def test_memory_preflight_counts_the_per_draw_table(monkeypatch):

@@ -1,4 +1,7 @@
 import dataclasses
+import errno
+import hashlib
+import os
 import sys
 import threading
 import tracemalloc
@@ -13,7 +16,8 @@ from asvinit import cli, refnet, shapes, variance
 from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import (
-    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, small_chains, small_net,
+    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, record_streams, small_chains,
+    small_net,
 )
 
 
@@ -602,12 +606,59 @@ def test_a_helper_that_cannot_start_leaves_its_chunks_to_the_caller(monkeypatch)
     assert_same_traces(alone, full_trace(net, 2 * refnet.CHUNK + 1, seed=73))
 
 
+def count_thread_starts(monkeypatch):
+    """Names of the threads started from now on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+class FailingFile:
+    """A binary file whose writes past its first fail as a full disk does."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def test_no_thread_outlives_a_call(monkeypatch):
+    """Neither the chunk threads nor a weight stream's helper: the helper
+    is joined when sampling ends and when a weight file fails part-way,
+    while the error, which holds the writer's frame, is still alive."""
     with_cpus(monkeypatch, 3)
     net = sampled(asvinit.toy_net(), seed=101)
+    started = count_thread_starts(monkeypatch)
     before = threading.active_count()
     full_trace(net, 3 * refnet.CHUNK + 5, seed=103)
     assert threading.active_count() == before
+    a = small_net((8, 8, 16), [(64, 3, 1, 1, None)], hidden=(256,))
+    plan = variance.init_plan(variance.KAIMING_FORWARD, a)
+    assert sum(g.channels * g.s_len for g in a.geo) > refnet.ROUND
+    refnet.sample_parameters(a, plan, seed=107)
+    assert threading.active_count() == before
+    file = FailingFile()
+    monkeypatch.setattr(cli, "open", lambda path, mode: file, raising=False)
+    with pytest.raises(asvinit.AsvinitError, match="No space left") as failed:
+        cli.write_weights("w.bin", a, plan, 107)
+    assert file.writes == 2 and failed.value is not None
+    assert threading.active_count() == before
+    assert started.count("refnet-normals") == 2
 
 
 def test_concurrent_callers_get_the_serial_bits(monkeypatch):
@@ -844,6 +895,147 @@ def test_sampling_holds_the_live_weights_and_one_draw_block():
     # every layer, all-live ones (toy's) too, is drawn through one block
     assert refnet._draw_scratch(net.geo) <= refnet.DRAW_BLOCK
     assert refnet._draw_scratch(asvinit.toy_net().geo) <= refnet.DRAW_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# the normal stream: two threads, the bits of one
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def arch34_16_normals():
+    """arch34 at 16x16x3 under asv-backward, and per layer the SHA-256 of
+    rng.normal(0.0, sigma, (C, S)) from one default_rng(5), whole and at
+    the sampled net's live taps: 21.1M normals, one layer held at a time."""
+    a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
+    plan = variance.init_plan(variance.ASV_BACKWARD, a)
+    rng = np.random.default_rng(5)
+    full, live = [], []
+    for row, spec, g in zip(plan.rows, a.layers, a.geo):
+        w = rng.normal(0.0, row.sigma_w, (g.channels, g.s_len))
+        full.append(hashlib.sha256(w).hexdigest())
+        kept = np.ascontiguousarray(refnet._lowering(spec, g).live(w))
+        live.append(hashlib.sha256(kept).hexdigest())
+    return a, plan, full, live
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "two-cpus", "refused", "late"])
+def test_arch34_16_weights_are_the_per_layer_normals(
+    monkeypatch, tmp_path, arch34_16_normals, case,
+):
+    """weight_blocks, sample_parameters and write_weights give the bits of a
+    per-layer rng.normal(0.0, sigma, (C, S)), whether the calling thread
+    draws alone (one CPU, a refused thread start) or with its helper, and
+    when the helper starts past its segment's end, so that no round joins
+    and the calling thread draws every one.  With the helper, every round
+    joins near the middle of its window."""
+    a, plan, full, live = arch34_16_normals
+    with_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+    if case == "refused":
+        refuse_thread_starts(monkeypatch)
+    if case == "late":
+        monkeypatch.setattr(refnet, "LEAD", -2 * refnet.WINDOW)
+    streams = record_streams(monkeypatch)
+
+    digests = [hashlib.sha256() for _ in full]
+    for i, _, block in refnet.weight_blocks(plan, 5):
+        digests[i].update(block)
+    assert [d.hexdigest() for d in digests] == full
+
+    net = refnet.sample_parameters(a, plan, 5)
+    assert [hashlib.sha256(w).hexdigest() for w in net.weights] == live
+
+    path = tmp_path / "w.bin"
+    cli.write_weights(str(path), a, plan, 5)
+    with open(path, "rb") as fh:
+        fh.readline()
+        for g, digest in zip(a.geo, full):
+            assert hashlib.sha256(fh.read(8 * g.channels * g.s_len)).hexdigest() == digest
+            assert not any(fh.read(8 * g.channels))
+        assert fh.read() == b""
+    path.unlink()
+
+    assert len(streams) == 3
+    joins = [j for stream in streams for j in stream.joins]
+    if case in ("one-cpu", "refused"):
+        assert joins == []
+    elif case == "two-cpus":
+        # a guard on numpy's ziggurat: every round joins, in the middle
+        # half of the window; a numpy that reads raws at another rate
+        # fails here rather than drawing every round on one thread
+        assert len(joins) > 3 * 150
+        assert all(j is not None and refnet.WINDOW // 4 <= j < 3 * refnet.WINDOW // 4
+                   for j in joins)
+    else:
+        assert joins and set(joins) == {None}
+
+
+@pytest.mark.parametrize("lead", [refnet.LEAD, -2 * refnet.WINDOW])
+def test_a_stream_in_odd_pieces_is_the_standard_normals(monkeypatch, lead):
+    """Fills of 1 to 60,000 normals, across both threads' segments, with a
+    zero std dev among them that draws nothing, give numpy's own stream,
+    joined or not; a fill past the count is refused."""
+    with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(refnet, "LEAD", lead)
+    count = 3 * refnet.ROUND + 17
+    expected = np.random.default_rng(11).standard_normal(count)
+    sizes = np.random.default_rng(12).integers(1, 60_000, 40)
+    with refnet.NormalStream(11, count) as stream:
+        got, zeros = [], np.ones(7)
+        for k, n in enumerate(sizes):
+            n = min(n, count - sum(map(len, got)))
+            got.append(np.empty(n))
+            stream.fill(got[-1], 1.0)
+            if k == 3:
+                stream.fill(zeros, 0.0)
+            if sum(map(len, got)) == count:
+                break
+        with pytest.raises(ValueError):
+            stream.fill(np.empty(1), 1.0)
+    assert not zeros.any()
+    assert np.array_equal(np.concatenate(got).view(np.int64), expected.view(np.int64))
+    assert stream.joins and (None in stream.joins) == (lead < 0)
+
+
+def test_streams_on_more_threads_than_cores_keep_their_bits(monkeypatch):
+    """Three callers, each with its own stream and helper, on a switch
+    interval of a microsecond: each gets numpy's stream to the bit."""
+    with_cpus(monkeypatch, 2)
+    count = 3 * refnet.ROUND
+    got = [np.empty(count) for _ in range(3)]
+
+    def draw(k):
+        with refnet.NormalStream(20 + k, count) as stream:
+            for b0 in range(0, count, 10_000):
+                stream.fill(got[k][b0:b0 + 10_000], 1.0)
+
+    callers = [threading.Thread(target=draw, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for k, x in enumerate(got):
+        expected = np.random.default_rng(20 + k).standard_normal(count)
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
+def test_a_helper_that_stops_leaves_the_rest_to_the_caller(monkeypatch):
+    """A helper thread that ends without drawing (as one that failed
+    would) costs the stream no bits: the calling thread draws the rest."""
+    with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(refnet, "_draw_ahead", lambda jobs, done: done.put(None))
+    count = 2 * refnet.ROUND
+    x = np.empty(count)
+    with refnet.NormalStream(13, count) as stream:
+        stream.fill(x, 2.0)
+    assert stream.joins == []
+    expected = np.random.default_rng(13).normal(0.0, 2.0, count)
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("name, input_shape, kept", [
