@@ -39,11 +39,12 @@ calling thread's segment should end (at RAWS_PER_NORMAL raws per normal)
 soon repeats the segment's last normals.  OVERLAP of them equal in a row
 (each normal fixes 61 bits of its first raw) mark where it joined the
 stream; from there on its normals, and its end state, are the stream's.
-The calling thread checks every join, so a round that does not join costs
-time, not bits.  A stream of at most ROUND normals (toy's weights, a small
-batch), one CPU or a refused thread start draws on the calling thread
-alone, and the helper is joined when its stream closes, so none outlives
-the call that drew it.
+The calling thread checks every join.  The first round that does not
+join ends the helper, and the calling thread draws the rest of the stream
+alone, so a miss costs one round's time, not bits.  A stream of at most
+ROUND normals (toy's weights, a small batch), one CPU or a refused thread
+start draws on the calling thread alone, and the helper is joined when its
+stream closes, so none outlives the call that drew it.
 
 The engine runs a batch as a pipeline of chunks of CHUNK images, and the
 layer loop exists once: _forward_chunk takes a chunk through every layer
@@ -195,19 +196,17 @@ def build_maps(architecture):
     return maps, pools
 
 
-def _draw_ahead(jobs, done):
-    """The helper thread of a NormalStream: for each job (buffer, state)
-    fill the buffer with the normals that start LEAD raws short of where
-    a segment from state (from the previous job's end when state is None)
-    should end, and hand it back with its end state; stop at None.  Its
-    last word is None, which tells a waiting stream that it is gone."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
+def _draw_ahead(state, free, done):
+    """The helper thread of a NormalStream, from the stream's start state:
+    fill each free buffer with the normals that start LEAD raws short of
+    where a segment from the previous buffer's end (from state, for the
+    first) should end, and hand it back with its end state; stop at None.
+    Its last word is None, which tells a waiting stream that it is gone."""
     try:
-        while (job := jobs.get()) is not None:
-            buf, state = job
-            if state is not None:
-                bits.state = state
+        bits = np.random.PCG64(0)
+        bits.state = state
+        gen = np.random.Generator(bits)
+        while (buf := free.get()) is not None:
             bits.advance(int(SEGMENT * RAWS_PER_NORMAL) - LEAD)
             gen.standard_normal(out=buf)
             done.put((buf, bits.state))
@@ -225,30 +224,31 @@ class NormalStream:
     raws short of the segment's expected end, draws RUN + WINDOW normals
     into one of two buffers.  Where its first WINDOW normals repeat the
     segment's last OVERLAP, the helper's walk has joined the stream: its
-    normals from there on, and its end state, are the stream's.  The helper starts each
-    round from its previous end state, so it runs up to one round ahead.
-    A round that does not join is drawn by the calling thread, which hands
-    the helper the exact state again.  One CPU, a short stream or a thread
-    that cannot start draw every normal on the calling thread.  close (or
-    leaving a with block) stops and joins the helper; joins lists each
-    round's join offset, None for a miss."""
+    normals from there on, and its end state, are the stream's.  The
+    helper starts each round from its previous end state, so it runs up
+    to one round ahead.  The first round that does not join, or a helper
+    that is gone, ends the helper, and the calling thread draws the rest.
+    One CPU, a short stream or a thread that cannot start draw every
+    normal on the calling thread.  close (or leaving a with block) stops
+    and joins the helper; joins lists each round's join offset, None for
+    the miss that ended the helper."""
 
     def __init__(self, seed, count):
         self._rng = np.random.default_rng(seed)
         self._left = count        # normals not yet handed out
-        self._own = 0             # left in the calling thread's segment
+        self._own = count         # left in the calling thread's segment
         self._buf, self._pos, self._end, self._state = None, 0, 0, None
         self._tail = np.zeros(OVERLAP)
         self._jobs = 0            # buffers with the helper
         self._helper = None
         self.joins = []
         if count > ROUND and _cpus() > 1:
-            self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._free, self._done = queue.SimpleQueue(), queue.SimpleQueue()
             # a daemon, and stopped when the stream is collected, so that a
             # stream nobody closes holds up neither exit nor a thread
             thread = threading.Thread(
-                target=_draw_ahead, args=(self._todo, self._done), name="refnet-normals",
-                daemon=True,
+                target=_draw_ahead, args=(self._rng.bit_generator.state, self._free, self._done),
+                name="refnet-normals", daemon=True,
             )
             try:
                 thread.start()
@@ -256,9 +256,11 @@ class NormalStream:
                 pass
             else:
                 self._helper = thread
-                self._stop = weakref.finalize(self, self._todo.put, None)
-                self._free = [np.empty(RUN + WINDOW), np.empty(RUN + WINDOW)]
-        self._launch()
+                self._stop = weakref.finalize(self, self._free.put, None)
+                self._give(np.empty(RUN + WINDOW))
+                if count > SEGMENT + ROUND:
+                    self._give(np.empty(RUN + WINDOW))
+                self._own = SEGMENT
 
     def __enter__(self):
         return self
@@ -304,32 +306,10 @@ class NormalStream:
         flat *= sigma
         flat += 0.0
 
-    def _launch(self):
-        """Start a segment of the calling thread from its exact state,
-        handing the helper this round (and the next, when the stream
-        reaches past it); with no helper the segment is the rest."""
-        if self._helper is not None and self._left > ROUND:
-            self._give(self._rng.bit_generator.state)
-            if self._left > SEGMENT + ROUND:
-                self._give(None)
-        self._own = SEGMENT if self._jobs else self._left
-
-    def _give(self, state):
-        """Hand the helper a free buffer, to fill from state (None: from
-        where its last buffer ended)."""
+    def _give(self, buf):
+        """Hand the helper a buffer to fill with the next round."""
         self._jobs += 1
-        self._todo.put((self._free.pop(), state))
-
-    def _take(self):
-        """The helper's next buffer and its end state; None once the
-        helper is gone, which leaves the rest to the calling thread."""
-        self._jobs -= 1
-        job = self._done.get()
-        if job is None:
-            self._helper.join()
-            self._helper = None
-            self._jobs = 0
-        return job
+        self._free.put(buf)
 
     def _turn(self):
         """Begin the next stretch of the stream once the current one is
@@ -337,27 +317,23 @@ class NormalStream:
         if self._buf is not None:
             # the helper's normals are used up: its end state is exact
             self._rng.bit_generator.state = self._state
-            self._free.append(self._buf)
-            self._buf, self._pos, self._end = None, 0, 0
             if self._left > SEGMENT + ROUND:
-                self._give(None)
-            self._own = SEGMENT if self._jobs else self._left
-            return
-        job = self._take()
-        offset = None if job is None else self._join(job[0])
-        if offset is None:
+                self._give(self._buf)
+            self._buf = None
+        else:
+            self._jobs -= 1
+            job = self._done.get()
+            offset = None if job is None else self._join(job[0])
             if job is not None:
-                self.joins.append(None)
-                # what the helper drew from here on started from a
-                # state off the stream: discard it and start it again
-                self._free.append(job[0])
-                while self._jobs and (job := self._take()) is not None:
-                    self._free.append(job[0])
-            self._launch()
-            return
-        self.joins.append(offset)
-        self._buf, self._state = job
-        self._pos, self._end = offset, min(len(self._buf), offset + self._left)
+                self.joins.append(offset)
+            if offset is not None:
+                self._buf, self._state = job
+                self._pos, self._end = offset, min(len(self._buf), offset + self._left)
+                return
+            # the calling thread is at its segment's exact end: it draws
+            # the rest
+            self.close()
+        self._own = SEGMENT if self._jobs else self._left
 
     def _join(self, buf):
         """The index in buf of the first normal past the calling thread's

@@ -1,6 +1,8 @@
 import math
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import assume, settings, strategies as st
 
 import asvinit
@@ -204,6 +206,19 @@ def record_streams(monkeypatch):
 
     monkeypatch.setattr(refnet, "NormalStream", Recorded)
     return made
+
+
+def refnet_threads():
+    """The live threads refnet started: chunk threads and stream helpers."""
+    return [t for t in threading.enumerate() if t.name.startswith("refnet")]
+
+
+@pytest.fixture(autouse=True)
+def no_refnet_thread_outlives_a_test():
+    """Fail a test that leaves a refnet thread alive: each is joined by
+    the call or the stream that started it."""
+    yield
+    assert not refnet_threads()
 
 
 _criterion_lines = []

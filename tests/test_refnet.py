@@ -16,8 +16,8 @@ from asvinit import cli, refnet, shapes, variance
 from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import (
-    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, record_streams, small_chains,
-    small_net,
+    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, record_streams, refnet_threads,
+    small_chains, small_net,
 )
 
 
@@ -883,6 +883,8 @@ def test_sampling_holds_the_live_weights_and_one_draw_block():
     (18.9 MiB for the largest)."""
     a = dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3))
     plan = variance.init_plan(variance.ASV_BACKWARD, a)
+    # import numpy.random, which numpy loads lazily, before the trace
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         net = refnet.sample_parameters(a, plan, seed=5)
@@ -925,9 +927,10 @@ def test_arch34_16_weights_are_the_per_layer_normals(
     """weight_blocks, sample_parameters and write_weights give the bits of a
     per-layer rng.normal(0.0, sigma, (C, S)), whether the calling thread
     draws alone (one CPU, a refused thread start) or with its helper, and
-    when the helper starts past its segment's end, so that no round joins
-    and the calling thread draws every one.  With the helper, every round
-    joins near the middle of its window."""
+    when the helper starts past its segment's end, so that the first round
+    of each stream misses, which ends the helper, and the calling thread
+    draws the rest.  With the helper, every round joins near the middle of
+    its window."""
     a, plan, full, live = arch34_16_normals
     with_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
     if case == "refused":
@@ -966,14 +969,15 @@ def test_arch34_16_weights_are_the_per_layer_normals(
         assert all(j is not None and refnet.WINDOW // 4 <= j < 3 * refnet.WINDOW // 4
                    for j in joins)
     else:
-        assert joins and set(joins) == {None}
+        assert joins == [None] * 3
 
 
 @pytest.mark.parametrize("lead", [refnet.LEAD, -2 * refnet.WINDOW])
 def test_a_stream_in_odd_pieces_is_the_standard_normals(monkeypatch, lead):
     """Fills of 1 to 60,000 normals, across both threads' segments, with a
     zero std dev among them that draws nothing, give numpy's own stream,
-    joined or not; a fill past the count is refused."""
+    joined or not; a fill past the count is refused.  The first miss ends
+    the helper."""
     with_cpus(monkeypatch, 2)
     monkeypatch.setattr(refnet, "LEAD", lead)
     count = 3 * refnet.ROUND + 17
@@ -991,9 +995,13 @@ def test_a_stream_in_odd_pieces_is_the_standard_normals(monkeypatch, lead):
                 break
         with pytest.raises(ValueError):
             stream.fill(np.empty(1), 1.0)
+        if lead < 0:
+            assert stream.joins == [None]
+            assert not refnet_threads()
     assert not zeros.any()
     assert np.array_equal(np.concatenate(got).view(np.int64), expected.view(np.int64))
-    assert stream.joins and (None in stream.joins) == (lead < 0)
+    if lead >= 0:
+        assert stream.joins and None not in stream.joins
 
 
 def test_streams_on_more_threads_than_cores_keep_their_bits(monkeypatch):
@@ -1028,11 +1036,12 @@ def test_a_helper_that_stops_leaves_the_rest_to_the_caller(monkeypatch):
     """A helper thread that ends without drawing (as one that failed
     would) costs the stream no bits: the calling thread draws the rest."""
     with_cpus(monkeypatch, 2)
-    monkeypatch.setattr(refnet, "_draw_ahead", lambda jobs, done: done.put(None))
+    monkeypatch.setattr(refnet, "_draw_ahead", lambda state, free, done: done.put(None))
     count = 2 * refnet.ROUND
     x = np.empty(count)
     with refnet.NormalStream(13, count) as stream:
         stream.fill(x, 2.0)
+        assert not refnet_threads()
     assert stream.joins == []
     expected = np.random.default_rng(13).normal(0.0, 2.0, count)
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
