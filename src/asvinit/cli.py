@@ -7,13 +7,16 @@ five-method sigma table as ``init --method all``: it is a second entry for
 the same handler.
 
 Every table leaves through render(): the reports hand over header fields and
-row dicts, and only this module knows the CSV and JSON layouts.
+row dicts, and only this module knows the CSV and JSON layouts.  JSON is
+json.dumps(indent=2)'s bytes, written through the C encoder; CSV goes
+through csv.writer.
 
 main(argv) may be called any number of times in one process.  It builds the
 argument parser on its first call and reuses it.  Exit status: 0 done, 1 a
 simulate layer beyond --threshold, 2 bad input (an option, an architecture,
-a file that cannot be read or written), 3 a budget, memory or disk limit
-(a weight file larger than the free space of its directory).
+a file that cannot be read or written, an output path that names an input
+file or the other output), 3 a budget, memory or disk limit (a weight file
+larger than the free space of its directory).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 
 import numpy as np
@@ -70,35 +74,82 @@ def _finite(value):
     return value
 
 
+_INDENT = "  "
+_CONTAINER_TYPES = frozenset((dict, list, tuple))
+
+
+@functools.cache
+def _scalar_encoder(level):
+    """C encoder of a container of scalars nested level deep.  The C
+    encoder writes no newlines before Python 3.13 (json.dumps with an
+    indent runs the pure-Python one), so the newline and indent that
+    json.dumps(indent=2) puts between the items ride in the item separator."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + _INDENT * (level + 1), False, False, False,
+    )
+
+
+def _indented(obj, level):
+    """json.dumps(obj, indent=2, allow_nan=False)'s text of obj nested level
+    deep.  A scalar or a container of scalars is one C-encoder call; only a
+    container that holds containers is walked here.  Containers are found
+    by exact type: the tables build theirs as plain dicts, lists and tuples
+    (a subclass would be written on one line), and the keys that lead to a
+    container are str."""
+    kind = type(obj)
+    values = obj.values() if kind is dict else obj if kind in _CONTAINER_TYPES else ()
+    inner = "\n" + _INDENT * (level + 1)
+    outer = "\n" + _INDENT * level
+    if _CONTAINER_TYPES.isdisjoint(map(type, values)):
+        text = "".join(_scalar_encoder(level)(obj, level))
+        if not values:   # a scalar, [] or {}
+            return text
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if kind is dict:
+        items = [json.encoder.encode_basestring_ascii(k) + ": " + _indented(v, level + 1)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_indented(v, level + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
+def _dumps(obj):
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte, written
+    through the C encoder when the interpreter has one."""
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    return _indented(obj, 0)
+
+
 def render(table, fmt):
     """Text of a (head, key, rows, columns) table, fmt "json" or "csv".
 
-    JSON is one object: the head fields, then the row dicts under key.  CSV
-    has one line per row with the given columns; a column may name a head
-    field (repeated on every line) or a key of a dict cell (the cell spreads
-    into columns).  Float cells are written as repr, except that JSON, which
-    has no NaN or Infinity (RFC 8259), writes a non-finite float as null.
+    JSON is one object: the head fields, then the row dicts under key,
+    byte for byte what json.dumps(obj, indent=2) writes, but through the C
+    encoder (see _indented).  CSV has one line per row with the given
+    columns; a column may name a head field (repeated on every line) or a
+    key of a dict cell (the cell spreads into columns).  Float cells are
+    written as repr, except that JSON, which has no NaN or Infinity (RFC
+    8259), writes a non-finite float as null.
     """
     head, key, rows, columns = table
     if fmt == "json":
         obj = {**head, key: rows}
         try:
-            return json.dumps(obj, indent=2, allow_nan=False)
+            return _dumps(obj)
         except ValueError:   # a non-finite float; only such a table pays the walk
-            return json.dumps(_finite(obj), indent=2)
+            return _dumps(_finite(obj))
     buf = io.StringIO()
-    # rows carry exactly the columns, so skip DictWriter's per-row key check
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
-                            lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
         cells = {**head, **row}
         for value in row.values():
             if isinstance(value, dict):
                 cells.update(value)
-        writer.writerow({
-            c: repr(cells[c]) if isinstance(cells[c], float) else cells[c] for c in columns
-        })
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in map(cells.__getitem__, columns)])
     return buf.getvalue()
 
 
@@ -166,22 +217,46 @@ def _clamp_factor(text):
     return _positive("--clamp-factor", value)
 
 
-def _check_writable(path):
-    """Refuse an output path no file can be created at.  It runs before the
-    work, so simulate does not find out only after its whole run."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        raise AsvinitError(f"cannot write {path}: Is a directory")
-    if not os.path.isdir(parent):
-        raise AsvinitError(f"cannot write {path}: {parent} is not a directory")
+def _check_outputs(args):
+    """Refuse, before the work, an output path no file can be created at
+    (simulate would find out only after its whole run), or one that names
+    an input file or the other output (writing it would destroy that file).
+    Paths are compared as absolute strings, and an output that already
+    exists also by device and inode, so a new file costs no extra
+    filesystem call."""
+    named = [(option, path) for option, path in (
+        ("--arch", args.arch), ("--sigma-override", getattr(args, "sigma_override", None)),
+    ) if path]
+    for option, path in (("--out", args.out), ("--emit-weights", getattr(args, "emit_weights", None))):
+        if not path:
+            continue
+        try:
+            st = os.stat(path)
+        except (OSError, ValueError):
+            st = None
+        if st is not None and stat.S_ISDIR(st.st_mode):
+            raise AsvinitError(f"cannot write {path}: Is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise AsvinitError(f"cannot write {path}: {parent} is not a directory")
+        for other, other_path in named:
+            if os.path.abspath(path) == os.path.abspath(other_path) or (
+                    st is not None and _same_file(st, other_path)):
+                raise AsvinitError(f"cannot write {path}: it is the {other} file")
+        named.append((option, path))
+
+
+def _same_file(st, path):
+    try:
+        return os.path.samestat(st, os.stat(path))
+    except (OSError, ValueError):
+        return False
 
 
 def _validate(args):
     """Reject option values the model cannot use before any work starts.
     Parses --clamp-factor and --trials in place."""
-    for path in (args.out, getattr(args, "emit_weights", None)):
-        if path:
-            _check_writable(path)
+    _check_outputs(args)
     if "clamp_factor" in args:
         args.clamp_factor = _clamp_factor(args.clamp_factor)
     if "trials" in args:

@@ -616,6 +616,16 @@ BAD_INPUTS = [
     (["init", "--arch", "@arch", "--emit-weights", "@tmp"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp/missing/r.json"], {}),
     (["simulate", "--arch", "@arch", "--trials", "1x4", "--out", "@tmp"], {}),
+    # an output that names an input file or the other output
+    (["analyze", "--arch", "@arch", "--out", "@arch"], {}),
+    (["init", "--arch", "@arch", "--emit-weights", "@arch"], {}),
+    (["analyze", "--arch", "tiny.json", "--out", "./tiny.json"], {}),
+    (["init", "--arch", "@tmp/link.json", "--out", "@arch"], {}),
+    (["compare-methods", "--arch", "@arch", "--out", "@tmp/link.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/sigmas.json", "--trials", "1x4",
+      "--out", "@tmp/./sigmas.json"], {}),
+    (["init", "--arch", "@arch", "--out", "@tmp/w.bin", "--emit-weights", "@tmp/w.bin"], {}),
+    (["init", "--arch", "@arch", "--out", "@tmp/./w.bin", "--emit-weights", "@tmp/w.bin"], {}),
     *[
         (argv + ["--arch", f"@tmp/huge-{name}.json"], {})
         for name in HUGE_INTS
@@ -639,6 +649,8 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
     (tmp_path / "huge.json").write_text(f"[{10**400}, 1.0, 1.0, 1.0]")
     (tmp_path / "latin1.json").write_bytes(b'["\xe9"]')  # not UTF-8
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    (tmp_path / "sigmas.json").write_text("[0.5, 0.5, 0.5, 0.5]")
+    (tmp_path / "link.json").symlink_to(tiny_arch_file)
     # the window cardinality is the pool's area; no key overrides it
     doc = json.loads(Path(tiny_arch_file).read_text())
     doc["layers"][0]["pool"]["t_override"] = 4
@@ -649,11 +661,23 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
         (tmp_path / f"huge-{name}.json").write_text(json.dumps(doc))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    monkeypatch.chdir(tmp_path)
     argv = [a.replace("@arch", tiny_arch_file).replace("@tmp", str(tmp_path)) for a in argv]
+    inputs = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "w.bin").exists()
+    assert {p: p.read_bytes() for p in inputs} == inputs
+
+
+def test_an_output_that_names_an_input_is_refused_by_name(capsys, tiny_arch_file, tmp_path):
+    code, _, err = run(capsys, "analyze", "--arch", tiny_arch_file, "--out", tiny_arch_file)
+    assert (code, err) == (2, f"error: cannot write {tiny_arch_file}: it is the --arch file\n")
+    weights = str(tmp_path / "w.bin")
+    code, _, err = run(capsys, "init", "--arch", tiny_arch_file, "--out", weights,
+                       "--emit-weights", weights)
+    assert (code, err) == (2, f"error: cannot write {weights}: it is the --out file\n")
 
 
 def test_read_weights_truncated_file(capsys, tiny_arch_file, tmp_path):
