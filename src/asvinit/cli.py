@@ -11,6 +11,12 @@ row dicts, and only this module knows the CSV and JSON layouts.  JSON is
 json.dumps(indent=2)'s bytes, written through the C encoder; CSV goes
 through csv.writer.
 
+The module loads the calculator only.  numpy and the engine (refnet,
+montecarlo) are imported by the commands that run it: simulate,
+--emit-weights (write_weights) and read_weights.  They are still called
+through their module attributes (refnet.weight_blocks, montecarlo.compare,
+...), so a wrapper set on those attributes sees every call.
+
 main(argv) may be called any number of times in one process.  It builds the
 argument parser on its first call and reuses it.  Exit status: 0 done, 1 a
 simulate layer beyond --threshold, 2 bad input (an option, an architecture,
@@ -33,10 +39,8 @@ import shutil
 import stat
 import sys
 
-import numpy as np
-
 from . import arch as arch_mod
-from . import montecarlo, refnet, shapes as shapes_mod, variance as variance_mod
+from . import shapes as shapes_mod, variance as variance_mod
 from .errors import AsvinitError, BudgetExceeded
 
 EXIT_OK = 0
@@ -319,16 +323,21 @@ def _weights_header(architecture, plan, seed):
     return json.dumps(header).encode("utf-8") + b"\n"
 
 
-def write_weights(path, architecture, plan, seed):
+def write_weights(path, architecture, plan, seed, header=None):
     """Binary weight file: one JSON header line, then little-endian float64
     weights and biases per layer (W row-major (C, S), then b, zero).  Every
     weight of the full kernels is written, dead taps included, block by
     block as refnet.weight_blocks draws them for the same seed, so writing
     holds one block, and a net sampled with that seed holds the live
-    columns of the file's weights."""
+    columns of the file's weights.  header is _weights_header's bytes for
+    the same arguments, when the caller has already built them."""
+    from . import refnet
+
+    if header is None:
+        header = _weights_header(architecture, plan, seed)
     try:
         with open(path, "wb") as fh:
-            fh.write(_weights_header(architecture, plan, seed))
+            fh.write(header)
             with contextlib.closing(refnet.weight_blocks(plan, seed)) as blocks:
                 for i, r0, block in blocks:
                     fh.write(block.astype("<f8", copy=False))
@@ -339,10 +348,10 @@ def write_weights(path, architecture, plan, seed):
         raise _cannot_write(path, exc) from exc
 
 
-def _check_free_space(path, architecture, plan, seed):
-    """Refuse, with BudgetExceeded, a weight file larger than the free space
-    of the directory it goes to."""
-    need = len(_weights_header(architecture, plan, seed))
+def _check_free_space(path, architecture, header):
+    """Refuse, with BudgetExceeded, a weight file with this header that is
+    larger than the free space of the directory it goes to."""
+    need = len(header)
     need += 8 * sum(g.channels * (g.s_len + 1) for g in architecture.geo)
     directory = os.path.dirname(path) or "."
     try:
@@ -358,6 +367,8 @@ def _check_free_space(path, architecture, plan, seed):
 
 def read_weights(path):
     """Inverse of write_weights: returns (header, weights, biases)."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -406,10 +417,11 @@ def cmd_init(args):
         return EXIT_OK
     plan = _init_plan(args.method, architecture, args)
     if args.emit_weights:
-        _check_free_space(args.emit_weights, architecture, plan, args.seed)
+        header = _weights_header(architecture, plan, args.seed)
+        _check_free_space(args.emit_weights, architecture, header)
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
-        write_weights(args.emit_weights, architecture, plan, args.seed)
+        write_weights(args.emit_weights, architecture, plan, args.seed, header=header)
     return EXIT_OK
 
 
@@ -433,6 +445,8 @@ def _override_plan(path, architecture, tau0):
 
 
 def cmd_simulate(args):
+    from . import montecarlo
+
     architecture = _resolve_arch(args)
     if args.sigma_override:
         plan = _override_plan(args.sigma_override, architecture, args.tau0)

@@ -26,17 +26,21 @@ forward sets {a, s, c} group it by output unit, the backward sets
 by window.  The reference engine in refnet does not use them; they stay
 because they are the paper's formulation, the tests' oracles for the
 engine, and functions the benchmark's tracer (perfbench/spans.py) wraps.
-Every array they hold is int64.
+Every array they hold is int64.  They are the only code here that uses
+numpy, and they import it when called, so shape inference and the shape
+report do not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import arch as arch_mod
 from .errors import ValidationError
+
+if TYPE_CHECKING:   # the index maps' annotations
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +297,8 @@ class PoolMaps:
 def _axis_relation(n, k, p, s, n_out):
     """The in-bounds (output i, tap a, input i*s - p + a) triples of one
     axis, read off tap_ranges, as int64 arrays sorted by output, then tap."""
+    import numpy as np
+
     lo, hi = np.array(tap_ranges(n, k, p, s, n_out), dtype=np.int64).T
     i = np.arange(n_out, dtype=np.int64)[:, None]
     out, tap = np.nonzero((lo <= i) & (i < hi))
@@ -303,6 +309,8 @@ def _plane_relation(in_wh, kernel, padding, stride, out_wh):
     """The relation over one channel's plane, the product of the two axes'
     with units and taps flattened x fastest: (output, tap, input) arrays
     sorted by output, then tap."""
+    import numpy as np
+
     (xo, xa, xl), (yo, ya, yl) = map(_axis_relation, in_wh, kernel, padding, stride, out_wh)
     out = (xo + out_wh[0] * yo[:, None]).ravel()
     tap = (xa + kernel[0] * ya[:, None]).ravel()
@@ -317,6 +325,8 @@ def _group(unit, n_units, inner, outer, *columns):
     order.  Each column is (values, inner channel stride, outer channel
     stride).  Returns the int64 indptr over outer * n_units units and the
     expanded columns."""
+    import numpy as np
+
     order = np.argsort(np.broadcast_to(unit, (inner, unit.size)), axis=None, kind="stable")
     indptr = np.zeros(outer * n_units + 1, dtype=np.int64)
     np.cumsum(np.tile(np.bincount(unit, minlength=n_units) * inner, outer), out=indptr[1:])
@@ -338,6 +348,8 @@ def _conv_relation(architecture, layer):
 
 def build_forward_maps(architecture, layer):
     """Explicit forward sets {a, s, c} for one layer (0-based index)."""
+    import numpy as np
+
     geo, ((w, h, d), (kw, kh), _, _), (out, tap, inp) = _conv_relation(architecture, layer)
     wp, hp, dp = geo.conv_shape
     indptr, (fwd_a, fwd_s) = _group(out, wp * hp, d, dp, (tap, kw * kh, 0), (inp, w * h, 0))
@@ -352,6 +364,8 @@ def build_forward_maps(architecture, layer):
 def build_backward_maps(architecture, layer):
     """Explicit backward sets {j, h, ctil} for one layer (0-based index):
     the forward relation re-indexed by input unit."""
+    import numpy as np
+
     geo, ((w, h, d), (kw, kh), _, _), (out, tap, inp) = _conv_relation(architecture, layer)
     wp, hp, dp = geo.conv_shape
     order = np.lexsort((out, inp))

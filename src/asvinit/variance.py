@@ -18,10 +18,17 @@ method draws zero biases, so the paper's sigma_b^2 term is 0 throughout.
 tau for max pooling is a quadrature over the standard normal CDF Phi.  Phi
 is computed here (_ndtr), a port of the Cephes ndtr/erf/erfc that
 scipy.special.ndtr runs, with the same coefficient tables and order of
-operations, so the constants carry scipy's bits without importing scipy
-(most of the package's import time).  Its exp(-x^2) is libm's exp called
-per element (math.exp), as in the C code; np.exp differs in the last bit
-at some quadrature nodes.
+operations, so the constants carry scipy's bits without importing scipy.
+Its exp(-x^2) is libm's exp called per element (math.exp), as in the C
+code; np.exp differs in the last bit at some quadrature nodes.
+
+This module imports numpy only where it needs arrays: the max-pool
+quadrature (its Gauss-Legendre nodes are built on the first max-pool
+constant), plan_from_sigmas, and the functions that return arrays
+(predict_forward, predict_backward, InitPlan.sigma_w).  Plans, levels and
+the method table are Python floats: math.sqrt is correctly rounded, as
+np.sqrt is, so the std devs carry the same bits.  analyze, init and the
+method table on a chain without a max pool never load numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import arch as arch_mod
 from . import shapes as shapes_mod
@@ -94,6 +99,8 @@ def _erf(a):
 
 def _erfc(a):
     """Cephes erfc for a >= 1, with libm's exp per element."""
+    import numpy as np
+
     e = np.fromiter(map(math.exp, (-a * a).tolist()), float, count=a.size)
     near = a < 8.0
     p = np.where(near, _horner(a, _ERFC_P), _horner(a, _ERFC_R))
@@ -104,6 +111,8 @@ def _erfc(a):
 def _ndtr(x):
     """Standard normal CDF at x >= 0, elementwise: Cephes ndtr, which gives
     scipy.special.ndtr's bits."""
+    import numpy as np
+
     a = x * _SQRT1_2
     out = np.empty_like(a)
     low = a < _SQRT1_2
@@ -115,7 +124,13 @@ def _ndtr(x):
     return out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _gauss_legendre():
+    """The 16-point Gauss-Legendre (nodes, weights) on [-1, 1], built once."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(16)
+
 
 # integrand tail above 12 is below 1e-28 and dropped
 _UPPER = 12.0
@@ -124,10 +139,13 @@ _UPPER = 12.0
 def _panel_nodes(panels):
     """The nodes of composite Gauss-Legendre on [0, 12] over equal panels,
     and the panels' half width."""
+    import numpy as np
+
+    nodes, _ = _gauss_legendre()
     edges = np.linspace(0.0, _UPPER, panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
-    return (mids[:, None] + half * _GL_NODES[None, :]).ravel(), half
+    return (mids[:, None] + half * nodes[None, :]).ravel(), half
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,6 +153,9 @@ def _tau_max_integral(t):
     """T * integral_0^inf s^2 phi(s) Phi(s)^(T-1) ds by composite
     Gauss-Legendre on [0, 12], panels doubled until successive estimates
     agree to 1e-10."""
+    import numpy as np
+
+    _, weights = _gauss_legendre()
     prev = None
     diff = math.inf
     panels = 1
@@ -142,7 +163,7 @@ def _tau_max_integral(t):
         x, half = _panel_nodes(panels)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         integrand = x * x * phi * _ndtr(x) ** (t - 1)
-        value = t * half * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
+        value = t * half * float(np.dot(np.tile(weights, panels), integrand))
         if prev is not None:
             diff = abs(value - prev)
             if diff < 1e-10:
@@ -226,6 +247,8 @@ class InitPlan:
 
     @property
     def sigma_w(self):
+        import numpy as np
+
         return np.array([r.sigma_w for r in self.rows])
 
     def table(self):
@@ -253,34 +276,40 @@ def _taus_before(consts, tau0):
 
 
 def _forward_levels(geo, consts, sigma_w, tau0):
+    """The list of forward levels q[0..L] (see predict_forward)."""
     levels = [1.0]
     taus = _taus_before(consts, tau0)
     for i, row in enumerate(geo):
         q = float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
         levels.append(q)
-    return np.array(levels)
+    return levels
 
 
 def _backward_levels(geo, consts, sigma_w):
+    """The list of backward levels r[0..L] (see predict_backward)."""
     levels = [1.0]
     for i in range(len(geo) - 1, -1, -1):
         row = geo[i]
         r = float(sigma_w[i]) ** 2 * levels[0] * consts[i].gamma * row.epsilon / row.m_prev
         levels.insert(0, r)
-    return np.array(levels)
+    return levels
 
 
 def predict_forward(geo, sigma_w, tau0=1.0):
     """Forward variance levels q[0..L] for unit input variance under
     per-layer weight std devs (biases are drawn as 0, so they add nothing).
     The levels are linear in the input variance."""
-    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0)
+    import numpy as np
+
+    return np.array(_forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0))
 
 
 def predict_backward(geo, sigma_w):
     """Backward variance levels r[0..L] for unit top-gradient variance under
     per-layer weight std devs.  The levels are linear in that variance."""
-    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w)
+    import numpy as np
+
+    return np.array(_backward_levels(geo, [layer_constants(g) for g in geo], sigma_w))
 
 
 def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
@@ -330,7 +359,7 @@ def _sigmas(method, geo, consts, tau0, clamp_factor):
             var = 2.0 / (row.s_len + row.j_len)
         variances.append(var)
         clamped_flags.append(clamped)
-    return np.sqrt(variances), clamped_flags
+    return list(map(math.sqrt, variances)), clamped_flags
 
 
 def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
@@ -356,11 +385,13 @@ def method_sigmas(arch, clamp_factor=3.0, tau0=1.0):
     order: init_plan(method, ...)'s sigma_w, without the plans' levels and
     rows, and with the layer constants computed once."""
     consts = [layer_constants(g) for g in arch.geo]
-    return {m: _sigmas(m, arch.geo, consts, tau0, clamp_factor)[0].tolist() for m in METHODS}
+    return {m: _sigmas(m, arch.geo, consts, tau0, clamp_factor)[0] for m in METHODS}
 
 
 def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
     """Wrap explicit per-layer std devs in an InitPlan (for overrides)."""
+    import numpy as np
+
     n = arch.num_layers
     sigma_w = np.asarray(sigma_w, dtype=float)
     if sigma_w.shape != (n,):

@@ -482,6 +482,90 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(out_path.read_text())["name"] == "arch34"
 
 
+def run_fresh(code, *args):
+    """python -c code args... in a fresh interpreter on this package."""
+    src = str(Path(asvinit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# one line per step: the step, its exit status (or -), and which of numpy
+# and the engine modules are loaded after it
+ENGINE_PROBE = """
+import contextlib, io, sys
+ENGINE = ("numpy", "asvinit.refnet", "asvinit.montecarlo")
+
+def loaded(step, code="-"):
+    print(step, code, *[m for m in ENGINE if m in sys.modules])
+
+import asvinit
+loaded("import-asvinit")
+from asvinit import cli
+loaded("import-cli")
+for step, argv in [("analyze", ["analyze", "--builtin", "arch34"]),
+                   ("rejected", ["init", "--builtin", "arch18"]),
+                   ("all-csv", ["init", "--arch", sys.argv[1], "--method", "all",
+                                "--format", "csv"]),
+                   ("compare", ["compare-methods", "--arch", sys.argv[1]]),
+                   ("max-pool", ["init", "--builtin", "arch34", "--format", "csv"])]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded(step, code)
+print(out.getvalue().splitlines()[1])
+"""
+
+
+def test_calculator_commands_do_not_load_the_engine(tmp_path):
+    """Importing the package or the CLI, analyze, a rejected request and
+    the method table of a chain without a max pool leave numpy, refnet and
+    montecarlo unloaded; the first max-pool constant loads numpy (and
+    still prints layer 1's tau as np.float64(...), the pinned bytes)."""
+    chain = tmp_path / "no-max-pool.json"
+    chain.write_text(serialize(small_net(
+        (8, 8, 3), [(4, 3, 1, 1, asvinit.Pool(kind="Average", size=(2, 2)))], hidden=[5])))
+    *steps, last_row = run_fresh(ENGINE_PROBE, str(chain)).splitlines()
+    assert steps == [
+        "import-asvinit -", "import-cli -", "analyze 0", "rejected 2", "all-csv 0",
+        "compare 0", "max-pool 0 numpy",
+    ]
+    assert last_row.split(",")[4] == "np.float64(2.562559127742372)"
+
+
+ENGINE_NAMES = {
+    "montecarlo": ("McConfig", "VarianceTrace", "compare", "estimate_backward",
+                   "estimate_both", "estimate_forward"),
+    "refnet": ("VectorNet", "backward", "forward", "naive_forward", "sample_parameters"),
+}
+
+
+def test_engine_exports_resolve_on_first_use():
+    """A bare `import asvinit` loads neither engine module; the package's
+    engine names then resolve to the engine modules' own objects, dir()
+    lists them, and an unknown name is an AttributeError."""
+    code = """
+import sys, asvinit
+print(sorted(m for m in ("asvinit.refnet", "asvinit.montecarlo") if m in sys.modules))
+print(asvinit.refnet is sys.modules["asvinit.refnet"],
+      asvinit.montecarlo is sys.modules["asvinit.montecarlo"])
+"""
+    assert run_fresh(code).split("\n")[:2] == ["[]", "True True"]
+    listed = dir(asvinit)
+    for module, names in ENGINE_NAMES.items():
+        owner = getattr(asvinit, module)
+        assert owner.__name__ == f"asvinit.{module}"
+        assert module in listed
+        for name in names:
+            assert getattr(asvinit, name) is getattr(owner, name), name
+            assert name in listed
+    with pytest.raises(AttributeError, match="no attribute 'engine'"):
+        asvinit.engine
+
+
 def readme_commands():
     """Every asvinit command of the README's CLI block, as argv: lines
     joined at a trailing backslash, # comments dropped."""

@@ -398,6 +398,64 @@ def test_method_table_is_the_plans_sigmas_on_builtins(name, options):
     assert table == plans
 
 
+def numpy_plan_bits(a, method, clamp_factor, tau0):
+    """sigma_w, q_pred and r_pred of one plan as hex, computed the numpy
+    way: the variances' square roots by np.sqrt over an array, the levels
+    collected in np.array and read back per layer."""
+    consts = [variance.layer_constants(g) for g in a.geo]
+    taus = [tau0] + [c.tau for c in consts[:-1]]
+    variances = []
+    for g, c, t in zip(a.geo, consts, taus):
+        if method == variance.ASV_FORWARD:
+            var = g.m_prime / (t * g.epsilon)
+        elif method == variance.ASV_BACKWARD:
+            var = g.m_prev / (c.gamma * g.epsilon)
+            if clamp_factor is not None:
+                var = min(var, clamp_factor * (g.m_prev / (0.5 * g.epsilon)))
+        elif method == variance.KAIMING_FORWARD:
+            var = 2.0 / g.s_len
+        elif method == variance.KAIMING_BACKWARD:
+            var = 2.0 / g.j_len
+        else:
+            var = 2.0 / (g.s_len + g.j_len)
+        variances.append(var)
+    sigma = np.sqrt(variances)
+    q = [1.0]
+    for g, s, t in zip(a.geo, sigma, taus):
+        q.append(float(s) ** 2 * q[-1] * t * g.epsilon / g.m_prime)
+    r = [1.0]
+    for g, s, c in zip(reversed(a.geo), sigma[::-1], consts[::-1]):
+        r.insert(0, float(s) ** 2 * r[0] * c.gamma * g.epsilon / g.m_prev)
+    q, r = np.array(q), np.array(r)
+    return [(float(sigma[i]).hex(), float(q[i + 1]).hex(), float(r[i]).hex())
+            for i in range(a.num_layers)]
+
+
+def assert_plans_have_numpys_bits(a, clamp_factor, tau0):
+    """Every method's plan rows and method_sigmas column carry the numpy
+    computation's bits."""
+    table = variance.method_sigmas(a, clamp_factor=clamp_factor, tau0=tau0)
+    for m in variance.METHODS:
+        want = numpy_plan_bits(a, m, clamp_factor, tau0)
+        plan = variance.init_plan(m, a, clamp_factor=clamp_factor, tau0=tau0)
+        got = [(r.sigma_w.hex(), r.q_pred.hex(), r.r_pred.hex()) for r in plan.rows]
+        assert got == want, m
+        assert [s.hex() for s in table[m]] == [w[0] for w in want], m
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=small_chains(), options=st.sampled_from(PLAN_OPTIONS))
+def test_plans_carry_numpys_bits_on_small_chains(a, options):
+    assert_plans_have_numpys_bits(a, *options)
+
+
+@pytest.mark.parametrize("options", PLAN_OPTIONS)
+@pytest.mark.parametrize("name", ["toy", "arch34", "arch50"])
+def test_plans_carry_numpys_bits_on_builtins(name, options):
+    a = asvinit.toy_net() if name == "toy" else asvinit.builtin(name)
+    assert_plans_have_numpys_bits(a, *options)
+
+
 @pytest.mark.parametrize("tau0, side", [(1e-13, 6), (1.0, 1000), (1e-13, 1000)])
 def test_method_table_floor_error_is_init_plans(tau0, side):
     """A chain under the tau floor (asv-forward) or the gamma floor
