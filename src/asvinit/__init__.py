@@ -6,11 +6,11 @@ executable vectorized network, and checks the variance predictions by
 Monte Carlo.
 
 The package has two halves.  The calculator (arch, shapes, variance, cli)
-loads at import and needs no numpy until it builds index maps, evaluates a
-max-pool constant or returns an array.  The engine (refnet, montecarlo,
-both numpy) loads on first use: its exported names and the two submodules
-resolve through the module __getattr__ (PEP 562), so `import asvinit` and
-`import asvinit.cli` stay light.
+loads at import and needs no numpy until it builds index maps or evaluates
+a max-pool constant: plans, levels and overrides are Python floats.  The
+engine (refnet, montecarlo, both numpy) loads on first use: its exported
+names and the two submodules resolve through the module __getattr__ (PEP
+562), so `import asvinit` and `import asvinit.cli` stay light.
 """
 
 import importlib

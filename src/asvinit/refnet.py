@@ -492,7 +492,9 @@ class _Lowering:
     rectangle of the full kernel, from origin on, that holds every tap
     reaching the input; taps index it.  taps is None when cols(z) is z
     itself, reshaped: a 1x1 stride-1 unpadded conv, which an FC layer is
-    (its view's input is (M_prev, 1, 1), p = 1)."""
+    (its view's input is (M_prev, 1, 1), p = 1).  pool holds a pooled
+    layer's window taps (ty, tx, out_index, in_index) over the conv output,
+    in window order; None without a pool."""
 
     image: tuple[int, int, int]   # the view's input (D, H, W)
     out: tuple[int, int, int]     # output (C, H', W')
@@ -500,6 +502,7 @@ class _Lowering:
     kernel: tuple[int, int]       # the live rectangle (kh', kw')
     origin: tuple[int, int] = (0, 0)
     taps: list | None = None
+    pool: list | None = None
 
     @property
     def k(self):
@@ -539,12 +542,17 @@ def _lowering(spec, g):
     (w, h, d), (kw, kh), (sw, sh), (pw, ph) = view
     wp, hp, c = g.conv_shape
     kernel, (y0, x0) = _live_kernel(view, g.conv_shape)
+    pool = None
+    if g.pool_kind is not None:
+        (ww, hh, _), (tw, th) = g.pool_shape, g.pool_size
+        (qw, qh), (tsw, tsh) = g.pool_padding, g.pool_stride
+        pool = _taps((hp, wp), (hh, ww), (th, tw), (tsh, tsw), (qh, qw))
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return _Lowering((d, h, w), (c, hp, wp), (kh, kw), kernel)
+        return _Lowering((d, h, w), (c, hp, wp), (kh, kw), kernel, pool=pool)
     taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
     return _Lowering(
         (d, h, w), (c, hp, wp), (kh, kw), kernel, (y0, x0),
-        [(ty - y0, tx - x0, o, i) for ty, tx, o, i in taps],
+        [(ty - y0, tx - x0, o, i) for ty, tx, o, i in taps], pool,
     )
 
 
@@ -646,28 +654,22 @@ def _weight_grad(du_cols, cols):
     return dw
 
 
-def _pool_taps(g):
-    (wp, hp, _), (ww, hh, _) = g.conv_shape, g.pool_shape
-    (tw, th), (sw, sh), (qw, qh) = g.pool_size, g.pool_stride, g.pool_padding
-    return _taps((hp, wp), (hh, ww), (th, tw), (sh, sw), (qh, qw))
-
-
-def _max_pool(v, g, z, winners):
-    """Window max into z and the winning tap (first maximum in window
-    order) into winners, zero on entry."""
+def _max_pool(v, g, taps, z, winners):
+    """Window max over the window taps into z and the winning tap (first
+    maximum in window order) into winners, zero on entry."""
     tw, _ = g.pool_size
     z.fill(-np.inf)
-    for ty, tx, o, i in _pool_taps(g):
+    for ty, tx, o, i in taps:
         cand, best = v[i], z[o]
         hit = cand > best
         np.maximum(best, cand, out=best)
         np.putmask(winners[o], hit, ty * tw + tx)
 
 
-def _max_unpool(dz, winners, g, dv):
+def _max_unpool(dz, winners, g, taps, dv):
     """Each window's gradient into its winner's slot of dv, zero on entry."""
     tw, _ = g.pool_size
-    for ty, tx, o, i in _pool_taps(g):
+    for ty, tx, o, i in taps:
         dv[i] += dz[o] * (winners[o] == ty * tw + tx)
 
 
@@ -676,8 +678,8 @@ def _whole_map(g):
     return g.pool_padding == (0, 0) and g.pool_size == g.conv_shape[:2]
 
 
-def _average_pool(v, g, z):
-    """Window means into z, zero on entry."""
+def _average_pool(v, g, taps, z):
+    """Window means over the window taps into z, zero on entry."""
     if _whole_map(g):
         # cumsum adds left to right, in the tap loop's order, so the sum is
         # the same to the bit; np.sum would add pairwise
@@ -685,18 +687,18 @@ def _average_pool(v, g, z):
         total = np.cumsum(v.reshape(n, c, -1), axis=-1)[..., -1]
         np.divide(total, g.t, out=z.reshape(n, c))
         return
-    for _, _, o, i in _pool_taps(g):
+    for _, _, o, i in taps:
         z[o] += v[i]
     z /= g.t
 
 
-def _average_unpool(dz, g, dv):
+def _average_unpool(dz, g, taps, dv):
     """dz / T spread over each window's members into dv, zero on entry."""
     share = dz / g.t
     if _whole_map(g):
         dv[...] = share
         return
-    for _, _, o, i in _pool_taps(g):
+    for _, _, o, i in taps:
         dv[i] += share[o]
 
 
@@ -729,8 +731,8 @@ def _forward_chunk(net, x, us, zs, winners):
     i's u, output and max-pool winners go into us[i], zs[i] and winners[i],
     arrays of n images as _forward_arrays makes them."""
     for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
-        u, out = us[i], zs[i]
-        _conv_forward(net.lowerings[i], net.weights[i], x, u)
+        u, out, low = us[i], zs[i], net.lowerings[i]
+        _conv_forward(low, net.weights[i], x, u)
         relu = spec.activation == arch_mod.RELU
         if g.pool_kind is None:
             if relu:
@@ -738,9 +740,9 @@ def _forward_chunk(net, x, us, zs, winners):
         else:
             v = np.maximum(u, 0.0) if relu else u
             if g.pool_kind == arch_mod.MAX:
-                _max_pool(v, g, out, winners[i])
+                _max_pool(v, g, low.pool, out, winners[i])
             else:
-                _average_pool(v, g, out)
+                _average_pool(v, g, low.pool, out)
         x = out
 
 
@@ -777,11 +779,11 @@ def _backward_chunk(net, top, us, winners, du, dv, dz, lowest):
             _signals(du[i])[...] = top
         else:
             # dz[i + 1] back through layer i's pooling and activation
-            g = net.geo[i]
+            g, taps = net.geo[i], net.lowerings[i].pool
             if g.pool_kind == arch_mod.MAX:
-                _max_unpool(dz[i + 1], winners[i], g, dv[i])
+                _max_unpool(dz[i + 1], winners[i], g, taps, dv[i])
             elif g.pool_kind is not None:
-                _average_unpool(dz[i + 1], g, dv[i])
+                _average_unpool(dz[i + 1], g, taps, dv[i])
             if net.arch.layers[i].activation == arch_mod.RELU:
                 np.multiply(dv[i], us[i] >= 0.0, out=du[i])
         _conv_backward(net.lowerings[i], net.weights[i], du[i], dz[i])
@@ -967,13 +969,6 @@ def check_memory(need, what):
         raise BudgetExceeded(
             f"{what} need {need / 2**30:.1f} GiB, over the {limit / 2**30:.1f} GiB memory limit"
         )
-
-
-def loss_half_square(net, z0):
-    """E = 0.5 * ||u^(L)||^2 for gradient checking."""
-    trace = forward(net, z0)
-    u_top = trace.u[-1]
-    return 0.5 * float(np.sum(u_top * u_top))
 
 
 # ---------------------------------------------------------------------------

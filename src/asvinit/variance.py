@@ -22,13 +22,12 @@ operations, so the constants carry scipy's bits without importing scipy.
 Its exp(-x^2) is libm's exp called per element (math.exp), as in the C
 code; np.exp differs in the last bit at some quadrature nodes.
 
-This module imports numpy only where it needs arrays: the max-pool
-quadrature (its Gauss-Legendre nodes are built on the first max-pool
-constant), plan_from_sigmas, and the functions that return arrays
-(predict_forward, predict_backward, InitPlan.sigma_w).  Plans, levels and
-the method table are Python floats: math.sqrt is correctly rounded, as
-np.sqrt is, so the std devs carry the same bits.  analyze, init and the
-method table on a chain without a max pool never load numpy.
+numpy is imported by the max-pool quadrature alone (_erfc, _ndtr,
+_gauss_legendre, _panel_nodes, _tau_max_integral), on the first max-pool
+constant.  Plans, levels, overrides and the method table hold Python
+floats, in lists where there is one per layer: math.sqrt is correctly
+rounded, as np.sqrt is, so the std devs carry the same bits.  analyze,
+init and the method table on a chain without a max pool never load numpy.
 """
 
 from __future__ import annotations
@@ -247,9 +246,7 @@ class InitPlan:
 
     @property
     def sigma_w(self):
-        import numpy as np
-
-        return np.array([r.sigma_w for r in self.rows])
+        return [r.sigma_w for r in self.rows]
 
     def table(self):
         """(head, key, rows, csv columns) for cli.render."""
@@ -299,17 +296,13 @@ def predict_forward(geo, sigma_w, tau0=1.0):
     """Forward variance levels q[0..L] for unit input variance under
     per-layer weight std devs (biases are drawn as 0, so they add nothing).
     The levels are linear in the input variance."""
-    import numpy as np
-
-    return np.array(_forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0))
+    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0)
 
 
 def predict_backward(geo, sigma_w):
     """Backward variance levels r[0..L] for unit top-gradient variance under
     per-layer weight std devs.  The levels are linear in that variance."""
-    import numpy as np
-
-    return np.array(_backward_levels(geo, [layer_constants(g) for g in geo], sigma_w))
+    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w)
 
 
 def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
@@ -389,14 +382,15 @@ def method_sigmas(arch, clamp_factor=3.0, tau0=1.0):
 
 
 def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
-    """Wrap explicit per-layer std devs in an InitPlan (for overrides)."""
-    import numpy as np
-
+    """Wrap explicit per-layer std devs, a sequence of numbers, in an
+    InitPlan (for overrides)."""
     n = arch.num_layers
-    sigma_w = np.asarray(sigma_w, dtype=float)
-    if sigma_w.shape != (n,):
-        raise ValueError(f"expected {n} sigma values, got shape {sigma_w.shape}")
-    if not np.all(np.isfinite(sigma_w)) or np.any(sigma_w < 0):
-        raise ValueError("sigma values must be finite and non-negative")
+    try:
+        if len(sigma_w) != n:
+            raise ValueError(f"expected {n} sigma values, got {len(sigma_w)}")
+        if not all(math.isfinite(s) and s >= 0 for s in sigma_w):
+            raise ValueError("sigma values must be finite and non-negative")
+    except TypeError as exc:  # a scalar, or an entry that is not a number
+        raise ValueError(f"expected {n} sigma values, a sequence of numbers: {exc}") from None
     return _plan("override", arch, [layer_constants(g) for g in arch.geo], sigma_w,
                  [False] * n, tau0=tau0, clamp_factor=None)

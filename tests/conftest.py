@@ -156,6 +156,12 @@ def pooled_relu_max_second_moment(t, n_samples, seed):
     return mean, math.sqrt(var / n_samples)
 
 
+def loss_half_square(net, z0):
+    """E = 0.5 * ||u^(L)||^2 of refnet.forward, for gradient checking."""
+    u_top = refnet.forward(net, z0).u[-1]
+    return 0.5 * float(np.sum(u_top * u_top))
+
+
 POOLS = [
     None,
     asvinit.Pool(kind="Max", size=(2, 2)),

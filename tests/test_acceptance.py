@@ -13,7 +13,9 @@ import asvinit
 from asvinit import montecarlo, refnet, variance
 from asvinit.arch import validate
 
-from conftest import brute_force_eps, conv_chain, pooled_relu_max_second_moment, record_criterion
+from conftest import (
+    brute_force_eps, conv_chain, loss_half_square, pooled_relu_max_second_moment, record_criterion,
+)
 
 
 def timed():
@@ -212,9 +214,9 @@ def test_criterion_5_oracle_equivalence():
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + h
-            ep = refnet.loss_half_square(net, z0)
+            ep = loss_half_square(net, z0)
             w[idx] = orig - h
-            em = refnet.loss_half_square(net, z0)
+            em = loss_half_square(net, z0)
             w[idx] = orig
             fd = (ep - em) / (2 * h)
             rel = abs(trace.d_weights[li][idx] - fd) / max(abs(fd), 1e-6)

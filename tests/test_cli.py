@@ -497,6 +497,7 @@ def run_fresh(code, *args):
 # and the engine modules are loaded after it
 ENGINE_PROBE = """
 import contextlib, io, sys
+from pathlib import Path
 ENGINE = ("numpy", "asvinit.refnet", "asvinit.montecarlo")
 
 def loaded(step, code="-"):
@@ -506,6 +507,11 @@ import asvinit
 loaded("import-asvinit")
 from asvinit import cli
 loaded("import-cli")
+chain = asvinit.parse_architecture(Path(sys.argv[1]).read_text())
+plan = asvinit.plan_from_sigmas(chain, asvinit.init_plan("xavier", chain).sigma_w)
+asvinit.predict_forward(chain.geo, plan.sigma_w)
+asvinit.predict_backward(chain.geo, plan.sigma_w)
+loaded("plans")
 for step, argv in [("analyze", ["analyze", "--builtin", "arch34"]),
                    ("rejected", ["init", "--builtin", "arch18"]),
                    ("all-csv", ["init", "--arch", sys.argv[1], "--method", "all",
@@ -521,16 +527,17 @@ print(out.getvalue().splitlines()[1])
 
 
 def test_calculator_commands_do_not_load_the_engine(tmp_path):
-    """Importing the package or the CLI, analyze, a rejected request and
-    the method table of a chain without a max pool leave numpy, refnet and
-    montecarlo unloaded; the first max-pool constant loads numpy (and
-    still prints layer 1's tau as np.float64(...), the pinned bytes)."""
+    """Importing the package or the CLI, an override plan, its sigma_w
+    and its levels, analyze, a rejected request and the method table of a
+    chain without a max pool leave numpy, refnet and montecarlo unloaded;
+    the first max-pool constant loads numpy (and still prints layer 1's tau
+    as np.float64(...), the pinned bytes)."""
     chain = tmp_path / "no-max-pool.json"
     chain.write_text(serialize(small_net(
         (8, 8, 3), [(4, 3, 1, 1, asvinit.Pool(kind="Average", size=(2, 2)))], hidden=[5])))
     *steps, last_row = run_fresh(ENGINE_PROBE, str(chain)).splitlines()
     assert steps == [
-        "import-asvinit -", "import-cli -", "analyze 0", "rejected 2", "all-csv 0",
+        "import-asvinit -", "import-cli -", "plans -", "analyze 0", "rejected 2", "all-csv 0",
         "compare 0", "max-pool 0 numpy",
     ]
     assert last_row.split(",")[4] == "np.float64(2.562559127742372)"

@@ -16,8 +16,8 @@ from asvinit import cli, refnet, shapes, variance
 from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import (
-    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, record_streams, refnet_threads,
-    small_chains, small_net,
+    OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, loss_half_square, record_streams,
+    refnet_threads, small_chains, small_net,
 )
 
 
@@ -260,9 +260,9 @@ def finite_difference_weight_grads(net, z0, h=1e-5):
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + h
-            ep = refnet.loss_half_square(net, z0)
+            ep = loss_half_square(net, z0)
             w[idx] = orig - h
-            em = refnet.loss_half_square(net, z0)
+            em = loss_half_square(net, z0)
             w[idx] = orig
             g[idx] = (ep - em) / (2 * h)
             it.iternext()
@@ -293,7 +293,7 @@ def test_gradients_match_finite_differences_everywhere():
     for i in range(z0.size):
         zp = z0.copy(); zp[i] += h
         zm = z0.copy(); zm[i] -= h
-        g_in[i] = (refnet.loss_half_square(net, zp) - refnet.loss_half_square(net, zm)) / (2 * h)
+        g_in[i] = (loss_half_square(net, zp) - loss_half_square(net, zm)) / (2 * h)
     rel = np.abs(trace.dz[0][:, 0] - g_in) / np.maximum(np.abs(g_in), 1e-6)
     assert np.max(rel) < 1e-5
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import math
 import os
 import subprocess
@@ -335,10 +336,50 @@ def test_unknown_method_rejected():
         variance.init_plan("lecun", asvinit.toy_net())
 
 
-def test_plan_from_sigmas_validates_length():
-    toy = asvinit.toy_net()
+@pytest.mark.parametrize("sigmas", [
+    [1.0, 2.0], [0.5] * 5, [0.5, math.nan, 0.5, 0.5], [0.5, 0.5, math.inf, 0.5],
+    [-math.inf, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.1], 0.5, np.float64(0.5), np.array(0.5),
+    np.full((4, 1), 0.5), [0.5, "x", 0.5, 0.5], [0.5, None, 0.5, 0.5], [0.5, object(), 0.5, 0.5],
+    "0.51",
+], ids=["short", "long", "nan", "inf", "-inf", "negative", "scalar", "np-scalar", "0-d",
+        "column", "text", "none", "object", "string"])
+def test_plan_from_sigmas_refuses_what_is_not_one_number_per_layer(sigmas):
     with pytest.raises(ValueError):
-        variance.plan_from_sigmas(toy, [1.0, 2.0])
+        variance.plan_from_sigmas(asvinit.toy_net(), sigmas)
+
+
+def test_plan_from_sigmas_reads_a_list_and_an_array_alike():
+    toy = asvinit.toy_net()
+    sigmas = [0.3, 0.0, 1e-3, 2.5]
+    from_list = variance.plan_from_sigmas(toy, sigmas)
+    from_array = variance.plan_from_sigmas(toy, np.array(sigmas))
+    assert from_list == from_array
+    assert from_list.sigma_w == sigmas
+    for a, b in zip(from_list.rows, from_array.rows):
+        assert [type(x) for x in (a.sigma_w, a.q_pred, a.r_pred)] == [float] * 3
+        assert (a.sigma_w.hex(), a.q_pred.hex(), a.r_pred.hex()) == (
+            b.sigma_w.hex(), b.q_pred.hex(), b.r_pred.hex())
+
+
+QUADRATURE = {"_erfc", "_ndtr", "_gauss_legendre", "_panel_nodes", "_tau_max_integral"}
+
+
+def test_numpy_is_imported_only_by_the_max_pool_quadrature():
+    """Every numpy import in variance.py sits inside a function of the
+    max-pool quadrature, so plans, levels and overrides stay numpy-free."""
+    tree = ast.parse(Path(variance.__file__).read_text(encoding="utf-8"))
+    owners = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                owners.add(getattr(top, "name", "<module level>"))
+    assert owners <= QUADRATURE, sorted(owners - QUADRATURE)
 
 
 def test_plan_csv_has_required_columns():
