@@ -18,11 +18,15 @@ through their module attributes (refnet.weight_blocks, montecarlo.compare,
 ...), so a wrapper set on those attributes sees every call.
 
 main(argv) may be called any number of times in one process.  It builds the
-argument parser on its first call and reuses it.  Exit status: 0 done, 1 a
-simulate layer beyond --threshold, 2 bad input (an option, an architecture,
-a file that cannot be read or written, an output path that names an input
-file or the other output), 3 a budget, memory or disk limit (a weight file
-larger than the free space of its directory).
+argument parser on its first call and reuses it.  It returns the exit
+status: 0 done, 1 a simulate layer beyond --threshold, 2 bad input (an
+option, an architecture, a file that cannot be read or written, an output
+path that names an input file or the other output), 3 a budget, memory or
+disk limit (a weight file larger than the free space of its directory).
+Every refusal is one "error:" line on stderr.  The parser checks each option
+value as it reads it and refuses a bad command line with AsvinitError, as
+the rest of the program refuses its input, so main returns 2 for it; only
+-h leaves through SystemExit (0).
 """
 
 from __future__ import annotations
@@ -195,32 +199,6 @@ def _drop_stdout():
     os.close(devnull)
 
 
-def _positive(option, value):
-    if not (math.isfinite(value) and value > 0):
-        raise AsvinitError(f"{option} must be a positive finite number, got {value}")
-    return value
-
-
-def _parse_trials(text):
-    try:
-        a, b = (int(n) for n in text.lower().split("x"))
-    except ValueError:
-        raise AsvinitError(f"--trials expects AxB (e.g. 8x512), got {text!r}") from None
-    if a < 1 or b < 1:
-        raise AsvinitError(f"--trials counts must be >= 1, got {text!r}")
-    return a, b
-
-
-def _clamp_factor(text):
-    if text.lower() == "none":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise AsvinitError(f"--clamp-factor expects a number or 'none', got {text!r}") from None
-    return _positive("--clamp-factor", value)
-
-
 def _check_outputs(args):
     """Refuse, before the work, an output path no file can be created at
     (simulate would find out only after its whole run), or one that names
@@ -255,22 +233,6 @@ def _same_file(st, path):
         return os.path.samestat(st, os.stat(path))
     except (OSError, ValueError):
         return False
-
-
-def _validate(args):
-    """Reject option values the model cannot use before any work starts.
-    Parses --clamp-factor and --trials in place."""
-    _check_outputs(args)
-    if "clamp_factor" in args:
-        args.clamp_factor = _clamp_factor(args.clamp_factor)
-    if "trials" in args:
-        args.trials = _parse_trials(args.trials)
-    if "tau0" in args:
-        _positive("--tau0", args.tau0)
-    if "threshold" in args and not args.threshold >= 0:
-        raise AsvinitError(f"--threshold must be a non-negative number, got {args.threshold}")
-    if "seed" in args and args.seed < 0:
-        raise AsvinitError(f"--seed must be non-negative, got {args.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +393,14 @@ def cmd_init(args):
 
 def _override_plan(path, architecture, tau0):
     """Plan of a --sigma-override file: a JSON list of numbers, one per
-    layer.  A string or a boolean is refused, not read as a number."""
+    layer, which plan_from_sigmas checks."""
     try:
         sigmas = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # ValueError: bad JSON, or an int too long
         raise AsvinitError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(sigmas, list) or any(type(s) not in (int, float) for s in sigmas):
-        raise AsvinitError(f"{path}: expected a JSON list of numbers")
     try:
         return variance_mod.plan_from_sigmas(architecture, sigmas, tau0=tau0)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise AsvinitError(f"{path}: {exc}") from exc
 
 
@@ -475,8 +435,46 @@ def cmd_simulate(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses a command line with AsvinitError, so
+    that main prints it as one error: line and returns 2.  Subcommand
+    parsers are of the same class."""
+
+    def error(self, message):
+        raise AsvinitError(message)
+
+
+def _option(parse, accept, expected):
+    """argparse type= of an option: parse reads the text (ValueError when
+    it cannot), accept says whether the value is in range, and a refusal
+    says what was expected."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
+
+def _positive(value):
+    return math.isfinite(value) and value > 0
+
+
+_trials = _option(lambda text: tuple(map(int, text.lower().split("x"))),
+                  lambda ab: len(ab) == 2 and min(ab) >= 1, "AxB with counts >= 1 (e.g. 8x512)")
+_clamp_factor = _option(lambda text: None if text.lower() == "none" else float(text),
+                        lambda f: f is None or _positive(f), "a positive finite number or 'none'")
+_tau0 = _option(float, _positive, "a positive finite number")
+_threshold = _option(float, lambda t: t >= 0, "a non-negative number")
+_seed = _option(int, lambda n: n >= 0, "a non-negative integer")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asvinit",
         description="Padding- and pooling-aware CNN initialization calculator",
     )
@@ -491,10 +489,10 @@ def build_parser():
         group.add_argument("--builtin", metavar="NAME", help="built-in architecture name")
         group.add_argument("--arch", metavar="FILE", help="architecture JSON file")
         if plan_args:
-            p.add_argument("--clamp-factor", default="3", metavar="F",
+            p.add_argument("--clamp-factor", type=_clamp_factor, default="3", metavar="F",
                            help="asv-backward variance cap vs. the no-pool value "
                                 "('none' disables)")
-            p.add_argument("--tau0", type=float, default=1.0,
+            p.add_argument("--tau0", type=_tau0, default=1.0,
                            help="input-layer forward constant (raw inputs carry their full variance)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH")
@@ -508,7 +506,7 @@ def build_parser():
         "--method", default=variance_mod.ASV_BACKWARD,
         choices=(*variance_mod.METHODS, "all"),
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--emit-weights", metavar="PATH",
                    help="also sample parameters and write a binary weight file")
 
@@ -520,13 +518,13 @@ def build_parser():
                    choices=variance_mod.METHODS)
     p.add_argument("--sigma-override", metavar="FILE",
                    help="JSON list of per-layer weight std devs (overrides --method)")
-    p.add_argument("--trials", default="8x512", metavar="AxB",
+    p.add_argument("--trials", type=_trials, default="8x512", metavar="AxB",
                    help="parameter draws x input draws")
     p.add_argument("--directions", choices=("forward", "backward", "both"),
                    default="both", help="which signal directions to judge")
-    p.add_argument("--threshold", type=float, default=0.2,
+    p.add_argument("--threshold", type=_threshold, default=0.2,
                    help="max tolerated relative error per layer")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -539,9 +537,9 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
-        _validate(args)
+        args = _parser().parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

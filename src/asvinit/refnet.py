@@ -95,8 +95,8 @@ in window order (x fastest, then y) wins, i.e. the lowest member; it keeps
 the winning tap per window for backward, which routes each gradient to it.
 Average pooling sums the in-bounds members (padding counts as 0) and
 divides by the nominal window area T; backward spreads dz / T.  A window
-that is the whole map (GlobalAverage) is one running sum over the map and
-one broadcast back.
+that is the whole map (GlobalAverage) takes the same loop, one tap per map
+position, so its sum adds the members in window order as well.
 
 A SignalTrace keeps only the signals something reads; a pooled layer's
 activations are a per-chunk temporary.  The Monte Carlo estimates need no
@@ -673,20 +673,8 @@ def _max_unpool(dz, winners, g, taps, dv):
         dv[i] += dz[o] * (winners[o] == ty * tw + tx)
 
 
-def _whole_map(g):
-    """The pooling window is the whole map: one window per channel."""
-    return g.pool_padding == (0, 0) and g.pool_size == g.conv_shape[:2]
-
-
 def _average_pool(v, g, taps, z):
     """Window means over the window taps into z, zero on entry."""
-    if _whole_map(g):
-        # cumsum adds left to right, in the tap loop's order, so the sum is
-        # the same to the bit; np.sum would add pairwise
-        n, c = v.shape[:2]
-        total = np.cumsum(v.reshape(n, c, -1), axis=-1)[..., -1]
-        np.divide(total, g.t, out=z.reshape(n, c))
-        return
     for _, _, o, i in taps:
         z[o] += v[i]
     z /= g.t
@@ -695,9 +683,6 @@ def _average_pool(v, g, taps, z):
 def _average_unpool(dz, g, taps, dv):
     """dz / T spread over each window's members into dv, zero on entry."""
     share = dz / g.t
-    if _whole_map(g):
-        dv[...] = share
-        return
     for _, _, o, i in taps:
         dv[i] += share[o]
 

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 from . import arch as arch_mod
@@ -51,6 +53,9 @@ ASV_BACKWARD = "asv-backward"
 METHODS = (XAVIER, KAIMING_FORWARD, KAIMING_BACKWARD, ASV_FORWARD, ASV_BACKWARD)
 
 _GAMMA_FLOOR = 1e-12
+
+# the largest std dev whose square, float(sigma) ** 2 in the levels, is finite
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -382,15 +387,19 @@ def method_sigmas(arch, clamp_factor=3.0, tau0=1.0):
 
 
 def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
-    """Wrap explicit per-layer std devs, a sequence of numbers, in an
-    InitPlan (for overrides)."""
+    """Wrap explicit per-layer std devs in an InitPlan (for overrides).
+    sigma_w is a sequence of one real number per layer, each from 0 to
+    sqrt(sys.float_info.max), so that its square is finite; anything else,
+    a boolean included, is a ValueError."""
     n = arch.num_layers
     try:
-        if len(sigma_w) != n:
-            raise ValueError(f"expected {n} sigma values, got {len(sigma_w)}")
-        if not all(math.isfinite(s) and s >= 0 for s in sigma_w):
-            raise ValueError("sigma values must be finite and non-negative")
-    except TypeError as exc:  # a scalar, or an entry that is not a number
-        raise ValueError(f"expected {n} sigma values, a sequence of numbers: {exc}") from None
+        count = len(sigma_w)
+    except TypeError:   # a scalar or an iterator
+        raise ValueError(f"expected {n} sigma values, got {type(sigma_w).__name__}") from None
+    if count != n:
+        raise ValueError(f"expected {n} sigma values, got {count}")
+    for ell, s in enumerate(sigma_w, 1):
+        if isinstance(s, bool) or not (isinstance(s, numbers.Real) and 0 <= s <= _SIGMA_MAX):
+            raise ValueError(f"layer {ell}: sigma must be a number from 0 to {_SIGMA_MAX!r}")
     return _plan("override", arch, [layer_constants(g) for g in arch.geo], sigma_w,
                  [False] * n, tau0=tau0, clamp_factor=None)

@@ -120,6 +120,22 @@ def test_padding_must_stay_below_kernel():
         arch.parse_architecture(text)
 
 
+@pytest.mark.parametrize("field, layer, value", [
+    ("layer kind", {"kind": "Deconv", "out_channels": 2}, "Deconv"),
+    ("activation", {"kind": "Conv", "kernel": [3, 3], "out_channels": 2,
+                    "activation": "Tanh"}, "Tanh"),
+    ("pool kind", {"kind": "Conv", "kernel": [3, 3], "out_channels": 2,
+                   "pool": {"kind": "Min", "size": [2, 2]}}, "Min"),
+], ids=["kind", "activation", "pool kind"])
+def test_unknown_names_are_refused_by_validate(field, layer, value):
+    """The parser reads a name as it stands; validate alone refuses one the
+    model lacks, naming the layer."""
+    text = json.dumps({"name": "bad", "input": [8, 8, 1],
+                       "layers": [layer, {"kind": "FullyConnected", "out_channels": 4}]})
+    with pytest.raises(ValidationError, match=f"layer 1: unknown {field} '{value}'"):
+        arch.parse_architecture(text)
+
+
 def test_last_layer_must_be_identity_fc():
     bad = asvinit.Architecture(
         name="bad", input_shape=(8, 8, 1),

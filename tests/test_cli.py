@@ -588,11 +588,10 @@ def test_readme_commands_parse():
     assert len(commands) >= 8
     parser = cli.build_parser()
     for argv in commands:
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            try:
-                parser.parse_args(argv)
-            except SystemExit:
-                pytest.fail(f"asvinit {shlex.join(argv)}: {err.getvalue().strip()}")
+        try:
+            parser.parse_args(argv)
+        except asvinit.AsvinitError as exc:
+            pytest.fail(f"asvinit {shlex.join(argv)}: {exc}")
 
 
 def toy_argv(command):
@@ -664,6 +663,13 @@ def test_option_surface():
     }
 
 
+def test_help_still_exits_0(capsys):
+    """-h is no refusal: argparse prints the help and exits 0."""
+    with pytest.raises(SystemExit) as done:
+        cli.main(["init", "-h"])
+    assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: asvinit init")
+
+
 # an architecture file with an integer past 2**53, which no float holds
 HUGE_INTS = {
     "channels": lambda a: a["layers"][0].update(out_channels=10**400),
@@ -671,6 +677,13 @@ HUGE_INTS = {
     "average-size": lambda a: a["layers"][1]["pool"].update(size=[10**309, 2]),
     "average-padding": lambda a: a["layers"][1]["pool"].update(padding=[0, 10**300]),
     "max-stride": lambda a: a["layers"][0]["pool"].update(stride=[2, 10**400]),
+}
+
+# an architecture file with a kind, activation or pool kind the model lacks
+UNKNOWN_NAMES = {
+    "kind": lambda a: a["layers"][1].update(kind="Deconv"),
+    "activation": lambda a: a["layers"][0].update(activation="Tanh"),
+    "pool-kind": lambda a: a["layers"][0]["pool"].update(kind="Min"),
 }
 
 BAD_INPUTS = [
@@ -723,12 +736,26 @@ BAD_INPUTS = [
         for argv in (["analyze"], ["init"], ["simulate", "--trials", "1x4"],
                      ["init", "--emit-weights", "@tmp/w.bin"])
     ],
+    *[(["analyze", "--arch", f"@tmp/unknown-{name}.json"], {}) for name in UNKNOWN_NAMES],
+    # an integer too long for int() to read
+    (["analyze", "--arch", "@tmp/long-int.json"], {}),
+    (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/long-int.json"], {}),
+    # refused by the parser: each is one error: line too, and main returns 2
+    (["init", "--arch", "@arch", "--tau0", "abc"], {}),
+    (["simulate", "--arch", "@arch", "--seed", "1.5"], {}),
+    (["analyze", "--arch", "@arch", "--format", "xml"], {}),
+    (["init", "--arch", "@arch", "--method", "he"], {}),
+    (["analyze", "--arch", "@arch", "--bogus"], {}),
+    ([], {}),
+    (["init"], {}),
+    (["simulate", "--arch", "@arch", "--trials", "8x512x2"], {}),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, env", BAD_INPUTS,
-    ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()]) for argv, env in BAD_INPUTS],
+    ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()]) or "no command"
+         for argv, env in BAD_INPUTS],
 )
 def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_file,
                                                 tmp_path, argv, env):
@@ -746,10 +773,12 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
     doc = json.loads(Path(tiny_arch_file).read_text())
     doc["layers"][0]["pool"]["t_override"] = 4
     (tmp_path / "t-override.json").write_text(json.dumps(doc))
-    for name, edit in HUGE_INTS.items():
-        doc = json.loads(Path(tiny_arch_file).read_text())
-        edit(doc)
-        (tmp_path / f"huge-{name}.json").write_text(json.dumps(doc))
+    for prefix, edits in (("huge", HUGE_INTS), ("unknown", UNKNOWN_NAMES)):
+        for name, edit in edits.items():
+            doc = json.loads(Path(tiny_arch_file).read_text())
+            edit(doc)
+            (tmp_path / f"{prefix}-{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "long-int.json").write_text(f"[{'1' * 5000}, 1.0, 1.0, 1.0]")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     monkeypatch.chdir(tmp_path)
@@ -894,12 +923,11 @@ def test_reused_parser_carries_no_state(capsys, monkeypatch):
         _, out, _ = run(capsys, *toy_argv(command))
         if hashlib.sha256(out.encode("utf-8")).hexdigest() != golden[command]:
             mismatched.append(command)
-        with pytest.raises(SystemExit) as usage:
-            cli.main(["init", "--builtin", "arch34", "--method", "he"])
-        assert usage.value.code == 2 and "invalid choice" in capsys.readouterr().err
+        code, out, err = run(capsys, "init", "--builtin", "arch34", "--method", "he")
+        assert (code, out) == (2, "") and "invalid choice" in err
         code, out, err = run(capsys, "simulate", "--arch", TOY_FILE, "--trials", "0x4",
                              "--clamp-factor", "none", "--seed", "3")
-        assert (code, out) == (2, "") and err.startswith("error: --trials")
+        assert (code, out) == (2, "") and err.startswith("error: argument --trials")
     assert mismatched == []
     assert len(builds) == 1
 

@@ -50,7 +50,6 @@ def reference_csv(table):
 
 def method_table(architecture):
     args = cli._parser().parse_args(["init", "--builtin", "arch34", "--method", "all"])
-    cli._validate(args)
     return cli._method_table(architecture, args)
 
 

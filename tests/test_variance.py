@@ -340,12 +340,22 @@ def test_unknown_method_rejected():
     [1.0, 2.0], [0.5] * 5, [0.5, math.nan, 0.5, 0.5], [0.5, 0.5, math.inf, 0.5],
     [-math.inf, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.1], 0.5, np.float64(0.5), np.array(0.5),
     np.full((4, 1), 0.5), [0.5, "x", 0.5, 0.5], [0.5, None, 0.5, 0.5], [0.5, object(), 0.5, 0.5],
-    "0.51",
+    "0.51", [True, 0.5, 0.5, 0.5], [0.5, 1e200, 0.5, 0.5], [0.5, 0.5, 10**400, 0.5],
 ], ids=["short", "long", "nan", "inf", "-inf", "negative", "scalar", "np-scalar", "0-d",
-        "column", "text", "none", "object", "string"])
+        "column", "text", "none", "object", "string", "bool", "1e200", "10**400"])
 def test_plan_from_sigmas_refuses_what_is_not_one_number_per_layer(sigmas):
     with pytest.raises(ValueError):
         variance.plan_from_sigmas(asvinit.toy_net(), sigmas)
+
+
+def test_plan_from_sigmas_takes_sigmas_whose_square_is_finite():
+    """The levels square each sigma as float(sigma) ** 2, which raises
+    OverflowError past sqrt(max float): such a sigma is refused by layer."""
+    toy = asvinit.toy_net()
+    bound = math.sqrt(sys.float_info.max)
+    assert variance.plan_from_sigmas(toy, [0.5, bound, 0.5, 0.5]).sigma_w[1] == bound
+    with pytest.raises(ValueError, match=r"layer 2: .*1\.3407807929942596e\+154"):
+        variance.plan_from_sigmas(toy, [0.5, math.nextafter(bound, math.inf), 0.5, 0.5])
 
 
 def test_plan_from_sigmas_reads_a_list_and_an_array_alike():
