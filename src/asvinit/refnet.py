@@ -21,7 +21,9 @@ zero at the dropped taps, for the naive oracle.
 
 The weights are one seeded stream of normals, drawn layer by layer as
 rng.normal(0.0, sigma, (C, S)) would draw them, to the bit, dead taps
-included.  weight_blocks is that stream: each layer in blocks of whole
+included, but for a layer of sigma 0: it is all zeros and draws nothing,
+so the next layer's normals are the ones numpy's call for it would have
+drawn.  weight_blocks is that stream: each layer in blocks of whole
 rows, at most DRAW_BLOCK normals each (never less than one row), drawn
 into one scratch buffer.  sample_parameters copies each block's live
 columns into its rows of the weights, and the weight-file writer
@@ -55,10 +57,11 @@ the trace's arrays once and hand each chunk its slices; backward() goes
 down to interface 0, the input's gradient.  signal_moments(), which
 simulate runs, keeps no trace: each chunk runs forward and back down to
 interface 1 (no estimate reads dz[0]) in arrays of its own size, keeping
-between the passes only what backward reads (u and the max-pool
-winners), and leaves the (sum x, sum x^2) of every u and of dz at
-interfaces 1..L-1, np.add.reduce over the chunk's block; the calling
-thread adds the chunks' sums in chunk order.  Chunks run on min(CPUs in
+between the passes only what backward reads: u and the max-pool winners
+of layers 2..L, the only ones it unpools (none without a top gradient).
+It leaves the (sum x, sum x^2) of every u and of dz at interfaces
+1..L-1, np.add.reduce over the chunk's block; the calling thread adds the
+chunks' sums in chunk order.  Chunks run on min(CPUs in
 the process's affinity mask, chunks) threads at once: the calling thread
 and threads started for that call, all joined before it returns, so none
 is kept between calls and a one-chunk batch starts none.  numpy releases the
@@ -72,8 +75,7 @@ of w, and u = np.matmul(w, buffer).  Only the in-bounds positions of each
 tap are copied; the buffer's other entries stay 0, which is the zero
 padding.  Every layer is lowered through its conv view (shapes.conv_view),
 in which an FC layer is a 1x1 conv over its M_prev inputs as the channels
-of a 1x1 map.  A 1x1 stride-1 unpadded conv, FC layers included, needs no
-gather: its buffer is the input itself, reshaped.  Backward is the transpose:
+of a 1x1 map, read through one tap.  Backward is the transpose:
 np.matmul(w.T, du), then a loop over live taps adds each tap's rows back
 into the input gradient.  That is the paper's re-indexed backward kernel,
 applied without index sets.  Weight gradients come out in the live shape.
@@ -490,19 +492,18 @@ class _Lowering:
     u = w @ cols(z), with cols(z) of shape (k, p): k the live kernel
     length, p the output positions.  The live kernel is the kh' x kw'
     rectangle of the full kernel, from origin on, that holds every tap
-    reaching the input; taps index it.  taps is None when cols(z) is z
-    itself, reshaped: a 1x1 stride-1 unpadded conv, which an FC layer is
-    (its view's input is (M_prev, 1, 1), p = 1).  pool holds a pooled
-    layer's window taps (ty, tx, out_index, in_index) over the conv output,
-    in window order; None without a pool."""
+    reaching the input; taps index it, over the view's input (for an FC
+    layer (M_prev, 1, 1), one tap).  pool holds a pooled layer's window
+    taps (ty, tx, out_index, in_index) over the conv output, in window
+    order; None without a pool."""
 
     image: tuple[int, int, int]   # the view's input (D, H, W)
     out: tuple[int, int, int]     # output (C, H', W')
     full: tuple[int, int]         # the kernel (kh, kw)
     kernel: tuple[int, int]       # the live rectangle (kh', kw')
-    origin: tuple[int, int] = (0, 0)
-    taps: list | None = None
-    pool: list | None = None
+    origin: tuple[int, int]
+    taps: list
+    pool: list | None
 
     @property
     def k(self):
@@ -547,8 +548,6 @@ def _lowering(spec, g):
         (ww, hh, _), (tw, th) = g.pool_shape, g.pool_size
         (qw, qh), (tsw, tsh) = g.pool_padding, g.pool_stride
         pool = _taps((hp, wp), (hh, ww), (th, tw), (tsh, tsw), (qh, qw))
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return _Lowering((d, h, w), (c, hp, wp), (kh, kw), kernel, pool=pool)
     taps = _taps((h, w), (hp, wp), (kh, kw), (sh, sw), (ph, pw))
     return _Lowering(
         (d, h, w), (c, hp, wp), (kh, kw), kernel, (y0, x0),
@@ -612,11 +611,10 @@ def _each_chunk(n_img, block):
 
 
 def _cols(low, x):
-    """cols(z) of a chunk of images x, as (n, k, p): a zeroed buffer
-    (n, D, kh', kw', H', W') whose entries no tap writes stay 0."""
+    """cols(z) of a chunk of images x (read as the view's input), as (n, k,
+    p): a zeroed buffer (n, D, kh', kw', H', W'), 0 where no tap writes."""
     n = x.shape[0]
-    if low.taps is None:
-        return x.reshape(n, low.k, low.p)
+    x = x.reshape(n, *low.image)
     cols = np.zeros((n, low.image[0], *low.kernel, *low.out[1:]))
     for ty, tx, o, i in low.taps:
         cols[:, :, ty, tx][o] = x[i]
@@ -629,15 +627,13 @@ def _conv_forward(low, w, x, out):
 
 
 def _conv_backward(low, w, du, out):
-    """dz = W^T du of a chunk into out, zero on entry: per-image products,
-    then each tap's rows added back into the input positions it read."""
+    """dz = W^T du of a chunk into out (read as the view's input), zero on
+    entry: per-image products, then each tap's rows added back into the
+    input positions it read."""
     n = du.shape[0]
-    du_cols = du.reshape(n, low.out[0], low.p)
-    if low.taps is None:
-        np.matmul(w.T, du_cols, out=out.reshape(n, low.k, low.p))
-        return
+    out = out.reshape(n, *low.image)
     dcols = np.empty((n, low.image[0], *low.kernel, *low.out[1:]))
-    np.matmul(w.T, du_cols, out=dcols.reshape(n, low.k, low.p))
+    np.matmul(w.T, du.reshape(n, low.out[0], low.p), out=dcols.reshape(n, low.k, low.p))
     for ty, tx, o, i in low.taps:
         out[i] += dcols[:, :, ty, tx][o]
 
@@ -656,14 +652,14 @@ def _weight_grad(du_cols, cols):
 
 def _max_pool(v, g, taps, z, winners):
     """Window max over the window taps into z and the winning tap (first
-    maximum in window order) into winners, zero on entry."""
+    maximum in window order) into winners, zero on entry, unless None."""
     tw, _ = g.pool_size
     z.fill(-np.inf)
     for ty, tx, o, i in taps:
         cand, best = v[i], z[o]
-        hit = cand > best
+        if winners is not None:
+            np.putmask(winners[o], cand > best, ty * tw + tx)
         np.maximum(best, cand, out=best)
-        np.putmask(winners[o], hit, ty * tw + tx)
 
 
 def _max_unpool(dz, winners, g, taps, dv):
@@ -687,13 +683,14 @@ def _average_unpool(dz, g, taps, dv):
         dv[i] += share[o]
 
 
-def _forward_arrays(net, n_img):
+def _forward_arrays(net, n_img, lowest):
     """Per layer, the arrays a forward pass of n_img images writes: u, the
     layer's output (u itself without activation and pooling; zeroed when
-    pooled, since average pooling adds into it) and, for a max-pooled
-    layer, the zeroed winners (else None)."""
+    pooled, since average pooling adds into it) and the zeroed winners of
+    a max-pooled layer i >= lowest, the interface backward goes down to
+    (else None)."""
     us, zs, winners = [], [], []
-    for spec, g, low in zip(net.arch.layers, net.geo, net.lowerings):
+    for i, (spec, g, low) in enumerate(zip(net.arch.layers, net.geo, net.lowerings)):
         u = np.empty((n_img, *low.out))
         pooled = (n_img, *reversed(g.pool_shape))
         if g.pool_kind is not None:
@@ -704,7 +701,7 @@ def _forward_arrays(net, n_img):
             x = u
         us.append(u)
         zs.append(x)
-        if g.pool_kind == arch_mod.MAX:
+        if g.pool_kind == arch_mod.MAX and i >= lowest:
             winners.append(np.zeros(pooled, np.min_scalar_type(g.t - 1)))
         else:
             winners.append(None)
@@ -733,7 +730,7 @@ def _forward_chunk(net, x, us, zs, winners):
 
 def _backward_arrays(net, n_img, lowest):
     """Per layer i >= lowest, the arrays a backward pass of n_img images
-    down to interface lowest writes: dz[i] is W^T du[i] (zeroed when taps
+    down to interface lowest writes: dz[i] is W^T du[i] (zeroed, since taps
     add into it); dv[i] is dz[i + 1] through layer i's pooling (the same
     array when it has none; None at the top); du[i] is dv[i] through its
     activation (at the top, the injected gradient).  None below lowest."""
@@ -743,7 +740,7 @@ def _backward_arrays(net, n_img, lowest):
         low = net.lowerings[i]
         # the layer's real input images, which the layer below reads
         image = (n_img, *reversed(net.geo[i].in_shape))
-        dz[i] = np.zeros(image) if low.taps else np.empty(image)
+        dz[i] = np.zeros(image)
         if i == n - 1:
             du[i] = np.empty((n_img, *low.out))
             continue
@@ -784,7 +781,7 @@ def forward(net: VectorNet, z0) -> SignalTrace:
     g0 = net.geo[0]
     z = _as_batch(z0, g0.m_prev, "input")
     n_img = z.shape[1]
-    us, zs, winners = _forward_arrays(net, n_img)
+    us, zs, winners = _forward_arrays(net, n_img, lowest=0)
 
     def block(c, b0, b1):
         x = _images(z[:, b0:b1], g0.in_shape)
@@ -860,17 +857,18 @@ def _chunk_moments(net, z, du_top, b0, b1):
     """(sum x, sum x^2) rows of images [b0, b1): every u, then (given du_top)
     dz at interfaces 1..L-1.  The chunk runs forward and back down to
     interface 1 in arrays of its own size and keeps, between the passes,
-    what backward reads: u and the winners.  A signal that overflows gives
-    inf or NaN without a warning."""
+    what backward reads: u and the winners of layers 2..L.  A signal that
+    overflows gives inf or NaN without a warning."""
     # errstate is per thread: set here, on whichever thread runs the chunk
     with np.errstate(over="ignore", invalid="ignore"):
-        us, zs, winners = _forward_arrays(net, b1 - b0)
+        lowest = net.num_layers if du_top is None else 1
+        us, zs, winners = _forward_arrays(net, b1 - b0, lowest)
         _forward_chunk(net, _images(z[:, b0:b1], net.geo[0].in_shape), us, zs, winners)
         del zs
         signals = us
         if du_top is not None:
-            du, dv, dz = _backward_arrays(net, b1 - b0, lowest=1)
-            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz, lowest=1)
+            du, dv, dz = _backward_arrays(net, b1 - b0, lowest)
+            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz, lowest)
             signals = us + dz[1:]
         return np.array([_sums(x) for x in signals])
 

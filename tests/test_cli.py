@@ -686,6 +686,19 @@ UNKNOWN_NAMES = {
     "pool-kind": lambda a: a["layers"][0]["pool"].update(kind="Min"),
 }
 
+# an architecture file that breaks a rule of parse_architecture or validate
+BROKEN_RULES = {
+    "no-layers": lambda a: a.update(layers=[]),
+    "zero-channels": lambda a: a["layers"][0].update(out_channels=0),
+    "conv-without-kernel": lambda a: a["layers"][0].pop("kernel"),
+    "fc-with-kernel": lambda a: a["layers"][-1].update(kernel=[1, 1]),
+    "fc-with-pool": lambda a: a["layers"][-1].update(pool={"kind": "Max", "size": [2, 2]}),
+    "max-without-size": lambda a: a["layers"][0]["pool"].pop("size"),
+    "pool-without-kind": lambda a: a["layers"][0]["pool"].pop("kind"),
+    "no-name": lambda a: a.pop("name"),
+    "layers-not-a-list": lambda a: a.update(layers={}),
+}
+
 BAD_INPUTS = [
     (["analyze", "--builtin", ""], {}),
     (["analyze", "--builtin", "toy"], {}),
@@ -737,6 +750,8 @@ BAD_INPUTS = [
                      ["init", "--emit-weights", "@tmp/w.bin"])
     ],
     *[(["analyze", "--arch", f"@tmp/unknown-{name}.json"], {}) for name in UNKNOWN_NAMES],
+    *[(["analyze", "--arch", f"@tmp/broken-{name}.json"], {}) for name in BROKEN_RULES],
+    (["init", "--arch", "@arch", "--method", "all", "--emit-weights", "@tmp/w.bin"], {}),
     # an integer too long for int() to read
     (["analyze", "--arch", "@tmp/long-int.json"], {}),
     (["simulate", "--arch", "@arch", "--sigma-override", "@tmp/long-int.json"], {}),
@@ -773,7 +788,8 @@ def test_bad_input_is_one_error_line_and_exit_2(capsys, monkeypatch, tiny_arch_f
     doc = json.loads(Path(tiny_arch_file).read_text())
     doc["layers"][0]["pool"]["t_override"] = 4
     (tmp_path / "t-override.json").write_text(json.dumps(doc))
-    for prefix, edits in (("huge", HUGE_INTS), ("unknown", UNKNOWN_NAMES)):
+    for prefix, edits in (("huge", HUGE_INTS), ("unknown", UNKNOWN_NAMES),
+                          ("broken", BROKEN_RULES)):
         for name, edit in edits.items():
             doc = json.loads(Path(tiny_arch_file).read_text())
             edit(doc)

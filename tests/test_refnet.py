@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import cli, refnet, shapes, variance
-from asvinit.arch import serialize
+from asvinit.arch import MAX, serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import (
     OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, loss_half_square, record_streams,
@@ -76,6 +76,23 @@ def test_identity_weight_1x1_conv_returns_its_input():
     z0 = np.random.default_rng(0).normal(size=9)
     trace = refnet.forward(net, z0)
     assert np.array_equal(trace.u[0][:, 0].view(np.int64), z0.view(np.int64))
+
+
+def test_1x1_and_fc_layers_are_one_tap_over_the_whole_map():
+    """A 1x1 stride-1 unpadded conv, and an FC layer as a 1x1 conv over its
+    (M_prev, 1, 1) view, are lowered like any conv: one tap that covers
+    the whole map, so cols(z) is z itself, to the bit."""
+    a = small_net((3, 5, 2), [(4, 1, 1, 0, None)], hidden=(6,))
+    net = sampled(a)
+    rng = np.random.default_rng(1)
+    for low, g in zip(net.lowerings, net.geo):
+        _, h, w = low.image
+        [(ty, tx, o, i)] = low.taps
+        assert (ty, tx) == (0, 0)
+        for index in (o, i):
+            assert [s.indices(n) for s, n in zip(index[1:], (h, w))] == [(0, h, 1), (0, w, 1)]
+        x = rng.normal(size=(2, *reversed(g.in_shape)))
+        assert np.array_equal(refnet._cols(low, x), x.reshape(2, low.k, low.p))
 
 
 def test_all_negative_preactivations_give_zero_pool_output():
@@ -758,6 +775,43 @@ def test_the_stream_stops_at_interface_1(monkeypatch):
     assert [id(low) for low in ran] == [id(low) for low in net.lowerings[::-1]]
     assert trace.dz[0].shape == z.shape and np.all(np.isfinite(trace.dz[0]))
     assert np.any(trace.dz[0] != 0.0)
+
+
+WINNER_CHAINS = {
+    "toy": lambda: asvinit.toy_net(),
+    "arch34-16": lambda: dataclasses.replace(asvinit.builtin("arch34"), input_shape=(16, 16, 3)),
+    "max-max": lambda: small_net((8, 8, 2), [(3, 3, 1, 1, POOLS[1]), (4, 3, 1, 1, POOLS[1])]),
+}
+
+
+@pytest.mark.parametrize("name", WINNER_CHAINS)
+def test_the_stream_keeps_only_the_winners_it_unpools(monkeypatch, name):
+    """A streamed chunk unpools max-pooled layers 2..L only, and none
+    without a top gradient, so its forward pass keeps no other winners:
+    it passes _max_pool no winners array there.  backward(forward())
+    gets one for every max-pooled layer."""
+    net = sampled(WINNER_CHAINS[name]())
+    maxed = [i for i, g in enumerate(net.geo) if g.pool_kind == MAX]
+    passed = []
+    max_pool = refnet._max_pool
+
+    def spy(v, g, taps, z, winners):
+        passed.append(winners is not None)
+        max_pool(v, g, taps, z, winners)
+
+    monkeypatch.setattr(refnet, "_max_pool", spy)
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(net.geo[0].m_prev, 3))
+    delta = rng.normal(size=(net.geo[-1].m_prime, 3))
+    refnet.signal_moments(net, z, delta)
+    assert passed == [i > 0 for i in maxed]
+    passed.clear()
+    refnet.signal_moments(net, z)
+    assert passed == [False] * len(maxed)
+    passed.clear()
+    trace = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
+    assert passed == [True] * len(maxed)
+    assert [i for i, w in enumerate(trace.winners) if w is not None] == maxed
 
 
 def test_a_single_layer_chain_streams_no_backward_sums():
