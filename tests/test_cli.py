@@ -27,6 +27,7 @@ from conftest import POOLS, dead_tap_chain, small_chains, small_net
 GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "golden_simulate.json"
 TOY_FILE = str(Path(asvinit.__file__).parent / "data" / "toy.json")
+VGG_FILE = str(Path(__file__).parent / "data" / "vgg.json")
 
 
 @pytest.fixture
@@ -595,8 +596,10 @@ def test_readme_commands_parse():
 
 
 def toy_argv(command):
-    # "toy.json" stands for the shipped toy net
-    return [TOY_FILE if a == "toy.json" else a for a in command.split()]
+    # "toy.json" stands for the shipped toy net, "vgg.json" for the VGG-style
+    # chain under tests/data, whose backward pass unpools max pools at depth
+    files = {"toy.json": TOY_FILE, "vgg.json": VGG_FILE}
+    return [files.get(a, a) for a in command.split()]
 
 
 ONE_INFERENCE = [
