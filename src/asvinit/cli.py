@@ -166,23 +166,19 @@ def _cannot_write(path, exc):
 
 
 def _emit(text, out_path):
-    if out_path:
-        try:
+    if not text.endswith("\n"):
+        text += "\n"
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise _cannot_write(out_path, exc) from exc
-    else:
-        try:
+        else:
             sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
             sys.stdout.flush()
-        except OSError as exc:
+    except OSError as exc:
+        if not out_path:
             _drop_stdout()
-            raise _cannot_write("stdout", exc) from exc
+        raise _cannot_write(out_path or "stdout", exc) from exc
 
 
 def _drop_stdout():

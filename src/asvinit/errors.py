@@ -37,4 +37,5 @@ class MissingForwardTrace(AsvinitError):
 
 
 class BudgetExceeded(AsvinitError):
-    """Requested Monte Carlo trial count exceeds the configured budget."""
+    """A request exceeds a limit: the Monte Carlo trial budget (ASV_BUDGET),
+    the memory the process may use, or the disk space a weight file needs."""

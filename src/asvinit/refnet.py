@@ -57,10 +57,9 @@ the trace's arrays once and hand each chunk its slices; backward() goes
 down to interface 0, the input's gradient.  signal_moments(), which
 simulate runs, keeps no trace: each chunk runs forward and back down to
 interface 1 (no estimate reads dz[0]) in arrays of its own size, keeping
-between the passes only what backward reads: u and the max-pool winners
-of layers 2..L, the only ones it unpools (none without a top gradient).
-It leaves the (sum x, sum x^2) of every u and of dz at interfaces
-1..L-1, np.add.reduce over the chunk's block; the calling thread adds the
+between the passes what backward reads: every layer's u and z.  It
+leaves the (sum x, sum x^2) of every u and of dz at interfaces 1..L-1,
+np.add.reduce over the chunk's block; the calling thread adds the
 chunks' sums in chunk order.  Chunks run on min(CPUs in
 the process's affinity mask, chunks) threads at once: the calling thread
 and threads started for that call, all joined before it returns, so none
@@ -91,10 +90,11 @@ thread: per chunk, image by image, each chunk's sum added in chunk order.
 signal_moments' sums are added the same way, so they do not depend on the
 threads either.
 
-Pooling loops over window taps on strided slices.  Max pooling starts from
--inf and takes a tap only when it is strictly greater, so the first maximum
-in window order (x fastest, then y) wins, i.e. the lowest member; it keeps
-the winning tap per window for backward, which routes each gradient to it.
+Pooling loops over window taps on strided slices.  Max pooling keeps only
+the running maximum, from -inf.  Max unpooling recomputes the layer's
+activations v and sends each window's gradient to the first member in
+window order (x fastest, then y) whose v equals the pooled z: np.maximum
+returns one of its inputs bit for bit, so the test is exact.
 Average pooling sums the in-bounds members (padding counts as 0) and
 divides by the nominal window area T; backward spreads dz / T.  A window
 that is the whole map (GlobalAverage) takes the same loop, one tap per map
@@ -424,9 +424,8 @@ class SignalTrace:
 
     Lists are indexed by layer (0-based); z[0] is the input.  Signals are
     (M, B) arrays, M in first-axis-fastest order.  A trace keeps what
-    backward() and its callers read: u (the ReLU masks), z and, per
-    max-pooled layer, the winning window tap of every (image, channel,
-    window) as a (B, C, H, W) integer array in winners (else None).
+    backward() and its callers read: u (the ReLU masks, and the
+    activations max unpooling recomputes to compare with z) and z.
     Backward fields are filled by backward(); weight gradients appear in
     d_weights when requested.  The Monte Carlo estimates build no trace:
     they read signal_moments' sums.
@@ -434,7 +433,6 @@ class SignalTrace:
 
     u: list = field(default_factory=list)
     z: list = field(default_factory=list)        # z[ell], ell = 0..L
-    winners: list = field(default_factory=list)  # per layer, or None
     du: list = field(default_factory=list)
     dv: list = field(default_factory=list)
     dz: list = field(default_factory=list)       # dz[ell], ell = 0..L
@@ -650,23 +648,23 @@ def _weight_grad(du_cols, cols):
     return dw
 
 
-def _max_pool(v, g, taps, z, winners):
-    """Window max over the window taps into z and the winning tap (first
-    maximum in window order) into winners, zero on entry, unless None."""
-    tw, _ = g.pool_size
+def _max_pool(v, taps, z):
+    """Window max over the window taps into z."""
     z.fill(-np.inf)
-    for ty, tx, o, i in taps:
-        cand, best = v[i], z[o]
-        if winners is not None:
-            np.putmask(winners[o], cand > best, ty * tw + tx)
-        np.maximum(best, cand, out=best)
+    for _, _, o, i in taps:
+        best = z[o]
+        np.maximum(best, v[i], out=best)
 
 
-def _max_unpool(dz, winners, g, taps, dv):
-    """Each window's gradient into its winner's slot of dv, zero on entry."""
-    tw, _ = g.pool_size
-    for ty, tx, o, i in taps:
-        dv[i] += dz[o] * (winners[o] == ty * tw + tx)
+def _max_unpool(dz, v, z, taps, dv):
+    """Each window's gradient into dv, zero on entry, at the first member
+    in window order whose v equals the window's max z.  np.maximum returns
+    one of its inputs, so the test is exact; a NaN max matches no member."""
+    taken = np.zeros(z.shape, bool)
+    for _, _, o, i in taps:
+        hit = (v[i] == z[o]) & ~taken[o]
+        taken[o] |= hit
+        dv[i] += dz[o] * hit
 
 
 def _average_pool(v, g, taps, z):
@@ -683,35 +681,28 @@ def _average_unpool(dz, g, taps, dv):
         dv[i] += share[o]
 
 
-def _forward_arrays(net, n_img, lowest):
-    """Per layer, the arrays a forward pass of n_img images writes: u, the
-    layer's output (u itself without activation and pooling; zeroed when
-    pooled, since average pooling adds into it) and the zeroed winners of
-    a max-pooled layer i >= lowest, the interface backward goes down to
-    (else None)."""
-    us, zs, winners = [], [], []
-    for i, (spec, g, low) in enumerate(zip(net.arch.layers, net.geo, net.lowerings)):
+def _forward_arrays(net, n_img):
+    """Per layer, the arrays a forward pass of n_img images writes: u and
+    the layer's output (u itself without activation and pooling; zeroed
+    when pooled, since average pooling adds into it)."""
+    us, zs = [], []
+    for spec, g, low in zip(net.arch.layers, net.geo, net.lowerings):
         u = np.empty((n_img, *low.out))
-        pooled = (n_img, *reversed(g.pool_shape))
         if g.pool_kind is not None:
-            x = np.zeros(pooled)
+            x = np.zeros((n_img, *reversed(g.pool_shape)))
         elif spec.activation == arch_mod.RELU:
             x = np.empty(u.shape)
         else:
             x = u
         us.append(u)
         zs.append(x)
-        if g.pool_kind == arch_mod.MAX and i >= lowest:
-            winners.append(np.zeros(pooled, np.min_scalar_type(g.t - 1)))
-        else:
-            winners.append(None)
-    return us, zs, winners
+    return us, zs
 
 
-def _forward_chunk(net, x, us, zs, winners):
+def _forward_chunk(net, x, us, zs):
     """Take a chunk of images x, (n, D, H, W), through every layer: layer
-    i's u, output and max-pool winners go into us[i], zs[i] and winners[i],
-    arrays of n images as _forward_arrays makes them."""
+    i's u and output go into us[i] and zs[i], arrays of n images as
+    _forward_arrays makes them."""
     for i, (spec, g) in enumerate(zip(net.arch.layers, net.geo)):
         u, out, low = us[i], zs[i], net.lowerings[i]
         _conv_forward(low, net.weights[i], x, u)
@@ -722,7 +713,7 @@ def _forward_chunk(net, x, us, zs, winners):
         else:
             v = np.maximum(u, 0.0) if relu else u
             if g.pool_kind == arch_mod.MAX:
-                _max_pool(v, g, low.pool, out, winners[i])
+                _max_pool(v, low.pool, out)
             else:
                 _average_pool(v, g, low.pool, out)
         x = out
@@ -749,12 +740,12 @@ def _backward_arrays(net, n_img, lowest):
     return du, dv, dz
 
 
-def _backward_chunk(net, top, us, winners, du, dv, dz, lowest):
+def _backward_chunk(net, top, us, zs, du, dv, dz, lowest):
     """Take a chunk's top gradient, (M_L, n) signals, down through every
     layer i >= lowest into du, dv and dz, arrays of n images as
     _backward_arrays makes them: the last is dz[lowest], the gradient at
-    interface lowest.  us[i] and winners[i] are the chunk's forward u,
-    (n, C, H', W'), and max-pool winners of layer i."""
+    interface lowest.  us[i] and zs[i] are the chunk's forward u,
+    (n, C, H', W'), and output of layer i."""
     n = net.num_layers
     for i in range(n - 1, lowest - 1, -1):
         if i == n - 1:
@@ -762,11 +753,13 @@ def _backward_chunk(net, top, us, winners, du, dv, dz, lowest):
         else:
             # dz[i + 1] back through layer i's pooling and activation
             g, taps = net.geo[i], net.lowerings[i].pool
+            relu = net.arch.layers[i].activation == arch_mod.RELU
             if g.pool_kind == arch_mod.MAX:
-                _max_unpool(dz[i + 1], winners[i], g, taps, dv[i])
+                v = np.maximum(us[i], 0.0) if relu else us[i]
+                _max_unpool(dz[i + 1], v, zs[i], taps, dv[i])
             elif g.pool_kind is not None:
                 _average_unpool(dz[i + 1], g, taps, dv[i])
-            if net.arch.layers[i].activation == arch_mod.RELU:
+            if relu:
                 np.multiply(dv[i], us[i] >= 0.0, out=du[i])
         _conv_backward(net.lowerings[i], net.weights[i], du[i], dz[i])
 
@@ -781,16 +774,14 @@ def forward(net: VectorNet, z0) -> SignalTrace:
     g0 = net.geo[0]
     z = _as_batch(z0, g0.m_prev, "input")
     n_img = z.shape[1]
-    us, zs, winners = _forward_arrays(net, n_img, lowest=0)
+    us, zs = _forward_arrays(net, n_img)
 
     def block(c, b0, b1):
         x = _images(z[:, b0:b1], g0.in_shape)
-        _forward_chunk(net, x, _rows(us, b0, b1), _rows(zs, b0, b1), _rows(winners, b0, b1))
+        _forward_chunk(net, x, _rows(us, b0, b1), _rows(zs, b0, b1))
 
     _each_chunk(n_img, block)
-    return SignalTrace(
-        u=[_signals(u) for u in us], z=[z] + [_signals(x) for x in zs], winners=winners,
-    )
+    return SignalTrace(u=[_signals(u) for u in us], z=[z] + [_signals(x) for x in zs])
 
 
 def _top_gradient(net, delta_uL, n_img):
@@ -806,24 +797,23 @@ def backward(net: VectorNet, trace: SignalTrace, delta_uL=None, param_grads=Fals
     """Fill the backward half of a trace.
 
     delta_uL defaults to u^(L), i.e. the gradient of E = 0.5 * ||u^(L)||^2.
-    Max pooling routes each window's gradient to its winner unit; average
-    pooling spreads it as 1/T; the ReLU subgradient at 0 is 1.  With
-    param_grads, d_weights[i] is dE/dW of layer i in its live shape.
+    Max pooling routes each window's gradient to its first member equal to
+    the window's max; average pooling spreads it as 1/T; the ReLU
+    subgradient at 0 is 1.  With param_grads, d_weights[i] is dE/dW of
+    layer i in its live shape.
     """
-    if not trace.u:
-        raise MissingForwardTrace("run forward() before backward()")
     n = net.num_layers
+    if len(trace.u) != n or len(trace.z) != n + 1:
+        raise MissingForwardTrace("run forward() before backward(): it reads every u and z")
     n_img = trace.batch
     du_top = _top_gradient(net, trace.u[-1] if delta_uL is None else delta_uL, n_img)
-    if any(g.pool_kind == arch_mod.MAX and w is None
-           for g, w in zip(net.geo[:-1], trace.winners)):
-        raise MissingForwardTrace("forward trace lacks max-pool winners")
     du, dv, dz = _backward_arrays(net, n_img, lowest=0)
 
     def block(c, b0, b1):
         us = [_images(u[:, b0:b1], g.conv_shape) for u, g in zip(trace.u[:-1], net.geo)]
+        zs = [_images(x[:, b0:b1], g.pool_shape) for x, g in zip(trace.z[1:-1], net.geo)]
         _backward_chunk(
-            net, du_top[:, b0:b1], us, _rows(trace.winners, b0, b1),
+            net, du_top[:, b0:b1], us, zs,
             _rows(du, b0, b1), _rows(dv, b0, b1), _rows(dz, b0, b1), lowest=0,
         )
 
@@ -857,18 +847,16 @@ def _chunk_moments(net, z, du_top, b0, b1):
     """(sum x, sum x^2) rows of images [b0, b1): every u, then (given du_top)
     dz at interfaces 1..L-1.  The chunk runs forward and back down to
     interface 1 in arrays of its own size and keeps, between the passes,
-    what backward reads: u and the winners of layers 2..L.  A signal that
-    overflows gives inf or NaN without a warning."""
+    what backward reads: every u and z.  A signal that overflows gives inf
+    or NaN without a warning."""
     # errstate is per thread: set here, on whichever thread runs the chunk
     with np.errstate(over="ignore", invalid="ignore"):
-        lowest = net.num_layers if du_top is None else 1
-        us, zs, winners = _forward_arrays(net, b1 - b0, lowest)
-        _forward_chunk(net, _images(z[:, b0:b1], net.geo[0].in_shape), us, zs, winners)
-        del zs
+        us, zs = _forward_arrays(net, b1 - b0)
+        _forward_chunk(net, _images(z[:, b0:b1], net.geo[0].in_shape), us, zs)
         signals = us
         if du_top is not None:
-            du, dv, dz = _backward_arrays(net, b1 - b0, lowest)
-            _backward_chunk(net, du_top[:, b0:b1], us, winners, du, dv, dz, lowest)
+            du, dv, dz = _backward_arrays(net, b1 - b0, 1)
+            _backward_chunk(net, du_top[:, b0:b1], us, zs, du, dv, dz, 1)
             signals = us + dz[1:]
         return np.array([_sums(x) for x in signals])
 
@@ -912,10 +900,10 @@ def memory_need(architecture, batch, want_backward):
     two buffers of its NormalStream's helper; the drawn input, its
     square (z0's variance) and, for backward, the injected top gradient;
     and, for each chunk that runs at once (_workers), one chunk's signals
-    (u, z, max-pool winners and, for backward, du, dv, dz of layers 2..L)
-    and temporaries: its input images, one layer's im2col buffer, a pooled
-    layer's activations and the pooling's or the ReLU mask's scratch of the
-    same size, and a signal's square.  So the signals grow with
+    (u, z, the max unpooling's mask and, for backward, du, dv, dz of layers
+    2..L) and temporaries: its input images, one layer's im2col buffer, a
+    pooled layer's activations and the pooling's or the ReLU mask's scratch
+    of the same size, and a signal's square.  So the signals grow with
     min(batch, _workers(batch) * CHUNK) images, not batch."""
     geo = architecture.geo
     weights = _draw_scratch(geo) + 2 * (RUN + WINDOW)
@@ -931,7 +919,7 @@ def memory_need(architecture, batch, want_backward):
     for g in geo:
         per_image += g.m_prime + g.m                       # u, z
         if g.pool_kind == arch_mod.MAX:
-            per_image += g.m                               # winners (<= 8 bytes)
+            per_image += g.m                               # unpooling's mask (1 byte)
     if want_backward:
         # du, dv, dz: the stream stops at interface 1
         per_image += sum(2 * g.m_prime + g.m_prev for g in geo[1:])

@@ -195,7 +195,7 @@ def test_memory_bound_counts_live_weights_and_the_draw_block():
     trace = refnet.backward(net, refnet.forward(net, z0))
     held = sum(x.nbytes for x in net.weights)
     held += sum(
-        x.nbytes for signals in (trace.u, trace.z, trace.winners, trace.du, trace.dv, trace.dz)
+        x.nbytes for signals in (trace.u, trace.z, trace.du, trace.dv, trace.dz)
         for x in signals if x is not None
     )
     assert need > held

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import asvinit
 from asvinit import cli, refnet, shapes, variance
-from asvinit.arch import MAX, serialize
+from asvinit.arch import serialize
 from asvinit.errors import MissingForwardTrace, ShapeMismatch
 from conftest import (
     OVERLAPPING_AVERAGE, OVERLAPPING_MAX, POOLS, dead_tap_chain, loss_half_square, record_streams,
@@ -389,6 +389,8 @@ def test_injected_gradient_mode_and_errors():
     empty = refnet.SignalTrace(z=[np.zeros((16, 1))])
     with pytest.raises(MissingForwardTrace):
         refnet.backward(net, empty)
+    with pytest.raises(MissingForwardTrace):
+        refnet.backward(net, refnet.SignalTrace(u=trace.u, z=trace.z[:1]))
     with pytest.raises(ShapeMismatch):
         refnet.forward(net, np.zeros(7))
 
@@ -496,7 +498,7 @@ def test_batch_columns_independent_on_random_chains(a, seed):
 # the chunk pipeline: results do not depend on how many threads run it
 # ---------------------------------------------------------------------------
 
-TRACE_FIELDS = ("u", "z", "winners", "du", "dv", "dz", "d_weights")
+TRACE_FIELDS = ("u", "z", "du", "dv", "dz", "d_weights")
 
 
 def with_cpus(monkeypatch, n):
@@ -785,33 +787,34 @@ WINNER_CHAINS = {
 
 
 @pytest.mark.parametrize("name", WINNER_CHAINS)
-def test_the_stream_keeps_only_the_winners_it_unpools(monkeypatch, name):
-    """A streamed chunk unpools max-pooled layers 2..L only, and none
-    without a top gradient, so its forward pass keeps no other winners:
-    it passes _max_pool no winners array there.  backward(forward())
-    gets one for every max-pooled layer."""
+def test_backward_reads_only_the_traces_u_and_z(name):
+    """backward() needs nothing of forward() but the trace's u and z: max
+    unpooling finds each window's first member equal to its max in them.
+    A trace rebuilt from those two lists gives the same bits."""
     net = sampled(WINNER_CHAINS[name]())
-    maxed = [i for i, g in enumerate(net.geo) if g.pool_kind == MAX]
-    passed = []
-    max_pool = refnet._max_pool
-
-    def spy(v, g, taps, z, winners):
-        passed.append(winners is not None)
-        max_pool(v, g, taps, z, winners)
-
-    monkeypatch.setattr(refnet, "_max_pool", spy)
     rng = np.random.default_rng(6)
     z = rng.normal(size=(net.geo[0].m_prev, 3))
     delta = rng.normal(size=(net.geo[-1].m_prime, 3))
-    refnet.signal_moments(net, z, delta)
-    assert passed == [i > 0 for i in maxed]
-    passed.clear()
-    refnet.signal_moments(net, z)
-    assert passed == [False] * len(maxed)
-    passed.clear()
-    trace = refnet.backward(net, refnet.forward(net, z), delta_uL=delta)
-    assert passed == [True] * len(maxed)
-    assert [i for i, w in enumerate(trace.winners) if w is not None] == maxed
+    t = refnet.forward(net, z)
+    bare = refnet.SignalTrace(u=t.u, z=t.z)
+    refnet.backward(net, bare, delta_uL=delta, param_grads=True)
+    assert_same_traces(refnet.backward(net, t, delta_uL=delta, param_grads=True), bare)
+
+
+def test_a_nan_window_maximum_passes_no_gradient():
+    """np.maximum carries a NaN member into its window's max, which equals
+    no member: that window's gradient reaches none of them, while every
+    other window's reaches exactly one."""
+    net = sampled(small_net((6, 6, 2), [(3, 3, 1, 1, POOLS[1])]), seed=3)
+    trace = refnet.forward(net, np.random.default_rng(5).normal(size=(72, 1)))
+    pm = shapes.build_pool_maps(net.arch, 0)
+    windows = np.split(pm.members, pm.indptr[1:-1])
+    trace.u[0][windows[4][1], 0] = np.nan
+    trace.z[1][4, 0] = np.nan
+    refnet.backward(net, trace, delta_uL=np.ones(3))
+    assert np.all(trace.dz[1][:, 0] != 0.0)
+    passed = [np.count_nonzero(trace.dv[0][members, 0]) for members in windows]
+    assert passed == [1] * 4 + [0] + [1] * (len(windows) - 5)
 
 
 def test_a_single_layer_chain_streams_no_backward_sums():
