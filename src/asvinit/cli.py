@@ -281,18 +281,16 @@ def _weights_header(architecture, plan, seed):
     return json.dumps(header).encode("utf-8") + b"\n"
 
 
-def write_weights(path, architecture, plan, seed, header=None):
-    """Binary weight file: one JSON header line, then little-endian float64
-    weights and biases per layer (W row-major (C, S), then b, zero).  Every
-    weight of the full kernels is written, dead taps included, block by
-    block as refnet.weight_blocks draws them for the same seed, so writing
-    holds one block, and a net sampled with that seed holds the live
-    columns of the file's weights.  header is _weights_header's bytes for
-    the same arguments, when the caller has already built them."""
+def write_weights(path, plan, seed, header):
+    """Binary weight file: the JSON header line (header, _weights_header's
+    bytes for the same plan and seed), then little-endian float64 weights
+    and biases per layer (W row-major (C, S), then b, zero).  Every weight
+    of the full kernels is written, dead taps included, block by block as
+    refnet.weight_blocks draws them for the same seed, so writing holds one
+    block, and a net sampled with that seed holds the live columns of the
+    file's weights."""
     from . import refnet
 
-    if header is None:
-        header = _weights_header(architecture, plan, seed)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -379,7 +377,7 @@ def cmd_init(args):
         _check_free_space(args.emit_weights, architecture, header)
     _emit(render(plan.table(), args.format), args.out)
     if args.emit_weights:
-        write_weights(args.emit_weights, architecture, plan, args.seed, header=header)
+        write_weights(args.emit_weights, plan, args.seed, header)
     return EXIT_OK
 
 

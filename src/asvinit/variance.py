@@ -1,12 +1,17 @@
 """Pooling variance constants, signal-variance recursions, initialization methods.
 
-Forward recursion (pre-activation variance, layer ell):
+Each layer has one gain per direction, its level ratio per unit sigma_w^2:
+forward (tau_{ell-1}, eps_ell, M'_ell), backward (gamma_ell, eps_ell,
+M_{ell-1}), kept as the terms (factor, count, units), not their ratio, so
+each formula keeps the order of operations that gives its pinned bits.
+One recursion serves both directions, up from the input for q
+(pre-activation variance) and down from the top for r (gradient variance
+at the pooled signal):
 
-    q_ell = sigma_w^2 * q_{ell-1} * tau_{ell-1} * eps_ell / M'_ell
+    level after = sigma_w^2 * level before * factor * count / units
 
-Backward recursion (gradient variance at the pooled signal):
-
-    r_{ell-1} = sigma_w^2 * r_ell * gamma_ell * eps_ell / M_{ell-1}
+An asv method's sigma_w^2 sets its own direction's gain to 1: it is
+units / (factor * count).
 
 tau is the second moment of a ReLU+pool output relative to its pre-activation
 variance; gamma the expected squared gradient of the pool+ReLU composite.
@@ -52,7 +57,7 @@ ASV_FORWARD = "asv-forward"
 ASV_BACKWARD = "asv-backward"
 METHODS = (XAVIER, KAIMING_FORWARD, KAIMING_BACKWARD, ASV_FORWARD, ASV_BACKWARD)
 
-_GAMMA_FLOOR = 1e-12
+_FACTOR_FLOOR = 1e-12
 
 # the largest std dev whose square, float(sigma) ** 2 in the levels, is finite
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
@@ -272,28 +277,21 @@ class InitPlan:
         return head, "layers", rows, columns
 
 
-def _taus_before(consts, tau0):
-    """tau_{ell-1} for each layer ell = 1..L, from the layers' constants."""
-    return [tau0] + [c.tau for c in consts[:-1]]
+def _gains(geo, consts, tau0):
+    """(forward, backward): each layer's gains as (factor, count, units),
+    with tau0 as layer 1's forward factor, from its layer_constants."""
+    taus = [tau0] + [c.tau for c in consts[:-1]]
+    forward = [(t, g.epsilon, g.m_prime) for t, g in zip(taus, geo)]
+    backward = [(c.gamma, g.epsilon, g.m_prev) for c, g in zip(consts, geo)]
+    return forward, backward
 
 
-def _forward_levels(geo, consts, sigma_w, tau0):
-    """The list of forward levels q[0..L] (see predict_forward)."""
+def _levels(gains, sigma_w):
+    """One direction's levels for unit variance where the signal enters,
+    over the gains and std devs in the order the signal meets them."""
     levels = [1.0]
-    taus = _taus_before(consts, tau0)
-    for i, row in enumerate(geo):
-        q = float(sigma_w[i]) ** 2 * levels[-1] * taus[i] * row.epsilon / row.m_prime
-        levels.append(q)
-    return levels
-
-
-def _backward_levels(geo, consts, sigma_w):
-    """The list of backward levels r[0..L] (see predict_backward)."""
-    levels = [1.0]
-    for i in range(len(geo) - 1, -1, -1):
-        row = geo[i]
-        r = float(sigma_w[i]) ** 2 * levels[0] * consts[i].gamma * row.epsilon / row.m_prev
-        levels.insert(0, r)
+    for (factor, count, units), s in zip(gains, sigma_w, strict=True):
+        levels.append(float(s) ** 2 * levels[-1] * factor * count / units)
     return levels
 
 
@@ -301,21 +299,23 @@ def predict_forward(geo, sigma_w, tau0=1.0):
     """Forward variance levels q[0..L] for unit input variance under
     per-layer weight std devs (biases are drawn as 0, so they add nothing).
     The levels are linear in the input variance."""
-    return _forward_levels(geo, [layer_constants(g) for g in geo], sigma_w, tau0)
+    forward, _ = _gains(geo, [layer_constants(g) for g in geo], tau0)
+    return _levels(forward, sigma_w)
 
 
 def predict_backward(geo, sigma_w):
     """Backward variance levels r[0..L] for unit top-gradient variance under
     per-layer weight std devs.  The levels are linear in that variance."""
-    return _backward_levels(geo, [layer_constants(g) for g in geo], sigma_w)
+    _, backward = _gains(geo, [layer_constants(g) for g in geo], 1.0)
+    return _levels(reversed(backward), reversed(sigma_w))[::-1]
 
 
-def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
+def _plan(method, arch, consts, gains, sigma_w, clamped, tau0, clamp_factor):
     """InitPlan of the given std devs, with the q and r levels they predict
-    for unit input and top-gradient variance.  consts holds each layer's
-    layer_constants, computed once by the caller."""
-    q = _forward_levels(arch.geo, consts, sigma_w, tau0)
-    r = _backward_levels(arch.geo, consts, sigma_w)
+    for unit input and top-gradient variance.  consts and gains hold each
+    layer's layer_constants and _gains, computed once by the caller."""
+    q = _levels(gains[0], sigma_w)
+    r = _levels(reversed(gains[1]), reversed(sigma_w))[::-1]
     rows = []
     for i, (row, c) in enumerate(zip(arch.geo, consts)):
         rows.append(PlanRow(
@@ -326,26 +326,23 @@ def _plan(method, arch, consts, sigma_w, clamped, tau0, clamp_factor):
                     clamp_factor=clamp_factor, rows=tuple(rows))
 
 
-def _sigmas(method, geo, consts, tau0, clamp_factor):
+def _sigmas(method, geo, gains, clamp_factor):
     """(sigma_w, clamped) of one method: the per-layer weight std devs and
-    whether asv-backward's cap bound each one.  consts holds each layer's
-    layer_constants, computed once by the caller."""
-    taus = _taus_before(consts, tau0)
+    whether asv-backward's cap bound each one.  gains holds each layer's
+    _gains, computed once by the caller."""
+    term, own = ("tau", gains[0]) if method == ASV_FORWARD else ("gamma", gains[1])
     variances = []
     clamped_flags = []
     for i, row in enumerate(geo):
         clamped = False
-        if method == ASV_FORWARD:
-            if taus[i] < _GAMMA_FLOOR:
-                raise AsvinitError(f"layer {row.ell}: tau below {_GAMMA_FLOOR}")
-            var = row.m_prime / (taus[i] * row.epsilon)
-        elif method == ASV_BACKWARD:
-            if consts[i].gamma < _GAMMA_FLOOR:
-                raise AsvinitError(f"layer {row.ell}: gamma below {_GAMMA_FLOOR}")
-            var = row.m_prev / (consts[i].gamma * row.epsilon)
-            if clamp_factor is not None:
+        if method in (ASV_FORWARD, ASV_BACKWARD):
+            factor, count, units = own[i]
+            if factor < _FACTOR_FLOOR:
+                raise AsvinitError(f"layer {row.ell}: {term} below {_FACTOR_FLOOR}")
+            var = units / (factor * count)
+            if method == ASV_BACKWARD and clamp_factor is not None:
                 # the no-pool value first, then the factor: the pinned rounding
-                cap = clamp_factor * (row.m_prev / (0.5 * row.epsilon))
+                cap = clamp_factor * (units / (0.5 * count))
                 if var > cap:
                     var = cap
                     clamped = True
@@ -371,9 +368,10 @@ def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     consts = [layer_constants(g) for g in arch.geo]
-    sigma_w, clamped = _sigmas(method, arch.geo, consts, tau0, clamp_factor)
+    gains = _gains(arch.geo, consts, tau0)
+    sigma_w, clamped = _sigmas(method, arch.geo, gains, clamp_factor)
     return _plan(
-        method, arch, consts, sigma_w, clamped, tau0=tau0,
+        method, arch, consts, gains, sigma_w, clamped, tau0=tau0,
         clamp_factor=clamp_factor if method == ASV_BACKWARD else None,
     )
 
@@ -381,9 +379,9 @@ def init_plan(method, arch, clamp_factor=3.0, tau0=1.0) -> InitPlan:
 def method_sigmas(arch, clamp_factor=3.0, tau0=1.0):
     """{method: per-layer sigma_w} for every method of METHODS, in that
     order: init_plan(method, ...)'s sigma_w, without the plans' levels and
-    rows, and with the layer constants computed once."""
-    consts = [layer_constants(g) for g in arch.geo]
-    return {m: _sigmas(m, arch.geo, consts, tau0, clamp_factor)[0] for m in METHODS}
+    rows, and with the layer constants and gains computed once."""
+    gains = _gains(arch.geo, [layer_constants(g) for g in arch.geo], tau0)
+    return {m: _sigmas(m, arch.geo, gains, clamp_factor)[0] for m in METHODS}
 
 
 def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
@@ -401,5 +399,6 @@ def plan_from_sigmas(arch, sigma_w, tau0=1.0) -> InitPlan:
     for ell, s in enumerate(sigma_w, 1):
         if isinstance(s, bool) or not (isinstance(s, numbers.Real) and 0 <= s <= _SIGMA_MAX):
             raise ValueError(f"layer {ell}: sigma must be a number from 0 to {_SIGMA_MAX!r}")
-    return _plan("override", arch, [layer_constants(g) for g in arch.geo], sigma_w,
+    consts = [layer_constants(g) for g in arch.geo]
+    return _plan("override", arch, consts, _gains(arch.geo, consts, tau0), sigma_w,
                  [False] * n, tau0=tau0, clamp_factor=None)

@@ -1,10 +1,12 @@
 import functools
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import asvinit
 from asvinit import cli, refnet, variance
@@ -88,3 +90,22 @@ def test_map_counters_read_the_built_maps(monkeypatch):
     assert taps == 359_840
     assert tracer.counts["shapes.map_taps"] == taps
     assert tracer.counts["shapes.map_bytes"] == sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("name, count", [("calc", None), ("mc-toy", None), ("mc-deep", 4)])
+def test_the_program_gives_the_recorded_references(monkeypatch, tmp_path, name, count):
+    """Every calc and mc-toy request, and the first mc-deep ones in pool
+    order, give the result perfbench/references.json records for it, as
+    the benchmark's worker runs and checks them, so a change that moves
+    an output byte fails here and not first in a benchmark run."""
+    workloads = load_bench(monkeypatch, "workloads")
+    worker = load_bench(monkeypatch, "worker")
+    refs = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))[name]
+    ops = workloads.materialize(workloads.build_pool(name)[:count], tmp_path)
+    mismatches = []
+    for op in ops:
+        _, *result = worker.call_in_process(cli, op["argv"])
+        reason = worker.check(op, refs[op["id"]], *result)
+        if reason is not None:
+            mismatches.append(f"{op['id']} {op['argv']}: {reason}")
+    assert not mismatches, "\n".join(mismatches)

@@ -152,7 +152,8 @@ def test_weight_file_keeps_a_zero_bias_vector_per_layer(tmp_path):
     (C, S) weights with C zero biases."""
     a = dead_tap_chain(POOLS[1])
     path = tmp_path / "w.bin"
-    cli.write_weights(str(path), a, asvinit.init_plan("asv-backward", a), 3)
+    plan = asvinit.init_plan("asv-backward", a)
+    cli.write_weights(str(path), plan, 3, cli._weights_header(a, plan, 3))
     header, weights, biases = cli.read_weights(str(path))
     assert len(weights) == len(biases) == len(a.geo)
     for g, w, b in zip(a.geo, weights, biases):
@@ -279,7 +280,7 @@ def test_weight_file_is_written_one_draw_block_at_a_time(tmp_path):
     plan = asvinit.init_plan("asv-backward", a)
     tracemalloc.start()
     try:
-        cli.write_weights(str(tmp_path / "w.bin"), a, plan, 3)
+        cli.write_weights(str(tmp_path / "w.bin"), plan, 3, cli._weights_header(a, plan, 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

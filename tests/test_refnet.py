@@ -674,7 +674,7 @@ def test_no_thread_outlives_a_call(monkeypatch):
     file = FailingFile()
     monkeypatch.setattr(cli, "open", lambda path, mode: file, raising=False)
     with pytest.raises(asvinit.AsvinitError, match="No space left") as failed:
-        cli.write_weights("w.bin", a, plan, 107)
+        cli.write_weights("w.bin", plan, 107, cli._weights_header(a, plan, 107))
     assert file.writes == 2 and failed.value is not None
     assert threading.active_count() == before
     assert started.count("refnet-normals") == 2
@@ -916,7 +916,7 @@ def test_draws_are_the_normal_stream_in_blocks(monkeypatch, tmp_path, block):
     plan = variance.plan_from_sigmas(a, [0.7, 1.3, 0.0, 0.5])
     net = refnet.sample_parameters(a, plan, seed=49)
     path = tmp_path / "w.bin"
-    cli.write_weights(str(path), a, plan, 49)
+    cli.write_weights(str(path), plan, 49, cli._weights_header(a, plan, 49))
     _, file_weights, file_biases = cli.read_weights(str(path))
     rng = np.random.default_rng(49)
     for w, w_file, b_file, row, g, window in zip(
@@ -1005,7 +1005,7 @@ def test_arch34_16_weights_are_the_per_layer_normals(
     assert [hashlib.sha256(w).hexdigest() for w in net.weights] == live
 
     path = tmp_path / "w.bin"
-    cli.write_weights(str(path), a, plan, 5)
+    cli.write_weights(str(path), plan, 5, cli._weights_header(a, plan, 5))
     with open(path, "rb") as fh:
         fh.readline()
         for g, digest in zip(a.geo, full):

@@ -401,18 +401,27 @@ def test_plan_csv_has_required_columns():
 
 
 def test_init_plan_computes_each_layers_constants_once(monkeypatch):
-    """One layer_constants call per layer per plan on arch50, and the
-    plan's levels are exactly the public recursions' levels."""
+    """One layer_constants call per layer on arch50 for each init_plan,
+    for the five methods' method_sigmas table and for plan_from_sigmas,
+    and each plan's levels are exactly the public recursions' levels."""
     arch50 = asvinit.builtin("arch50")
     geo = asvinit.infer_shapes(arch50)
     calls = []
     layer_constants = variance.layer_constants
     monkeypatch.setattr(variance, "layer_constants",
                         lambda g: calls.append(g) or layer_constants(g))
-    for method in variance.METHODS:
+
+    def once_per_layer(build, *args):
         calls.clear()
-        plan = variance.init_plan(method, arch50)
-        assert len(calls) == len(geo)
+        out = build(*args, arch50)
+        assert len(calls) == len(geo), build.__name__
+        return out
+
+    plans = [once_per_layer(variance.init_plan, m) for m in variance.METHODS]
+    once_per_layer(variance.method_sigmas)
+    sigmas = [0.5] * len(geo)
+    plans.append(once_per_layer(lambda a: variance.plan_from_sigmas(a, sigmas)))
+    for plan in plans:
         q = variance.predict_forward(geo, plan.sigma_w)
         r = variance.predict_backward(geo, plan.sigma_w)
         assert [row.q_pred for row in plan.rows] == list(q[1:])
